@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Commands: ingest, score, rules, stats, report, export, fixtures.
-Exit codes: 0 success, 1 on IO/store/domain failures, 2 on parse failures.
+Exit codes: 0 success, 1 on IO/store/domain failures, 2 on parse failures
+and usage errors; failures print one "Error: ..." line to stderr.
 Weights come from defaults, overridden by --config (JSON), overridden by
 the individual weight flags.
 """
@@ -10,7 +11,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -49,17 +49,12 @@ def _load_weights(config_path: Path | None, overrides: dict[str, float]) -> Weig
     mapping: dict[str, float] = {}
     if config_path is not None:
         try:
-            data = json.loads(Path(config_path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise click.ClickException(f"cannot read config {config_path}: {exc}")
-        if not isinstance(data, dict):
-            raise click.ClickException(f"config {config_path} must be a JSON object")
-        mapping.update(data)
-    mapping.update(overrides)
-    try:
-        return WeightConfig.from_mapping(mapping)
-    except InvalidWeightsError as exc:
-        raise click.ClickException(str(exc))
+            mapping = json.loads(Path(config_path).read_text())
+        except json.JSONDecodeError as exc:
+            raise InvalidWeightsError(f"config {config_path}: {exc}") from None
+        if not isinstance(mapping, dict):
+            raise InvalidWeightsError(f"config {config_path} must be a JSON object")
+    return WeightConfig.from_mapping({**mapping, **overrides})
 
 
 def _now_iso() -> str:
@@ -73,7 +68,20 @@ def _emit(ctx: AppContext, payload: dict, text: str) -> None:
         click.echo(text)
 
 
-@click.group()
+class _Main(click.Group):
+    """The one error -> exit-code rule: a ParseError exits 2, any other
+    UcaError or an OSError exits 1."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except (UcaError, OSError) as exc:
+            error = click.ClickException(str(exc))
+            error.exit_code = 2 if isinstance(exc, ParseError) else 1
+            raise error from exc
+
+
+@click.group(cls=_Main)
 @click.option("--store", "store_path", type=click.Path(path_type=Path),
               default=Path("uca.db"), show_default=True,
               help="Path to the SQLite store.")
@@ -124,18 +132,13 @@ def ingest(app: AppContext, node, tool, input_path, iteration, phase,
            runtime_seconds, timestamp):
     """Parse one tool output file and record the run."""
     tool = Tool(tool)
-    try:
-        document = Path(input_path).read_text()
-    except OSError as exc:
-        click.echo(f"error: cannot read {input_path}: {exc}", err=True)
-        sys.exit(1)
+    document = Path(input_path).read_text()
     try:
         raw, normalized = scoring.score_tool_document(
             tool, document, app.weights.aide_penalty_per_change
         )
     except ParseError as exc:
-        click.echo(f"error: {input_path}: {exc}", err=True)
-        sys.exit(2)
+        raise type(exc)(f"{input_path}: {exc}") from exc
     run = AuditRun(
         node=node,
         tool=tool,
@@ -146,12 +149,8 @@ def ingest(app: AppContext, node, tool, input_path, iteration, phase,
         normalized_score=normalized,
         runtime_seconds=runtime_seconds,
     )
-    try:
-        with app.open() as store:
-            run_id = store.record_audit_run(run)
-    except UcaError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
+    with app.open() as store:
+        run_id = store.record_audit_run(run)
     _emit(app, {"id": run_id, "node": node, "tool": tool.value,
                 "raw_score": round(raw, 2), "normalized_score": round(normalized, 2)},
           f"recorded run {run_id}: {node}/{tool.value} "
@@ -170,41 +169,38 @@ def score(app: AppContext, node, iteration, rules_path, snapshot_path):
     """Combine the three recorded tool runs into unified scores."""
     if rules_path is not None and snapshot_path is None:
         raise click.UsageError("--rules needs --snapshot to evaluate against")
-    try:
-        with app.open() as store:
-            runs = store.runs_for(node, iteration)
-            missing = [t.value for t in Tool if t.value not in runs]
-            if missing:
-                raise MissingRunsError(
-                    f"{node} iteration {iteration}: missing runs for {', '.join(missing)}"
-                )
-            components = {t: runs[t.value].normalized_score for t in Tool}
-            standard = scoring.compute_standard_uca(
-                components[Tool.LYNIS], components[Tool.OPENSCAP],
-                components[Tool.AIDE], app.weights,
+    with app.open() as store:
+        runs = store.runs_for(node, iteration)
+        missing = [t.value for t in Tool if t.value not in runs]
+        if missing:
+            raise MissingRunsError(
+                f"{node} iteration {iteration}: missing runs for {', '.join(missing)}"
             )
-            custom = extended = None
-            if snapshot_path is not None:
-                ruleset = (load_rules(Path(rules_path).read_text())
-                           if rules_path else default_rules())
-                snapshot = load_snapshot(snapshot_path)
-                results = evaluate_rules(ruleset, snapshot, iteration=iteration)
-                # rule results belong to the scored node even if the snapshot
-                # manifest names it differently
-                results = [dataclasses.replace(r, node=node) for r in results]
-                store.record_rules(ruleset)
-                store.record_rule_results(results)
-                custom = score_rules(results, ruleset)
-                extended = scoring.compute_extended_uca(standard, custom, app.weights)
-            agg = AggregateScore(
-                node=node, iteration=iteration,
-                lynis=components[Tool.LYNIS], openscap=components[Tool.OPENSCAP],
-                aide=components[Tool.AIDE], standard_uca=standard,
-                custom=custom, extended_uca=extended, timestamp=_now_iso(),
-            )
-            agg_id = store.record_aggregate(agg)
-    except UcaError as exc:
-        raise click.ClickException(str(exc))
+        components = {t: runs[t.value].normalized_score for t in Tool}
+        standard = scoring.compute_standard_uca(
+            components[Tool.LYNIS], components[Tool.OPENSCAP],
+            components[Tool.AIDE], app.weights,
+        )
+        custom = extended = None
+        if snapshot_path is not None:
+            ruleset = (load_rules(Path(rules_path).read_text())
+                       if rules_path else default_rules())
+            snapshot = load_snapshot(snapshot_path)
+            results = evaluate_rules(ruleset, snapshot, iteration=iteration)
+            # rule results belong to the scored node even if the snapshot
+            # manifest names it differently
+            results = [dataclasses.replace(r, node=node) for r in results]
+            store.record_rules(ruleset)
+            store.record_rule_results(results)
+            custom = score_rules(results, ruleset)
+            extended = scoring.compute_extended_uca(standard, custom, app.weights)
+        agg = AggregateScore(
+            node=node, iteration=iteration,
+            lynis=components[Tool.LYNIS], openscap=components[Tool.OPENSCAP],
+            aide=components[Tool.AIDE], standard_uca=standard,
+            custom=custom, extended_uca=extended, timestamp=_now_iso(),
+        )
+        agg_id = store.record_aggregate(agg)
     payload = {
         "id": agg_id, "node": node, "iteration": iteration,
         "lynis": round(agg.lynis, 2), "openscap": round(agg.openscap, 2),
@@ -230,32 +226,29 @@ def score(app: AppContext, node, iteration, rules_path, snapshot_path):
 @click.pass_obj
 def rules_cmd(app: AppContext, rules_path, snapshot_path, node, iteration, record):
     """Show the rule set, or evaluate it against a snapshot."""
-    try:
-        ruleset = (load_rules(Path(rules_path).read_text())
-                   if rules_path else default_rules())
-        if snapshot_path is None:
-            rows = [
-                {"id": r.id, "name": r.name, "check_type": r.check_type.value,
-                 "weight": r.weight}
-                for r in ruleset.rules
-            ]
-            text = "\n".join(
-                f"{r.id:<26} weight={r.weight:<3} {r.check_type.value:<17} {r.name}"
-                for r in ruleset.rules
-            ) + f"\ntotal weight: {ruleset.total_weight}"
-            _emit(app, {"rules": rows, "total_weight": ruleset.total_weight}, text)
-            return
-        snapshot = load_snapshot(snapshot_path)
-        if node is not None:
-            snapshot.node = node
-        results = evaluate_rules(ruleset, snapshot, iteration=iteration)
-        pct = score_rules(results, ruleset)
-        if record:
-            with app.open() as store:
-                store.record_rules(ruleset)
-                store.record_rule_results(results)
-    except UcaError as exc:
-        raise click.ClickException(str(exc))
+    ruleset = (load_rules(Path(rules_path).read_text())
+               if rules_path else default_rules())
+    if snapshot_path is None:
+        rows = [
+            {"id": r.id, "name": r.name, "check_type": r.check_type.value,
+             "weight": r.weight}
+            for r in ruleset.rules
+        ]
+        text = "\n".join(
+            f"{r.id:<26} weight={r.weight:<3} {r.check_type.value:<17} {r.name}"
+            for r in ruleset.rules
+        ) + f"\ntotal weight: {ruleset.total_weight}"
+        _emit(app, {"rules": rows, "total_weight": ruleset.total_weight}, text)
+        return
+    snapshot = load_snapshot(snapshot_path)
+    if node is not None:
+        snapshot.node = node
+    results = evaluate_rules(ruleset, snapshot, iteration=iteration)
+    pct = score_rules(results, ruleset)
+    if record:
+        with app.open() as store:
+            store.record_rules(ruleset)
+            store.record_rule_results(results)
     passed = sum(1 for r in results if r.passed)
     payload = {
         "node": snapshot.node,
@@ -285,19 +278,16 @@ def rules_cmd(app: AppContext, rules_path, snapshot_path, node, iteration, recor
 @click.pass_obj
 def stats_cmd(app: AppContext, tool, node_a, node_b, welch):
     """Two-sample t-test of a tool's scores between two nodes (b - a)."""
-    try:
-        with app.open() as store:
-            known_nodes = store.nodes()
-            for name in (node_a, node_b):
-                if name not in known_nodes:
-                    raise UnknownNodeError(f"no runs recorded for node {name!r}")
-            if tool not in store.tools():
-                raise UnknownToolError(f"no runs recorded for tool {tool!r}")
-            group_a = store.tool_scores(tool, node_a)
-            group_b = store.tool_scores(tool, node_b)
-        result = stats.pooled_t_test(group_a, group_b, welch=welch)
-    except UcaError as exc:
-        raise click.ClickException(str(exc))
+    with app.open() as store:
+        known_nodes = store.nodes()
+        for name in (node_a, node_b):
+            if name not in known_nodes:
+                raise UnknownNodeError(f"no runs recorded for node {name!r}")
+        if tool not in store.tools():
+            raise UnknownToolError(f"no runs recorded for tool {tool!r}")
+        group_a = store.tool_scores(tool, node_a)
+        group_b = store.tool_scores(tool, node_b)
+    result = stats.pooled_t_test(group_a, group_b, welch=welch)
     payload = {
         "tool": tool, "node_a": node_a, "node_b": node_b,
         "n_a": len(group_a), "n_b": len(group_b),
@@ -321,16 +311,13 @@ def report(app: AppContext, out_dir):
     """Emit the four summary tables plus plot-data CSVs."""
     if app.fmt == "csv-dir" and out_dir is None:
         raise click.UsageError("--out-dir is required with --format csv-dir")
-    try:
-        with app.open() as store:
-            bundle = report_mod.build_report(store)
-            written: list[Path] = []
-            if out_dir is not None:
-                written += report_mod.write_plot_data(store, bundle, out_dir)
-                if app.fmt == "csv-dir":
-                    written += report_mod.write_csv_tables(bundle, out_dir)
-    except UcaError as exc:
-        raise click.ClickException(str(exc))
+    with app.open() as store:
+        bundle = report_mod.build_report(store)
+    written: list[Path] = []
+    if out_dir is not None:
+        written += report_mod.write_plot_data(bundle, out_dir)
+        if app.fmt == "csv-dir":
+            written += report_mod.write_csv_tables(bundle, out_dir)
     if app.fmt == "json":
         click.echo(json.dumps(report_mod.bundle_to_dict(bundle), indent=2))
     elif app.fmt == "csv-dir":
@@ -347,19 +334,12 @@ def report(app: AppContext, out_dir):
 @click.pass_obj
 def export(app: AppContext, out_dir):
     """Write audit_runs.csv and aggregate_scores.csv."""
-    out_dir = Path(out_dir)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        with app.open() as store:
-            audit_path = out_dir / "audit_runs.csv"
-            agg_path = out_dir / "aggregate_scores.csv"
-            audit_rows = store.export_audit_csv(audit_path)
-            agg_rows = store.export_aggregate_csv(agg_path)
-    except OSError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
-    except UcaError as exc:
-        raise click.ClickException(str(exc))
+    out_dir.mkdir(parents=True, exist_ok=True)
+    audit_path = out_dir / "audit_runs.csv"
+    agg_path = out_dir / "aggregate_scores.csv"
+    with app.open() as store:
+        audit_rows = store.export_audit_csv(audit_path)
+        agg_rows = store.export_aggregate_csv(agg_path)
     _emit(app, {"files": [
         {"path": str(audit_path), "rows": audit_rows},
         {"path": str(agg_path), "rows": agg_rows},
@@ -374,27 +354,13 @@ def export(app: AppContext, out_dir):
 @click.pass_obj
 def fixtures(app: AppContext, out_dir, seed, spec_path):
     """Generate a synthetic audit corpus and record it into the store."""
-    try:
-        if spec_path is not None:
-            spec = fixtures_mod.CorpusSpec.from_dict(
-                json.loads(Path(spec_path).read_text())
-            )
-        else:
-            spec = fixtures_mod.CorpusSpec()
-        if seed is not None:
-            spec.seed = seed
-        result = fixtures_mod.make_corpus(
-            spec, out_dir, store_path=app.store_path, weights=app.weights
-        )
-    except json.JSONDecodeError as exc:
-        raise click.ClickException(f"invalid spec JSON: {exc}")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise click.ClickException(f"invalid spec document: {exc!r}")
-    except OSError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
-    except UcaError as exc:
-        raise click.ClickException(str(exc))
+    spec = (fixtures_mod.CorpusSpec.from_json(Path(spec_path).read_text())
+            if spec_path is not None else fixtures_mod.CorpusSpec())
+    if seed is not None:
+        spec.seed = seed
+    result = fixtures_mod.make_corpus(
+        spec, out_dir, store_path=app.store_path, weights=app.weights
+    )
     _emit(app, {
         "corpus_dir": str(result.corpus_dir),
         "store": str(result.store_path),

@@ -79,6 +79,10 @@ class SnapshotError(UcaError):
     """A snapshot directory is missing required pieces or is malformed."""
 
 
+class SpecError(UcaError):
+    """A corpus spec document is malformed."""
+
+
 # --- repository ------------------------------------------------------------
 
 class StoreError(UcaError):

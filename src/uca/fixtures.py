@@ -19,15 +19,15 @@ runtime totals reproduce exactly.
 
 from __future__ import annotations
 
+import json
 import random
-import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta, timezone
 from enum import Enum
 from pathlib import Path
 
 from . import scoring
-from .errors import OutOfRangeError
+from .errors import OutOfRangeError, SpecError
 from .repository import AuditRun, Phase, open_store
 from .rules import (
     FirewallState,
@@ -105,27 +105,19 @@ def make_xccdf_fixture(
         if count < 0:
             raise OutOfRangeError(f"count for {status!r} must be non-negative")
 
-    ET.register_namespace("", _XCCDF_NS)
-    root = ET.Element(f"{{{_XCCDF_NS}}}Benchmark", {"id": "synthetic_benchmark"})
-    result = ET.SubElement(
-        root, f"{{{_XCCDF_NS}}}TestResult", {"id": "synthetic_testresult"}
-    )
-    target = ET.SubElement(result, f"{{{_XCCDF_NS}}}target")
-    target.text = "synthetic-node"
     sequence = [("pass", pass_count), ("fail", fail_count)]
     sequence.extend(sorted(extras.items()))
-    rule_number = 0
-    for status, count in sequence:
-        for _ in range(count):
-            rule_number += 1
-            rule_result = ET.SubElement(
-                result,
-                f"{{{_XCCDF_NS}}}rule-result",
-                {"idref": f"xccdf_rule_{rule_number:05d}"},
-            )
-            status_elem = ET.SubElement(rule_result, f"{{{_XCCDF_NS}}}result")
-            status_elem.text = status
-    return ET.tostring(root, encoding="unicode")
+    # XML character data escaping, as xml.sax.saxutils.escape does; that module
+    # is not imported because it pulls in urllib.request and http.client
+    statuses = [status.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+                for status, count in sequence for _ in range(count)]
+    return "".join([
+        f'<Benchmark xmlns="{_XCCDF_NS}" id="synthetic_benchmark">'
+        '<TestResult id="synthetic_testresult"><target>synthetic-node</target>',
+        *(f'<rule-result idref="xccdf_rule_{number:05d}"><result>{status}'
+          '</result></rule-result>' for number, status in enumerate(statuses, 1)),
+        "</TestResult></Benchmark>",
+    ])
 
 
 def make_aide_fixture(
@@ -331,6 +323,17 @@ class CorpusSpec:
                 for tool, pair in data["runtime_distributions"].items()
             })
         return spec
+
+    @classmethod
+    def from_json(cls, document: str) -> "CorpusSpec":
+        """Build a spec from a JSON document; a malformed one raises SpecError."""
+        try:
+            data = json.loads(document)
+            if not isinstance(data, dict):
+                raise TypeError(f"top level is a {type(data).__name__}, not an object")
+            return cls.from_dict(data)
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise SpecError(f"invalid spec document: {exc!r}") from None
 
 
 @dataclass(frozen=True)

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import csv
 import json
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import stats
 from .errors import DegenerateSampleError, EmptyStoreError, UnknownRuleIdError
-from .repository import RuntimeSummary, Store
+from .repository import AuditRun, RuntimeSummary, Store
 from .rules import score_rules
 from .scoring import Tool
 
@@ -51,6 +52,8 @@ class ReportBundle:
     runtime: RuntimeSummary
     node_low: str | None
     node_high: str | None
+    # every audit run in store order, for the score progression plot
+    runs: list[AuditRun]
     significance: list[SignificanceRow] = field(default_factory=list)
 
 
@@ -60,49 +63,44 @@ def _mean(values: list[float]) -> float | None:
     return stats.describe(values).mean
 
 
+def _group(pairs: Iterable[tuple]) -> dict:
+    groups: dict = {}
+    for key, value in pairs:
+        groups.setdefault(key, []).append(value)
+    return groups
+
+
 def build_report(store: Store) -> ReportBundle:
-    """Recompute the four report tables from raw store rows."""
-    if store.count_runs() == 0:
+    """Recompute the four report tables from one read of each store table."""
+    runs = store.audit_runs()
+    if not runs:
         raise EmptyStoreError("no audit runs recorded; ingest or generate a corpus first")
 
-    aggregates = store.aggregates()
-    per_node_standard: dict[str, list[float]] = {}
-    per_node_extended: dict[str, list[float]] = {}
-    per_node_custom: dict[str, list[float]] = {}
-    for agg in aggregates:
-        per_node_standard.setdefault(agg.node, []).append(agg.standard_uca)
-        if agg.extended_uca is not None:
-            per_node_extended.setdefault(agg.node, []).append(agg.extended_uca)
-        if agg.custom is not None:
-            per_node_custom.setdefault(agg.node, []).append(agg.custom)
+    # (metric, node) -> values in store order: tool scores by iteration, then
+    # the aggregate columns by iteration
+    samples = _group(((run.tool.value, run.node), run.normalized_score) for run in runs)
+    for agg in store.aggregates():
+        for metric in ("custom", "standard_uca", "extended_uca"):
+            value = getattr(agg, metric)
+            if value is not None:
+                samples.setdefault((metric, agg.node), []).append(value)
+
+    def mean(metric: str, node: str) -> float | None:
+        return _mean(samples.get((metric, node), []))
 
     # Column order: weakest to strongest by mean standard score, so the
     # significance comparison (first vs last column) reads naturally.
-    nodes = sorted(
-        store.nodes(),
-        key=lambda n: (
-            _mean(per_node_standard.get(n, [])) is None,
-            _mean(per_node_standard.get(n, [])) or 0.0,
-            n,
-        ),
-    )
-
-    score_table: dict[str, dict[str, float | None]] = {m: {} for m in SCORE_METRICS}
-    for node in nodes:
-        for tool in Tool:
-            score_table[tool.value][node] = _mean(store.tool_scores(tool.value, node))
-        score_table["custom"][node] = _mean(per_node_custom.get(node, []))
-        score_table["standard_uca"][node] = _mean(per_node_standard.get(node, []))
-        score_table["extended_uca"][node] = _mean(per_node_extended.get(node, []))
+    standard = {n: mean("standard_uca", n) for n in {run.node for run in runs}}
+    nodes = sorted(standard, key=lambda n: (standard[n] is None, standard[n] or 0.0, n))
+    score_table = {m: {n: mean(m, n) for n in nodes} for m in SCORE_METRICS}
 
     ruleset = store.stored_rules()
+    latest_by_node = _group((r.node, r) for r in store.latest_rule_outcomes())
     rule_table = []
     for node in nodes:
-        results = store.rule_results(node)
-        if not results:
+        latest = latest_by_node.get(node)
+        if not latest:
             continue
-        last_iteration = max(r.iteration for r in results)
-        latest = [r for r in results if r.iteration == last_iteration]
         passed = sum(1 for r in latest if r.passed)
         score_pct = None
         if ruleset is not None:
@@ -120,12 +118,12 @@ def build_report(store: Store) -> ReportBundle:
 
     node_low = node_high = None
     significance: list[SignificanceRow] = []
-    ranked = [n for n in nodes if per_node_standard.get(n)]
+    ranked = [n for n in nodes if standard[n] is not None]
     if len(ranked) >= 2:
         node_low, node_high = ranked[0], ranked[-1]
         for tool in Tool:
-            low_scores = store.tool_scores(tool.value, node_low)
-            high_scores = store.tool_scores(tool.value, node_high)
+            low_scores = samples.get((tool.value, node_low), [])
+            high_scores = samples.get((tool.value, node_high), [])
             if len(low_scores) < 2 or len(high_scores) < 2:
                 continue
             try:
@@ -148,6 +146,7 @@ def build_report(store: Store) -> ReportBundle:
         runtime=store.summarize_runtime(),
         node_low=node_low,
         node_high=node_high,
+        runs=runs,
         significance=significance,
     )
 
@@ -270,116 +269,75 @@ def render_json(bundle: ReportBundle) -> str:
     return json.dumps(bundle_to_dict(bundle), indent=2) + "\n"
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> Path:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-    return path
+def _cell(value: float | None) -> str:
+    return "" if value is None else f"{value:.2f}"
+
+
+def _csv_files(bundle: ReportBundle) -> dict[str, tuple[list[str], Iterable]]:
+    """All nine report CSV files: file name -> (header, formatted rows).
+
+    The ``table_`` files are the four report tables; each ``plot_`` file
+    repeats or slices them, except the per-run score progression, whose rows
+    are a generator so that a call writing only the tables does not format them.
+    """
+    cells = {m: [_cell(bundle.score_table[m].get(n)) for n in bundle.nodes]
+             for m in SCORE_METRICS}
+
+    def by_node(*metrics: str) -> list:
+        return list(zip(bundle.nodes, *(cells[m] for m in metrics)))
+
+    rules_header = ["node", "passed", "failed", "score_pct"]
+    rules = [[r["node"], r["passed"], r["failed"], _cell(r["score_pct"])]
+             for r in bundle.rule_table]
+    runtime_header = ["tool", "avg_runtime_seconds", "total_runtime_seconds", "runs"]
+    runtime = [[tool, f"{entry.average:.2f}", f"{entry.total:.2f}", entry.count]
+               for tool, entry in bundle.runtime.per_tool.items()]
+    return {
+        "table_scores.csv": (["metric", *bundle.nodes],
+                             [[m, *cells[m]] for m in SCORE_METRICS]),
+        "table_custom_rules.csv": (rules_header, rules),
+        "table_runtime.csv": (runtime_header, runtime + [
+            ["total", "", f"{bundle.runtime.grand_total:.2f}", ""]]),
+        "table_significance.csv": (
+            ["tool", "node_low", "node_high", "mean_diff", "t", "df", "p_two_tailed",
+             "cohens_d"],
+            [[row.tool, bundle.node_low, bundle.node_high, f"{row.mean_diff:.2f}",
+              f"{row.t:.4f}", f"{row.df:g}", f"{row.p_two_tailed:.6f}", f"{row.d:.4f}"]
+             for row in bundle.significance],
+        ),
+        "plot_scores_by_node.csv": (["node", "lynis", "openscap", "aide"],
+                                    by_node("lynis", "openscap", "aide")),
+        "plot_score_progression.csv": (
+            ["node", "tool", "iteration", "normalized_score"],
+            ([run.node, run.tool.value, run.iteration, f"{run.normalized_score:.2f}"]
+             for run in bundle.runs),
+        ),
+        "plot_uca_comparison.csv": (["node", "standard_uca", "extended_uca"],
+                                    by_node("standard_uca", "extended_uca")),
+        "plot_custom_rules.csv": (rules_header, rules),
+        "plot_runtime.csv": (runtime_header, runtime),
+    }
+
+
+def _write_csv_files(bundle: ReportBundle, out_dir: Path, prefix: str) -> list[Path]:
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    written = []
+    for name, (header, rows) in _csv_files(bundle).items():
+        if name.startswith(prefix):
+            with open(out_dir / name, "w", newline="") as handle:
+                writer = csv.writer(handle, lineterminator="\n")
+                writer.writerow(header)
+                writer.writerows(rows)
+            written.append(out_dir / name)
+    return written
 
 
 def write_csv_tables(bundle: ReportBundle, out_dir: Path) -> list[Path]:
     """The four report tables as CSV files."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    written.append(_write_csv(
-        out_dir / "table_scores.csv",
-        ["metric", *bundle.nodes],
-        [
-            [metric] + [
-                "" if bundle.score_table[metric].get(n) is None
-                else f"{bundle.score_table[metric][n]:.2f}"
-                for n in bundle.nodes
-            ]
-            for metric in SCORE_METRICS
-        ],
-    ))
-    written.append(_write_csv(
-        out_dir / "table_custom_rules.csv",
-        ["node", "passed", "failed", "score_pct"],
-        [
-            [r["node"], r["passed"], r["failed"],
-             "" if r["score_pct"] is None else f"{r['score_pct']:.2f}"]
-            for r in bundle.rule_table
-        ],
-    ))
-    written.append(_write_csv(
-        out_dir / "table_runtime.csv",
-        ["tool", "avg_runtime_seconds", "total_runtime_seconds", "runs"],
-        [
-            [tool, f"{entry.average:.2f}", f"{entry.total:.2f}", entry.count]
-            for tool, entry in bundle.runtime.per_tool.items()
-        ] + [["total", "", f"{bundle.runtime.grand_total:.2f}", ""]],
-    ))
-    written.append(_write_csv(
-        out_dir / "table_significance.csv",
-        ["tool", "node_low", "node_high", "mean_diff", "t", "df", "p_two_tailed", "cohens_d"],
-        [
-            [row.tool, bundle.node_low, bundle.node_high, f"{row.mean_diff:.2f}",
-             f"{row.t:.4f}", f"{row.df:g}", f"{row.p_two_tailed:.6f}", f"{row.d:.4f}"]
-            for row in bundle.significance
-        ],
-    ))
-    return written
+    return _write_csv_files(bundle, out_dir, "table_")
 
 
-def write_plot_data(store: Store, bundle: ReportBundle, out_dir: Path) -> list[Path]:
+def write_plot_data(bundle: ReportBundle, out_dir: Path) -> list[Path]:
     """Plot-data CSVs, one per report figure."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    written.append(_write_csv(
-        out_dir / "plot_scores_by_node.csv",
-        ["node", "lynis", "openscap", "aide"],
-        [
-            [n] + [
-                "" if bundle.score_table[t.value].get(n) is None
-                else f"{bundle.score_table[t.value][n]:.2f}"
-                for t in Tool
-            ]
-            for n in bundle.nodes
-        ],
-    ))
-    progression_rows = []
-    for run in store.audit_runs():
-        progression_rows.append([
-            run.node, run.tool.value, run.iteration, f"{run.normalized_score:.2f}",
-        ])
-    written.append(_write_csv(
-        out_dir / "plot_score_progression.csv",
-        ["node", "tool", "iteration", "normalized_score"],
-        progression_rows,
-    ))
-    written.append(_write_csv(
-        out_dir / "plot_uca_comparison.csv",
-        ["node", "standard_uca", "extended_uca"],
-        [
-            [
-                n,
-                "" if bundle.score_table["standard_uca"].get(n) is None
-                else f"{bundle.score_table['standard_uca'][n]:.2f}",
-                "" if bundle.score_table["extended_uca"].get(n) is None
-                else f"{bundle.score_table['extended_uca'][n]:.2f}",
-            ]
-            for n in bundle.nodes
-        ],
-    ))
-    written.append(_write_csv(
-        out_dir / "plot_custom_rules.csv",
-        ["node", "passed", "failed", "score_pct"],
-        [
-            [r["node"], r["passed"], r["failed"],
-             "" if r["score_pct"] is None else f"{r['score_pct']:.2f}"]
-            for r in bundle.rule_table
-        ],
-    ))
-    written.append(_write_csv(
-        out_dir / "plot_runtime.csv",
-        ["tool", "avg_runtime_seconds", "total_runtime_seconds", "runs"],
-        [
-            [tool, f"{entry.average:.2f}", f"{entry.total:.2f}", entry.count]
-            for tool, entry in bundle.runtime.per_tool.items()
-        ],
-    ))
-    return written
+    return _write_csv_files(bundle, out_dir, "plot_")

@@ -136,6 +136,18 @@ CREATE TABLE IF NOT EXISTS custom_rule_results (
 """
 
 
+# Columns in AuditRun field order, id last; _run_from_row maps one row.
+_RUN_QUERY = (
+    "SELECT node, tool, timestamp, iteration, phase, raw_score, normalized_score,"
+    " runtime_seconds, id FROM audit_runs"
+)
+
+
+def _run_from_row(row: tuple) -> AuditRun:
+    node, tool, timestamp, iteration, phase, *values = row
+    return AuditRun(node, Tool(tool), timestamp, iteration, Phase(phase), *values)
+
+
 def open_store(path: Path | str) -> "Store":
     """Open (creating if needed) the store at ``path``; idempotent."""
     return Store(path)
@@ -292,19 +304,8 @@ class Store:
         return [row[0] for row in rows]
 
     def audit_runs(self) -> list[AuditRun]:
-        rows = self._conn.execute(
-            "SELECT id, node, tool, timestamp, iteration, phase, raw_score,"
-            " normalized_score, runtime_seconds FROM audit_runs"
-            " ORDER BY node, tool, iteration, id"
-        ).fetchall()
-        return [
-            AuditRun(
-                id=row[0], node=row[1], tool=Tool(row[2]), timestamp=row[3],
-                iteration=row[4], phase=Phase(row[5]), raw_score=row[6],
-                normalized_score=row[7], runtime_seconds=row[8],
-            )
-            for row in rows
-        ]
+        rows = self._conn.execute(_RUN_QUERY + " ORDER BY node, tool, iteration, id")
+        return [_run_from_row(row) for row in rows]
 
     def aggregates(self) -> list[AggregateScore]:
         rows = self._conn.execute(
@@ -324,19 +325,10 @@ class Store:
     def runs_for(self, node: str, iteration: int) -> dict[str, AuditRun]:
         """Latest run per tool for (node, iteration)."""
         rows = self._conn.execute(
-            "SELECT id, node, tool, timestamp, iteration, phase, raw_score,"
-            " normalized_score, runtime_seconds FROM audit_runs"
-            " WHERE node = ? AND iteration = ? ORDER BY id",
+            _RUN_QUERY + " WHERE node = ? AND iteration = ? ORDER BY id",
             (node, iteration),
         ).fetchall()
-        latest: dict[str, AuditRun] = {}
-        for row in rows:
-            latest[row[2]] = AuditRun(
-                id=row[0], node=row[1], tool=Tool(row[2]), timestamp=row[3],
-                iteration=row[4], phase=Phase(row[5]), raw_score=row[6],
-                normalized_score=row[7], runtime_seconds=row[8],
-            )
-        return latest
+        return {run.tool.value: run for run in map(_run_from_row, rows)}
 
     def tool_scores(self, tool: str, node: str) -> list[float]:
         """Normalized scores for one tool on one node, ordered by iteration."""
@@ -378,6 +370,16 @@ class Store:
                        passed=bool(r[3]), evidence=r[4])
             for r in rows
         ]
+
+    def latest_rule_outcomes(self) -> list[RuleResult]:
+        """Results of each node's latest evaluated iteration, ordered by node
+        and insertion; evidence is not read and left empty."""
+        rows = self._conn.execute(
+            "SELECT rule_id, node, iteration, passed FROM custom_rule_results"
+            " WHERE (node, iteration) IN (SELECT node, MAX(iteration)"
+            " FROM custom_rule_results GROUP BY node) ORDER BY node, id"
+        ).fetchall()
+        return [RuleResult(*row[:3], passed=bool(row[3]), evidence="") for row in rows]
 
     def summarize_runtime(self) -> RuntimeSummary:
         """Per-tool average/total runtime and the grand total."""

@@ -179,6 +179,8 @@ def load_rules(document: str) -> RuleSet:
         raise SchemaError(f"rules document is not valid JSON: {exc}") from None
     if not isinstance(data, list):
         raise SchemaError("rules document must be a top-level list")
+    if not data:
+        raise SchemaError("rules document must list at least one rule")
     rules = []
     seen: set[str] = set()
     for position, entry in enumerate(data):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -180,6 +181,17 @@ class TestRulesCommand:
         assert "1 passed, 0 failed" in result.output
         assert "score 100.00%" in result.output
 
+    def test_empty_rules_document_exits_1(self, runner, tmp_path):
+        rules_path = tmp_path / "empty.json"
+        rules_path.write_text("[]")
+        snap_dir = tmp_path / "snap"
+        save_snapshot(make_snapshot(Profile.FULL), snap_dir)
+        result = runner.invoke(main, ["--store", str(tmp_path / "s.db"), "rules",
+                                      "--rules", str(rules_path),
+                                      "--snapshot", str(snap_dir)])
+        assert result.exit_code == 1
+        assert "Error: rules document must list at least one rule" in result.output
+
     def test_bad_rules_document_exits_1(self, runner, tmp_path):
         rules_path = tmp_path / "rules.json"
         rules_path.write_text("{\"not\": \"a list\"}")
@@ -267,6 +279,28 @@ class TestReport:
         }
         progression = (out / "plot_score_progression.csv").read_text().splitlines()
         assert len(progression) == 1 + 108
+
+    def test_seed_155_outputs_pinned(self, runner, default_corpus, tmp_path):
+        out = tmp_path / "report"
+        result = runner.invoke(main, ["--store", str(default_corpus.store_path),
+                                      "--format", "csv-dir", "report",
+                                      "--out-dir", str(out)])
+        assert result.exit_code == 0, result.output
+        files = b"".join(p.read_bytes() for p in sorted(out.iterdir()))
+        assert hashlib.sha256(files).hexdigest() == (
+            "d7187fcb2c2fb52dba982dd793a92a4530bff4b5c7b8abb444b5bbe946b26e6f")
+        text = runner.invoke(main, ["--store", str(default_corpus.store_path), "report"])
+        assert hashlib.sha256(text.stdout.encode()).hexdigest() == (
+            "dfbf7173de906a8c098e16f87098c4f19c1373e924cd7e21b81cd5425aab7a01")
+
+    def test_out_dir_under_a_file_exits_1(self, runner, default_corpus, tmp_path):
+        (tmp_path / "blocker").write_text("")
+        result = runner.invoke(main, ["--store", str(default_corpus.store_path),
+                                      "report", "--out-dir",
+                                      str(tmp_path / "blocker" / "x")])
+        assert result.exit_code == 1
+        assert result.output.startswith("Error: ")
+        assert "blocker" in result.output
 
     def test_csv_dir_requires_out_dir(self, runner, default_corpus):
         result = runner.invoke(main, ["--store", str(default_corpus.store_path),

@@ -4,7 +4,7 @@ from datetime import datetime, timezone
 
 import pytest
 
-from uca.errors import OutOfRangeError
+from uca.errors import OutOfRangeError, SpecError
 from uca.fixtures import (
     CorpusSpec,
     NodeSpec,
@@ -41,6 +41,12 @@ class TestDocumentGenerators:
             make_xccdf_fixture(1, 1, {"pass": 3})
         with pytest.raises(OutOfRangeError):
             make_xccdf_fixture(1, 1, {"notchecked": -1})
+
+    def test_xccdf_status_text_escaped(self):
+        document = make_xccdf_fixture(1, 0, {"a<b&c": 2})
+        assert "<result>a&lt;b&amp;c</result>" in document
+        report = parse_xccdf_results(document)
+        assert (report.pass_count, report.fail_count) == (1, 0)
 
     def test_xccdf_negative_counts(self):
         with pytest.raises(OutOfRangeError):
@@ -107,6 +113,18 @@ class TestCorpusSpec:
 
     def test_from_dict_empty_keeps_defaults(self):
         assert CorpusSpec.from_dict({}) == CorpusSpec()
+
+    def test_from_json(self):
+        assert CorpusSpec.from_json('{"seed": 7}') == CorpusSpec(seed=7)
+
+    @pytest.mark.parametrize("document", [
+        "{not json", "[1, 2]", '{"nodes": [{"profile": "baseline"}]}',
+        '{"nodes": [{"name": "x", "profile": "hardened"}]}',
+        '{"score_distributions": []}', '{"iterations": "many"}',
+    ])
+    def test_from_json_malformed_raises_spec_error(self, document):
+        with pytest.raises(SpecError, match="invalid spec document"):
+            CorpusSpec.from_json(document)
 
 
 class TestMakeCorpus:

@@ -1,6 +1,7 @@
 import pytest
 
 from uca.errors import EmptyStoreError
+from uca.fixtures import CorpusSpec, NodeSpec, Profile, make_corpus
 from uca.report import build_report, bundle_to_dict, render_text
 from uca.repository import AuditRun, Phase, open_store
 from uca.rules import RuleResult
@@ -78,3 +79,15 @@ class TestBuildReport:
         second = build_report(corpus_store)
         assert render_text(first) == render_text(second)
         assert bundle_to_dict(first) == bundle_to_dict(second)
+
+    def test_fixed_statement_count_at_any_node_count(self, tmp_path):
+        nodes = tuple(NodeSpec(f"n{i:02d}", list(Profile)[i % 3]) for i in range(24))
+        corpus = make_corpus(CorpusSpec(nodes=nodes, iterations=2), tmp_path / "corpus")
+        with open_store(corpus.store_path) as store:
+            statements = []
+            store._conn.set_trace_callback(statements.append)
+            bundle = build_report(store)
+        assert len(statements) <= 6, statements
+        assert len(bundle.nodes) == 24
+        assert len(bundle.rule_table) == 24
+        assert len(bundle.runs) == 24 * 2 * 3

@@ -53,6 +53,10 @@ class TestLoadRules:
         assert reloaded == default
         assert reloaded.total_weight == 61
 
+    def test_empty_list_rejected(self):
+        with pytest.raises(SchemaError, match="at least one rule"):
+            load_rules("[]")
+
     def test_duplicate_id(self):
         with pytest.raises(DuplicateIdError):
             load_rules(_rule_doc(_MINIMAL, _MINIMAL))
