@@ -28,6 +28,7 @@ from .errors import (
     UnknownNodeError,
     UnknownToolError,
 )
+from .parsers import FileChunks
 from .repository import AuditRun, Phase, Store, open_store
 from .rules import default_rules, evaluate_rules, load_rules, load_snapshot, score_rules
 from .scoring import AggregateScore, Tool, WeightConfig
@@ -132,7 +133,9 @@ def ingest(app: AppContext, node, tool, input_path, iteration, phase,
            runtime_seconds, timestamp):
     """Parse one tool output file and record the run."""
     tool = Tool(tool)
-    document = Path(input_path).read_text()
+    # an XCCDF results file is parsed as it is read, in pieces
+    document = (FileChunks(input_path) if tool is Tool.OPENSCAP
+                else Path(input_path).read_bytes())
     try:
         raw, normalized = scoring.score_tool_document(
             tool, document, app.weights.aide_penalty_per_change

@@ -15,6 +15,10 @@ class ParseError(UcaError):
     """A tool output document could not be parsed."""
 
 
+class EncodingError(ParseError):
+    """The bytes of a document are not valid in its encoding."""
+
+
 class MissingFieldError(ParseError):
     """A required field is absent from the document."""
 

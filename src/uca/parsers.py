@@ -1,26 +1,34 @@
 """Parsers for the three audit tool output formats.
 
-Each parser is a pure function from document text to a structured report.
+Each parser is a pure function from a document to a structured report.
 They tolerate format noise (comments, unknown keys, extra sections) but fail
-loudly when a required field is missing or unusable.
+loudly when a required field is missing or unusable, or when the bytes of a
+document cannot be decoded.
 
 Formats:
   - Lynis machine report: ``key=value`` lines (the ``lynis-report.dat`` style
-    file), required key ``hardening_index``.
+    file), required key ``hardening_index``. Text, or bytes in UTF-8.
   - XCCDF scan results: XML with ``rule-result`` elements each carrying one
     result status; element matching is by local name so any XCCDF namespace
-    version is accepted.
+    version is accepted. The document is streamed through expat in one
+    pass that builds no tree, so memory does not grow with its size; it can
+    be given as chunks of a file (``FileChunks``), and the encoding of bytes
+    comes from the XML declaration. Only the last ``TestResult`` is scored.
   - AIDE comparison report: summary block with added/removed/changed counts,
-    or a clean-match marker when the database matched the filesystem.
+    or a clean-match marker when the database matched the filesystem. Text,
+    or bytes in UTF-8.
 """
 
 from __future__ import annotations
 
+import os
 import re
-import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
+from typing import Iterable, Iterator
+from xml.parsers import expat
 
 from .errors import (
+    EncodingError,
     MalformedReportError,
     MalformedValueError,
     MissingFieldError,
@@ -33,6 +41,7 @@ __all__ = [
     "LynisReport",
     "ScapReport",
     "AideReport",
+    "FileChunks",
     "parse_lynis_report",
     "parse_xccdf_results",
     "parse_aide_report",
@@ -83,7 +92,21 @@ class AideReport:
         return self.added + self.removed + self.changed
 
 
-def parse_lynis_report(document: str) -> LynisReport:
+def _text(document: str | bytes) -> str:
+    """The text of a document; bytes are strict UTF-8 with any newline
+    convention, read as a text-mode file would."""
+    if isinstance(document, str):
+        return document
+    try:
+        text = document.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise EncodingError(
+            f"not UTF-8 text: {exc.reason} at byte offset {exc.start}"
+        ) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def parse_lynis_report(document: str | bytes) -> LynisReport:
     """Extract the hardening index from a Lynis ``key=value`` report.
 
     Comments (``#``) and blank lines are skipped; lines without ``=`` are
@@ -91,13 +114,14 @@ def parse_lynis_report(document: str) -> LynisReport:
     mirrors append-style report files.
 
     Raises:
+        EncodingError: bytes that are not UTF-8.
         MissingFieldError: no ``hardening_index`` key in the document.
         MalformedValueError: its value is not an integer in [0, 100].
     """
     values: dict[str, str] = {}
     lines: dict[str, int] = {}
     key_count = 0
-    for lineno, line in enumerate(document.splitlines(), start=1):
+    for lineno, line in enumerate(_text(document).splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -126,59 +150,162 @@ def parse_lynis_report(document: str) -> LynisReport:
     return LynisReport(hardening_index=index, raw_key_count=key_count)
 
 
-def _local_name(tag: object) -> str:
-    # ElementTree renders namespaced tags as "{uri}name"; comments and
-    # processing instructions have non-string tags.
-    if not isinstance(tag, str):
-        return ""
-    return tag.rsplit("}", 1)[-1]
+_CHUNK_BYTES = 64 * 1024
 
 
-def parse_xccdf_results(document: str) -> ScapReport:
+class FileChunks:
+    """A file read in 64 KiB pieces, from the start on every iteration.
+
+    ``len()`` is the file's size in bytes. Passed to
+    ``parse_xccdf_results`` in place of the file's contents, it keeps the
+    document from ever being held whole in memory.
+    """
+
+    __slots__ = ("path",)
+
+    def __init__(self, path: str | os.PathLike) -> None:
+        self.path = path
+
+    def __len__(self) -> int:
+        return os.stat(self.path).st_size
+
+    def __iter__(self) -> Iterator[bytes]:
+        with open(self.path, "rb") as handle:
+            while chunk := handle.read(_CHUNK_BYTES):
+                yield chunk
+
+
+class _LocalNames(dict):
+    """Expat names ("uri}local" or "local") to local names, on demand."""
+
+    def __missing__(self, name: str) -> str:
+        local = self[name] = name.rpartition("}")[2]
+        return local
+
+
+def parse_xccdf_results(document: str | bytes | Iterable[bytes]) -> ScapReport:
     """Tally rule-result statuses from an XCCDF results document.
 
+    The document is given as text, as bytes, or as an iterable of byte
+    chunks (such as ``FileChunks``). It is parsed in one streaming pass
+    that keeps no tree, so memory does not grow with the document's size.
+    Bytes are decoded by the XML declaration (UTF-8 without one); text is
+    parsed as given.
+
     Matching is by local element name, ignoring namespaces, since SCAP
-    content ships under several namespace versions. ``fixed`` counts as a
-    pass; statuses outside the known set are tallied under ``unknown``.
-    The compliance percentage covers pass+fail only.
+    content ships under several namespace versions; prefixes must still be
+    bound. A ``rule-result``'s status is the text of its first ``result``
+    child up to that child's first child element, stripped and lower-cased.
+    Only the rule-results that start after the last ``TestResult`` start
+    are scored: each TestResult is one evaluation (NIST IR 7275 r4,
+    XCCDF 1.2), so a document carrying several is scored by its latest.
+    ``fixed`` counts as a pass; statuses outside the known set are tallied
+    under ``unknown``. The compliance percentage covers pass+fail only.
 
     Raises:
-        XmlError: malformed XML.
-        NoResultsError: no rule-result elements at all.
+        XmlError: malformed XML, including an undefined or external entity.
+        NoResultsError: no rule-result elements to score.
         UndefinedComplianceError: zero pass and zero fail results.
     """
-    try:
-        root = ET.fromstring(document)
-    except ET.ParseError as exc:
-        raise XmlError(f"not well-formed XML: {exc}") from None
+    parser = expat.ParserCreate(namespace_separator="}")
+    local_names = _LocalNames()
+    # status -> count for the current TestResult (None: no result child). A
+    # new TestResult starts a new dict; a rule-result is added to the dict
+    # current at its start, so it belongs where it starts in document order.
+    counts: dict[str | None, int] = {}
+    # one [depth, counts] per open rule-result whose first result child has
+    # not ended; end events are handled only while there is one
+    frames: list[list] = []
+    depth = 0        # open elements from the outermost frame's rule-result down
+    text_depth = 0   # depth of the result element whose text is read, or 0
+    text: list[str] = []
 
+    def finish_text() -> None:
+        nonlocal text_depth
+        parser.CharacterDataHandler = None
+        text_depth = 0
+        tally = frames.pop()[1]
+        status = "".join(text).strip().lower()
+        text.clear()
+        tally[status] = tally.get(status, 0) + 1
+        if not frames:
+            parser.EndElementHandler = None
+
+    def start(name: str, attrs: list) -> None:
+        nonlocal counts, depth, text_depth
+        local = local_names[name]
+        if text_depth:
+            finish_text()  # a child element ends the result's text
+        if frames:
+            depth += 1
+            if local == "result" and depth == frames[-1][0] + 1:
+                text_depth = depth
+                parser.CharacterDataHandler = text.append
+        if local == "rule-result":
+            if not frames:
+                depth = 1
+                parser.EndElementHandler = end
+            frames.append([depth, counts])
+        elif local == "TestResult":
+            counts = {}
+
+    def end(name: str) -> None:
+        nonlocal depth
+        if depth == text_depth:
+            finish_text()
+        elif depth == frames[-1][0]:
+            tally = frames.pop()[1]  # no result child
+            tally[None] = tally.get(None, 0) + 1
+            if not frames:
+                parser.EndElementHandler = None
+        depth -= 1
+
+    def skipped_entity(name: str, is_parameter_entity: bool) -> None:
+        # expat skips an undeclared entity when the DTD has an external
+        # part it does not read; its replacement text is unknown
+        if not is_parameter_entity:
+            raise XmlError(
+                f"not well-formed XML: undefined entity &{name};: line "
+                f"{parser.CurrentLineNumber}, column {parser.CurrentColumnNumber}"
+            )
+
+    parser.ordered_attributes = True  # a list is cheaper to build; unused
+    parser.StartElementHandler = start
+    parser.SkippedEntityHandler = skipped_entity
+    # an external entity is refused, never fetched: expat then fails the parse
+    parser.ExternalEntityRefHandler = lambda *_: 0
+    chunks = (document,) if isinstance(document, (str, bytes)) else document
+    try:
+        for chunk in chunks:
+            parser.Parse(chunk, False)
+        parser.Parse(b"", True)
+    except expat.ExpatError as exc:
+        raise XmlError(f"not well-formed XML: {exc}") from None
+    finally:
+        # the handlers close over the parser; clearing them frees both now
+        parser.StartElementHandler = parser.EndElementHandler = None
+        parser.CharacterDataHandler = parser.SkippedEntityHandler = None
+        parser.ExternalEntityRefHandler = None
+
+    if not counts:
+        raise NoResultsError(
+            "no rule-result elements in the document or after its last TestResult start"
+        )
     passes = 0
     fails = 0
     others = {status: 0 for status in OTHER_STATUSES}
-    seen = 0
-    for elem in root.iter():
-        if _local_name(elem.tag) != "rule-result":
-            continue
-        seen += 1
-        status = None
-        for child in elem:
-            if _local_name(child.tag) == "result":
-                status = (child.text or "").strip().lower()
-                break
+    for status, count in counts.items():
         if status == "pass":
-            passes += 1
+            passes += count
         elif status == "fail":
-            fails += 1
+            fails += count
         elif status == "fixed":
-            others["fixed"] += 1
-            passes += 1
+            others["fixed"] += count
+            passes += count
         elif status in others:
-            others[status] += 1
+            others[status] += count
         else:
-            others["unknown"] += 1
-
-    if seen == 0:
-        raise NoResultsError("document contains no rule-result elements")
+            others["unknown"] += count
     evaluated = passes + fails
     if evaluated == 0:
         raise UndefinedComplianceError(
@@ -203,7 +330,7 @@ _AIDE_CLEAN_RE = re.compile(
 )
 
 
-def parse_aide_report(document: str) -> AideReport:
+def parse_aide_report(document: str | bytes) -> AideReport:
     """Extract added/removed/changed counts from an AIDE comparison report.
 
     A clean-match report (database matches, no summary counts) yields
@@ -211,9 +338,11 @@ def parse_aide_report(document: str) -> AideReport:
     partial summary is rejected rather than silently zero-filled.
 
     Raises:
+        EncodingError: bytes that are not UTF-8.
         MalformedReportError: neither a complete summary nor a clean-match
             marker was found.
     """
+    document = _text(document)
     counts: dict[str, int] = {}
     for match in _AIDE_COUNT_RE.finditer(document):
         kind = match.group(1).lower()

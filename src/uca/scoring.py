@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .errors import (
     InvalidWeightsError,
@@ -184,12 +184,14 @@ def compute_extended_uca(
 
 
 def score_tool_document(
-    tool: Tool, document: str, penalty: float = 5.0
+    tool: Tool, document: str | bytes | Iterable[bytes], penalty: float = 5.0
 ) -> tuple[float, float]:
     """Parse a tool output document and return (raw score, normalized score).
 
-    The raw score is the tool-native value: hardening index, compliance
-    percentage, or total AIDE change count.
+    The document is text or bytes; an XCCDF document may also be an
+    iterable of byte chunks (see ``parsers.parse_xccdf_results``). The raw
+    score is the tool-native value: hardening index, compliance percentage,
+    or total AIDE change count.
     """
     from . import parsers
 

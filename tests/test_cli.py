@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -80,6 +84,41 @@ class TestIngest:
                                       "node1", "lynis", str(path)])
         payload = json.loads(result.output)
         assert payload["normalized_score"] == 80.0
+
+    @pytest.mark.parametrize("tool", ["lynis", "openscap", "aide"])
+    def test_non_utf8_input_exits_2(self, runner, tmp_path, tool):
+        path = tmp_path / "bin.dat"
+        path.write_bytes(b"\xff\xfe\x00bad")
+        result = runner.invoke(main, ["--store", str(tmp_path / "s.db"), "ingest",
+                                      "node1", tool, str(path)])
+        assert result.exit_code == 2, result.output
+        lines = result.output.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"Error: {path}: ")
+        if tool != "openscap":
+            assert "byte offset 0" in lines[0]
+        assert not (tmp_path / "s.db").exists()
+
+    def test_xccdf_streamed_from_file(self, runner, tmp_path):
+        path = tmp_path / "scan.xml"
+        path.write_text(make_xccdf_fixture(3000, 1000, {"notchecked": 5}))
+        assert path.stat().st_size > 64 * 1024
+        result = runner.invoke(main, ["--store", str(tmp_path / "s.db"), "ingest",
+                                      "node1", "openscap", str(path)])
+        assert result.exit_code == 0, result.output
+        assert "normalized=75.00" in result.output
+
+
+def test_import_loads_no_tree_parser_or_network_client():
+    import uca
+
+    code = ("import sys, uca.cli; print(' '.join(m for m in "
+            "('xml.etree', 'xml.etree.ElementTree', 'urllib.request', 'http.client') "
+            "if m in sys.modules))")
+    src = str(Path(uca.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ""
 
 
 class TestScore:

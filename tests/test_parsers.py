@@ -1,21 +1,30 @@
+import builtins
+import xml.etree.ElementTree as ET
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uca.errors import (
+    EncodingError,
     MalformedReportError,
     MalformedValueError,
     MissingFieldError,
     NoResultsError,
+    UcaError,
     UndefinedComplianceError,
     XmlError,
 )
 from uca.fixtures import make_aide_fixture, make_lynis_fixture, make_xccdf_fixture
 from uca.parsers import (
+    OTHER_STATUSES,
+    FileChunks,
+    ScapReport,
     parse_aide_report,
     parse_lynis_report,
     parse_xccdf_results,
 )
+from uca.rules import load_rules
 
 
 class TestLynisParser:
@@ -215,3 +224,260 @@ class TestRoundTripProperties:
     def test_parsers_are_pure(self, index):
         document = make_lynis_fixture(index)
         assert parse_lynis_report(document) == parse_lynis_report(document)
+
+
+# --- XCCDF streaming: semantics against the tree-building parser ----------
+
+_XCCDF_NS = "http://checklists.nist.gov/xccdf/1.2"
+
+
+def _tree_tally(document: str):
+    """The tree-building algorithm the streaming parser replaced, kept as the
+    reference: ElementTree, every element in document order, the first
+    ``result`` child's ``.text``, plus the reset at each TestResult start."""
+    try:
+        root = ET.fromstring(document)
+    except ET.ParseError:
+        return XmlError
+    tag = lambda elem: elem.tag.rsplit("}", 1)[-1] if isinstance(elem.tag, str) else ""
+    passes = fails = seen = 0
+    others = {status: 0 for status in OTHER_STATUSES}
+    for elem in root.iter():
+        if tag(elem) == "TestResult":
+            passes = fails = seen = 0
+            others = {status: 0 for status in OTHER_STATUSES}
+        if tag(elem) != "rule-result":
+            continue
+        seen += 1
+        status = None
+        for child in elem:
+            if tag(child) == "result":
+                status = (child.text or "").strip().lower()
+                break
+        if status == "pass":
+            passes += 1
+        elif status == "fail":
+            fails += 1
+        elif status == "fixed":
+            others["fixed"] += 1
+            passes += 1
+        elif status in others:
+            others[status] += 1
+        else:
+            others["unknown"] += 1
+    if seen == 0:
+        return NoResultsError
+    if passes + fails == 0:
+        return UndefinedComplianceError
+    return ScapReport(passes, fails, others, 100.0 * passes / (passes + fails))
+
+
+def _stream_tally(document):
+    try:
+        return parse_xccdf_results(document)
+    except (XmlError, NoResultsError, UndefinedComplianceError) as exc:
+        return type(exc)
+
+
+_STATUS_WORDS = st.sampled_from([
+    "pass", "fail", "fixed", "notapplicable", "notchecked", "notselected",
+    "informational", "error", "unknown", "", "weird-status", "pässt",
+])
+
+
+@st.composite
+def _status_text(draw, entities):
+    """A status with random case and padding, written with any of the ways
+    XML can spell character data, and sometimes a child element and tail.
+    Internal entities it uses are added to ``entities``."""
+    word = "".join(c.upper() if draw(st.booleans()) else c for c in draw(_STATUS_WORDS))
+    pad = st.sampled_from(["", " ", "\n  ", "\t"])
+    text = draw(pad) + word + draw(pad)
+    cut = draw(st.integers(0, len(text)))
+    head, tail = text[:cut], text[cut:]
+    joint = draw(st.sampled_from(["", "<!-- note -->", "<?pi data?>"]))
+    spelled = draw(st.sampled_from(["plain", "cdata", "entity", "charref"]))
+    if spelled == "cdata":
+        tail = f"<![CDATA[{tail}]]>"
+    elif spelled == "entity":
+        entities.append(tail)
+        tail = f"&e{len(entities)};"
+    elif spelled == "charref" and tail:
+        tail = f"&#{ord(tail[0])};{tail[1:]}"
+    after = draw(st.sampled_from(["", "<sub>fail</sub>", "<sub/>junk pass", "<!--c--> fail"]))
+    return head + joint + tail + after
+
+
+@st.composite
+def xccdf_documents(draw):
+    mode = draw(st.sampled_from(["default", "prefixed", "none"]))
+    q = "x:" if mode == "prefixed" else ""
+    xmlns = {"default": f' xmlns="{_XCCDF_NS}"',
+             "prefixed": f' xmlns:x="{_XCCDF_NS}"', "none": ""}[mode]
+    entities: list[str] = []
+
+    def rule_result(number):
+        children = []
+        if draw(st.booleans()):
+            children.append(f"<{q}ident>CCE-{number} pass</{q}ident>")
+        if draw(st.booleans()):
+            children.append(f"<{q}check><{q}result>fail</{q}result></{q}check>")
+        if draw(st.integers(0, 9)):
+            children.append(f"<{q}result>{draw(_status_text(entities))}</{q}result>")
+        if draw(st.booleans()):
+            children.append(f"<{q}message>fail</{q}message><{q}result>pass</{q}result>")
+        if draw(st.booleans()):
+            children.insert(draw(st.integers(0, len(children))), "<!-- comment -->\n  ")
+        return f'<{q}rule-result idref="r{number}" ré="ü">{"".join(children)}</{q}rule-result>'
+
+    test_results = []
+    for t in range(draw(st.integers(1, 2))):
+        results = "\n".join(rule_result(i) for i in range(draw(st.integers(0, 6))))
+        test_results.append(f'<{q}TestResult id="t{t}"><{q}title>Scan ✓ {t}</{q}title>'
+                            f"{results}</{q}TestResult>")
+    rules = "".join(f'<{q}Rule id="r{i}"><{q}title>Règle {i}</{q}title>'
+                    f"<{q}description>result: <b>fail</b> €</{q}description></{q}Rule>"
+                    for i in range(draw(st.integers(0, 3))))
+    declaration = draw(st.sampled_from(["", '<?xml version="1.0" encoding="UTF-8"?>\n']))
+    subset = "".join(f'<!ENTITY e{n} "{value}">' for n, value in enumerate(entities, 1))
+    return (f"{declaration}<!DOCTYPE Benchmark [{subset}]>\n"
+            f"<!-- results -->\n<{q}Benchmark{xmlns}>{rules}"
+            f'{"".join(test_results)}</{q}Benchmark>\n')
+
+
+def _split(data: bytes, cuts: list[int]) -> list[bytes]:
+    points = sorted({0, len(data), *(c % (len(data) + 1) for c in cuts)})
+    return [data[a:b] for a, b in zip(points, points[1:])]
+
+
+class TestXccdfStreaming:
+    @settings(max_examples=300, deadline=None)
+    @given(document=xccdf_documents(), cuts=st.lists(st.integers(0, 10**6), max_size=12))
+    def test_same_report_as_tree_parser(self, document, cuts):
+        expected = _tree_tally(document)
+        data = document.encode("utf-8")
+        assert _stream_tally(document) == expected
+        assert _stream_tally(data) == expected
+        assert _stream_tally(_split(data, cuts)) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(document=xccdf_documents(), position=st.integers(0, 10**6))
+    def test_same_outcome_with_one_character_deleted(self, document, position):
+        position %= len(document)
+        damaged = document[:position] + document[position + 1:]
+        assert _stream_tally(damaged) == _tree_tally(damaged)
+
+    def test_every_split_point_of_one_document(self):
+        document = (
+            '<?xml version="1.0" encoding="UTF-8"?>'
+            f'<x:Benchmark xmlns:x="{_XCCDF_NS}"><x:title>Prüfung ✓ €</x:title>'
+            '<x:TestResult><x:rule-result idref="ä"><x:result> Pass </x:result>'
+            "</x:rule-result><x:rule-result><x:result>fa<![CDATA[il]]></x:result>"
+            "</x:rule-result></x:TestResult></x:Benchmark>"
+        )
+        data = document.encode("utf-8")
+        assert len(data) > len(document)  # multi-byte characters to split
+        expected = parse_xccdf_results(document)
+        assert (expected.pass_count, expected.fail_count) == (1, 1)
+        for cut in range(len(data) + 1):
+            assert parse_xccdf_results([data[:cut], data[cut:]]) == expected, cut
+
+    def test_last_test_result_only(self):
+        one = ("<TestResult><rule-result><result>pass</result></rule-result>"
+               "<rule-result><result>fail</result></rule-result></TestResult>")
+        report = parse_xccdf_results(f"<Benchmark>{one}{one}</Benchmark>")
+        assert (report.pass_count, report.fail_count) == (1, 1)
+        rescan = ("<Benchmark><TestResult><rule-result><result>fail</result>"
+                  "</rule-result></TestResult><TestResult><rule-result><result>pass"
+                  "</result></rule-result></TestResult></Benchmark>")
+        assert parse_xccdf_results(rescan).compliance_pct == pytest.approx(100.0)
+        with pytest.raises(NoResultsError):
+            parse_xccdf_results(f"<Benchmark>{one}<TestResult/></Benchmark>")
+
+    def test_text_after_a_child_of_result_is_not_status(self):
+        document = ("<Benchmark><TestResult><rule-result><result>pass<x/>fail</result>"
+                    "</rule-result><rule-result><result>fail</result></rule-result>"
+                    "</TestResult></Benchmark>")
+        report = parse_xccdf_results(document)
+        assert (report.pass_count, report.fail_count) == (1, 1)
+
+    def test_encoding_from_declaration(self):
+        document = ('<?xml version="1.0" encoding="ISO-8859-1"?><Benchmark><TestResult>'
+                    '<rule-result idref="r\xe9"><result>pass</result></rule-result>'
+                    "</TestResult></Benchmark>")
+        assert parse_xccdf_results(document.encode("latin-1")).pass_count == 1
+
+    @pytest.mark.parametrize("document", [
+        '<!DOCTYPE Benchmark SYSTEM "xccdf.dtd"><Benchmark><TestResult><rule-result>'
+        "<result>&undefined;</result></rule-result></TestResult></Benchmark>",
+        '<x:Benchmark><x:TestResult/></x:Benchmark>',
+        _xccdf("pass", "fail")[:-12],
+        "",
+        "   ",
+    ], ids=["undefined-entity", "unbound-prefix", "truncated", "empty", "blank"])
+    def test_malformed_is_xml_error(self, document):
+        for form in (document, document.encode("utf-8")):
+            with pytest.raises(XmlError):
+                parse_xccdf_results(form)
+
+    def test_external_entity_refused_and_not_read(self, tmp_path, monkeypatch):
+        target = tmp_path / "status.txt"
+        target.write_text("pass")
+        opened = []
+        real_open = builtins.open
+
+        def spy(file, *args, **kwargs):
+            opened.append(str(file))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", spy)
+        document = (f'<!DOCTYPE Benchmark [<!ENTITY e SYSTEM "{target.as_uri()}">]>'
+                    "<Benchmark><TestResult><rule-result><result>&e;</result>"
+                    "</rule-result></TestResult></Benchmark>")
+        with pytest.raises(XmlError, match="external entity"):
+            parse_xccdf_results(document)
+        assert str(target) not in opened
+
+    def test_file_chunks_read_again_on_each_pass(self, tmp_path):
+        document = make_xccdf_fixture(3000, 1000, {"notapplicable": 7})
+        path = tmp_path / "results.xml"
+        path.write_text(document)
+        chunks = FileChunks(path)
+        assert len(chunks) == len(document.encode("utf-8"))
+        pieces = list(chunks)
+        assert len(pieces) > 1 and {len(p) for p in pieces[:-1]} == {64 * 1024}
+        expected = parse_xccdf_results(document)
+        assert parse_xccdf_results(chunks) == expected
+        assert parse_xccdf_results(chunks) == expected
+
+    def test_missing_file_is_os_error(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            parse_xccdf_results(FileChunks(tmp_path / "absent.xml"))
+
+
+class TestUtf8Documents:
+    @pytest.mark.parametrize("parse", [parse_lynis_report, parse_aide_report])
+    def test_invalid_utf8_names_offset(self, parse):
+        with pytest.raises(EncodingError, match="byte offset 12"):
+            parse(b"hardening=1\n\xff\xfe\x00bad")
+
+    def test_bytes_parse_like_text_file(self):
+        assert parse_lynis_report("hardening_index=70\r\n".encode()).hardening_index == 70
+        cr_only = make_aide_fixture(2, 1, 4).replace("\n", "\r").encode()
+        assert parse_aide_report(cr_only).total_changes == 7
+
+
+class TestFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(document=st.one_of(st.text(), st.binary(),
+                              st.text(alphabet="<>/=\"'&;#![]?- x:rule-sTR")))
+    def test_only_typed_errors(self, document):
+        """Arbitrary text or bytes end in a result or a UcaError."""
+        parsers = [parse_lynis_report, parse_aide_report, parse_xccdf_results]
+        if isinstance(document, str):
+            parsers.append(load_rules)
+        for parse in parsers:
+            try:
+                parse(document)
+            except UcaError:
+                pass
