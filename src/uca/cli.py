@@ -50,8 +50,8 @@ def _load_weights(config_path: Path | None, overrides: dict[str, float]) -> Weig
     mapping: dict[str, float] = {}
     if config_path is not None:
         try:
-            mapping = json.loads(Path(config_path).read_text())
-        except json.JSONDecodeError as exc:
+            mapping = json.loads(Path(config_path).read_bytes())
+        except (ValueError, RecursionError) as exc:  # malformed, too deep or undecodable
             raise InvalidWeightsError(f"config {config_path}: {exc}") from None
         if not isinstance(mapping, dict):
             raise InvalidWeightsError(f"config {config_path} must be a JSON object")
@@ -172,7 +172,7 @@ def score(app: AppContext, node, iteration, rules_path, snapshot_path):
     """Combine the three recorded tool runs into unified scores."""
     if rules_path is not None and snapshot_path is None:
         raise click.UsageError("--rules needs --snapshot to evaluate against")
-    with app.open() as store:
+    with app.open() as store, store.transaction():
         runs = store.runs_for(node, iteration)
         missing = [t.value for t in Tool if t.value not in runs]
         if missing:
@@ -186,7 +186,7 @@ def score(app: AppContext, node, iteration, rules_path, snapshot_path):
         )
         custom = extended = None
         if snapshot_path is not None:
-            ruleset = (load_rules(Path(rules_path).read_text())
+            ruleset = (load_rules(Path(rules_path).read_bytes())
                        if rules_path else default_rules())
             snapshot = load_snapshot(snapshot_path)
             results = evaluate_rules(ruleset, snapshot, iteration=iteration)
@@ -229,7 +229,7 @@ def score(app: AppContext, node, iteration, rules_path, snapshot_path):
 @click.pass_obj
 def rules_cmd(app: AppContext, rules_path, snapshot_path, node, iteration, record):
     """Show the rule set, or evaluate it against a snapshot."""
-    ruleset = (load_rules(Path(rules_path).read_text())
+    ruleset = (load_rules(Path(rules_path).read_bytes())
                if rules_path else default_rules())
     if snapshot_path is None:
         rows = [
@@ -249,7 +249,7 @@ def rules_cmd(app: AppContext, rules_path, snapshot_path, node, iteration, recor
     results = evaluate_rules(ruleset, snapshot, iteration=iteration)
     pct = score_rules(results, ruleset)
     if record:
-        with app.open() as store:
+        with app.open() as store, store.transaction():
             store.record_rules(ruleset)
             store.record_rule_results(results)
     passed = sum(1 for r in results if r.passed)
@@ -357,7 +357,7 @@ def export(app: AppContext, out_dir):
 @click.pass_obj
 def fixtures(app: AppContext, out_dir, seed, spec_path):
     """Generate a synthetic audit corpus and record it into the store."""
-    spec = (fixtures_mod.CorpusSpec.from_json(Path(spec_path).read_text())
+    spec = (fixtures_mod.CorpusSpec.from_json(Path(spec_path).read_bytes())
             if spec_path is not None else fixtures_mod.CorpusSpec())
     if seed is not None:
         spec.seed = seed

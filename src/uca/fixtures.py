@@ -325,14 +325,14 @@ class CorpusSpec:
         return spec
 
     @classmethod
-    def from_json(cls, document: str) -> "CorpusSpec":
-        """Build a spec from a JSON document; a malformed one raises SpecError."""
+    def from_json(cls, document: str | bytes) -> "CorpusSpec":
+        """Build a spec from JSON text or bytes; a malformed one raises SpecError."""
         try:
             data = json.loads(document)
             if not isinstance(data, dict):
                 raise TypeError(f"top level is a {type(data).__name__}, not an object")
             return cls.from_dict(data)
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, RecursionError, TypeError, ValueError) as exc:
             raise SpecError(f"invalid spec document: {exc!r}") from None
 
 
@@ -389,7 +389,8 @@ def make_corpus(
     weights: WeightConfig = scoring.DEFAULT_WEIGHTS,
 ) -> CorpusResult:
     """Generate fixture files, feed them through the real parsers, and record
-    runs, per-iteration aggregates and rule results into a store.
+    runs, per-iteration aggregates and rule results into a store in one
+    transaction; generating into the same store again replaces those rows.
 
     Layout: ``runs/<node>/<iteration>/<tool file>`` plus ``snapshots/<node>/``.
     The default spec yields 3 tools x 3 nodes x 12 iterations = 108 runs and
@@ -415,7 +416,7 @@ def make_corpus(
         )
 
     runs = aggregates = rule_rows = 0
-    with open_store(store_path) as store:
+    with open_store(store_path) as store, store.transaction():
         store.record_rules(ruleset)
         for iteration in range(spec.iterations):
             phase = _phase_for(iteration)

@@ -6,6 +6,14 @@ Schema (four tables, created on open):
   custom_rules         rule definitions (params stored as JSON)
   custom_rule_results  one row per rule execution per node and iteration
 
+Write contract: every write runs in ``Store.transaction()``, which commits
+once at the end of its outermost block, so a command that wraps its writes in
+one block writes all or nothing. Each record method first deletes its key: a
+run's (node, tool, iteration), an aggregate's (node, iteration), and every
+(node, iteration) a rule evaluation covers; recording again replaces. Row
+invariants live in the schema's CHECK and NOT NULL constraints, except that
+standard_uca lies between its components.
+
 Concurrency contract: concurrent reads are fine; writes are serialized by a
 lock on the store handle, and the handle may be passed between threads.
 Timestamps are stored as ISO-8601 UTC text.
@@ -17,6 +25,8 @@ import csv
 import json
 import sqlite3
 import threading
+from collections.abc import Callable, Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -90,7 +100,9 @@ class RuntimeSummary:
     grand_total: float = 0.0
 
 
+# One transaction, so that creating a store costs one commit, not seven.
 _SCHEMA = """
+BEGIN;
 CREATE TABLE IF NOT EXISTS audit_runs (
     id INTEGER PRIMARY KEY AUTOINCREMENT,
     node TEXT NOT NULL,
@@ -133,6 +145,11 @@ CREATE TABLE IF NOT EXISTS custom_rule_results (
     passed INTEGER NOT NULL CHECK (passed IN (0, 1)),
     evidence TEXT NOT NULL
 );
+CREATE INDEX IF NOT EXISTS audit_runs_key ON audit_runs (node, tool, iteration);
+CREATE INDEX IF NOT EXISTS aggregate_scores_key ON aggregate_scores (node, iteration);
+CREATE INDEX IF NOT EXISTS custom_rule_results_key
+    ON custom_rule_results (node, iteration);
+COMMIT;
 """
 
 
@@ -160,13 +177,14 @@ class Store:
         self.path = Path(path)
         self._lock = threading.RLock()
         try:
-            self._conn = sqlite3.connect(str(self.path), check_same_thread=False)
+            # autocommit outside transaction(): no implicit BEGIN
+            self._conn = sqlite3.connect(str(self.path), check_same_thread=False,
+                                         isolation_level=None)
         except sqlite3.Error as exc:
             # "unable to open database file": missing parent, no permission
             raise StoreIOError(f"{self.path}: {exc}") from None
         try:
             self._conn.executescript(_SCHEMA)
-            self._conn.commit()
         except sqlite3.OperationalError as exc:
             # read-only or failing medium
             raise StoreIOError(f"{self.path}: {exc}") from None
@@ -185,71 +203,68 @@ class Store:
 
     # --- recording ---------------------------------------------------------
 
-    def record_audit_run(self, run: AuditRun) -> int:
-        if not 0.0 <= run.normalized_score <= 100.0:
-            raise ConstraintViolationError(
-                f"normalized_score {run.normalized_score!r} outside [0, 100]"
-            )
-        if run.runtime_seconds < 0:
-            raise ConstraintViolationError("runtime_seconds must be >= 0")
-        if run.iteration < 0:
-            raise ConstraintViolationError("iteration must be >= 0")
+    @contextmanager
+    def transaction(self) -> Iterator[None]:
+        """One transaction under the write lock; an inner block joins the outer.
+        Any exception rolls back; a rejected row raises ConstraintViolationError,
+        a locked, read-only or full store StoreIOError."""
         with self._lock:
+            if self._conn.in_transaction:
+                yield
+                return
             try:
-                cursor = self._conn.execute(
-                    "INSERT INTO audit_runs (node, tool, timestamp, iteration, phase,"
-                    " raw_score, normalized_score, runtime_seconds)"
-                    " VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
-                    (
-                        run.node, Tool(run.tool).value, run.timestamp, run.iteration,
-                        Phase(run.phase).value, run.raw_score, run.normalized_score,
-                        run.runtime_seconds,
-                    ),
-                )
-                self._conn.commit()
-            except (sqlite3.IntegrityError, ValueError) as exc:
+                # IMMEDIATE: the block's reads see the state its writes replace
+                self._conn.execute("BEGIN IMMEDIATE")
+                with self._conn:  # commits, or rolls back on any exception
+                    yield
+            except sqlite3.IntegrityError as exc:
                 raise ConstraintViolationError(str(exc)) from None
-            run.id = cursor.lastrowid
-            return run.id
+            except sqlite3.OperationalError as exc:
+                raise StoreIOError(f"{self.path}: {exc}") from None
+
+    def record_audit_run(self, run: AuditRun) -> int:
+        """Record one run, replacing any run of its (node, tool, iteration)."""
+        key = (run.node, run.tool, run.iteration)
+        with self.transaction():
+            self._conn.execute(
+                "DELETE FROM audit_runs WHERE node = ? AND tool = ? AND iteration = ?", key
+            )
+            cursor = self._conn.execute(
+                "INSERT INTO audit_runs (node, tool, timestamp, iteration, phase,"
+                " raw_score, normalized_score, runtime_seconds)"
+                " VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
+                (run.node, run.tool, run.timestamp, run.iteration, run.phase,
+                 run.raw_score, run.normalized_score, run.runtime_seconds),
+            )
+        run.id = cursor.lastrowid
+        return run.id
 
     def record_aggregate(self, agg: AggregateScore) -> int:
-        components = {"lynis": agg.lynis, "openscap": agg.openscap, "aide": agg.aide,
-                      "standard_uca": agg.standard_uca}
-        for name, value in components.items():
-            if not 0.0 <= value <= 100.0:
-                raise ConstraintViolationError(f"{name} {value!r} outside [0, 100]")
-        if (agg.custom is None) != (agg.extended_uca is None):
-            raise ConstraintViolationError(
-                "custom and extended_uca must be present together"
-            )
+        """Record one aggregate, replacing any aggregate of its (node, iteration)."""
         low = min(agg.lynis, agg.openscap, agg.aide) - 1e-9
         high = max(agg.lynis, agg.openscap, agg.aide) + 1e-9
         if not low <= agg.standard_uca <= high:
             raise ConstraintViolationError(
                 "standard_uca must lie between its components"
             )
-        if agg.timestamp is None:
-            raise ConstraintViolationError("aggregate timestamp is required")
-        with self._lock:
-            try:
-                cursor = self._conn.execute(
-                    "INSERT INTO aggregate_scores (node, iteration, lynis, openscap,"
-                    " aide, custom, standard_uca, extended_uca, timestamp)"
-                    " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
-                    (
-                        agg.node, agg.iteration, agg.lynis, agg.openscap, agg.aide,
-                        agg.custom, agg.standard_uca, agg.extended_uca, agg.timestamp,
-                    ),
-                )
-                self._conn.commit()
-            except sqlite3.IntegrityError as exc:
-                raise ConstraintViolationError(str(exc)) from None
-            agg.id = cursor.lastrowid
-            return agg.id
+        with self.transaction():
+            self._conn.execute(
+                "DELETE FROM aggregate_scores WHERE node = ? AND iteration = ?",
+                (agg.node, agg.iteration),
+            )
+            cursor = self._conn.execute(
+                "INSERT INTO aggregate_scores (node, iteration, lynis, openscap,"
+                " aide, custom, standard_uca, extended_uca, timestamp)"
+                " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
+                (agg.node, agg.iteration, agg.lynis, agg.openscap, agg.aide,
+                 agg.custom, agg.standard_uca, agg.extended_uca, agg.timestamp),
+            )
+        agg.id = cursor.lastrowid
+        return agg.id
 
     def record_rules(self, ruleset: RuleSet) -> int:
         """Upsert rule definitions; returns the number written."""
-        with self._lock:
+        with self.transaction():
             self._conn.executemany(
                 "INSERT OR REPLACE INTO custom_rules"
                 " (rule_id, name, check_type, weight, params, description)"
@@ -260,27 +275,24 @@ class Store:
                     for r in ruleset.rules
                 ],
             )
-            self._conn.commit()
         return len(ruleset.rules)
 
     def record_rule_results(self, results: list[RuleResult]) -> int:
-        for result in results:
-            if result.iteration < 0:
-                raise ConstraintViolationError("iteration must be >= 0")
-        with self._lock:
-            try:
-                self._conn.executemany(
-                    "INSERT INTO custom_rule_results"
-                    " (rule_id, node, iteration, passed, evidence)"
-                    " VALUES (?, ?, ?, ?, ?)",
-                    [
-                        (r.rule_id, r.node, r.iteration, int(r.passed), r.evidence)
-                        for r in results
-                    ],
-                )
-                self._conn.commit()
-            except sqlite3.IntegrityError as exc:
-                raise ConstraintViolationError(str(exc)) from None
+        """Record one evaluation, replacing the results of each (node, iteration)."""
+        with self.transaction():
+            self._conn.executemany(
+                "DELETE FROM custom_rule_results WHERE node = ? AND iteration = ?",
+                dict.fromkeys((r.node, r.iteration) for r in results),
+            )
+            self._conn.executemany(
+                "INSERT INTO custom_rule_results"
+                " (rule_id, node, iteration, passed, evidence)"
+                " VALUES (?, ?, ?, ?, ?)",
+                [
+                    (r.rule_id, r.node, r.iteration, int(r.passed), r.evidence)
+                    for r in results
+                ],
+            )
         return len(results)
 
     # --- queries -------------------------------------------------------------
@@ -308,19 +320,13 @@ class Store:
         return [_run_from_row(row) for row in rows]
 
     def aggregates(self) -> list[AggregateScore]:
+        # columns in AggregateScore field order
         rows = self._conn.execute(
-            "SELECT id, node, iteration, lynis, openscap, aide, custom,"
-            " standard_uca, extended_uca, timestamp FROM aggregate_scores"
+            "SELECT node, iteration, lynis, openscap, aide, standard_uca, custom,"
+            " extended_uca, timestamp, id FROM aggregate_scores"
             " ORDER BY node, iteration, id"
-        ).fetchall()
-        return [
-            AggregateScore(
-                id=row[0], node=row[1], iteration=row[2], lynis=row[3],
-                openscap=row[4], aide=row[5], custom=row[6], standard_uca=row[7],
-                extended_uca=row[8], timestamp=row[9],
-            )
-            for row in rows
-        ]
+        )
+        return [AggregateScore(*row) for row in rows]
 
     def runs_for(self, node: str, iteration: int) -> dict[str, AuditRun]:
         """Latest run per tool for (node, iteration)."""
@@ -400,75 +406,74 @@ class Store:
 
     def export_audit_csv(self, path: Path | str) -> int:
         """Write audit_runs.csv ordered by (node, tool, iteration); returns rows."""
-        runs = self.audit_runs()
-        with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(AUDIT_CSV_HEADER)
-            for run in runs:
-                writer.writerow([
-                    run.node, run.tool.value, run.timestamp, run.iteration,
-                    run.phase.value, f"{run.raw_score:.2f}",
-                    f"{run.normalized_score:.2f}", repr(run.runtime_seconds),
-                ])
-        return len(runs)
+        return _write_csv(path, AUDIT_CSV_HEADER, [
+            [run.node, run.tool.value, run.timestamp, run.iteration, run.phase.value,
+             f"{run.raw_score:.2f}", f"{run.normalized_score:.2f}",
+             repr(run.runtime_seconds)]
+            for run in self.audit_runs()
+        ])
 
     def export_aggregate_csv(self, path: Path | str) -> int:
-        aggs = self.aggregates()
-        with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(AGGREGATE_CSV_HEADER)
-            for agg in aggs:
-                writer.writerow([
-                    agg.node, agg.iteration, f"{agg.lynis:.2f}",
-                    f"{agg.openscap:.2f}", f"{agg.aide:.2f}",
-                    "" if agg.custom is None else f"{agg.custom:.2f}",
-                    f"{agg.standard_uca:.2f}",
-                    "" if agg.extended_uca is None else f"{agg.extended_uca:.2f}",
-                    agg.timestamp,
-                ])
-        return len(aggs)
+        """Write aggregate_scores.csv ordered by (node, iteration); returns rows."""
+        return _write_csv(path, AGGREGATE_CSV_HEADER, [
+            [agg.node, agg.iteration, f"{agg.lynis:.2f}", f"{agg.openscap:.2f}",
+             f"{agg.aide:.2f}", "" if agg.custom is None else f"{agg.custom:.2f}",
+             f"{agg.standard_uca:.2f}",
+             "" if agg.extended_uca is None else f"{agg.extended_uca:.2f}",
+             agg.timestamp]
+            for agg in self.aggregates()
+        ])
 
     def import_audit_csv(self, path: Path | str) -> int:
-        """Load rows from an audit_runs.csv export; returns rows inserted."""
+        """Load rows from an audit_runs.csv export; returns rows recorded."""
+        return self._import_csv(path, AUDIT_CSV_HEADER, _run_from_csv, self.record_audit_run)
+
+    def import_aggregate_csv(self, path: Path | str) -> int:
+        """Load rows from an aggregate_scores.csv export; returns rows recorded."""
+        return self._import_csv(path, AGGREGATE_CSV_HEADER, _aggregate_from_csv,
+                                self.record_aggregate)
+
+    def _import_csv(self, path: Path | str, header: list[str],
+                    parse_row: Callable[[list[str]], object],
+                    record: Callable[[object], int]) -> int:
+        """Record every row of a CSV export in one transaction, so a bad row
+        leaves the store as it was; returns rows recorded."""
         count = 0
-        with open(path, newline="") as handle:
+        with open(path, newline="") as handle, self.transaction():
             reader = csv.reader(handle)
-            header = next(reader, None)
-            if header != AUDIT_CSV_HEADER:
-                raise ConstraintViolationError(f"{path}: unexpected header {header!r}")
+            found = next(reader, None)
+            if found != header:
+                raise ConstraintViolationError(f"{path}: unexpected header {found!r}")
             for lineno, row in enumerate(reader, start=2):
                 try:
-                    run = AuditRun(
-                        node=row[0], tool=Tool(row[1]), timestamp=row[2],
-                        iteration=int(row[3]), phase=Phase(row[4]),
-                        raw_score=float(row[5]), normalized_score=float(row[6]),
-                        runtime_seconds=float(row[7]),
-                    )
+                    item = parse_row(row)
                 except (IndexError, ValueError) as exc:
                     raise ConstraintViolationError(f"{path}:{lineno}: {exc}") from None
-                self.record_audit_run(run)
+                record(item)
                 count += 1
         return count
 
-    def import_aggregate_csv(self, path: Path | str) -> int:
-        count = 0
-        with open(path, newline="") as handle:
-            reader = csv.reader(handle)
-            header = next(reader, None)
-            if header != AGGREGATE_CSV_HEADER:
-                raise ConstraintViolationError(f"{path}: unexpected header {header!r}")
-            for lineno, row in enumerate(reader, start=2):
-                try:
-                    agg = AggregateScore(
-                        node=row[0], iteration=int(row[1]), lynis=float(row[2]),
-                        openscap=float(row[3]), aide=float(row[4]),
-                        custom=float(row[5]) if row[5] else None,
-                        standard_uca=float(row[6]),
-                        extended_uca=float(row[7]) if row[7] else None,
-                        timestamp=row[8],
-                    )
-                except (IndexError, ValueError) as exc:
-                    raise ConstraintViolationError(f"{path}:{lineno}: {exc}") from None
-                self.record_aggregate(agg)
-                count += 1
-        return count
+
+def _write_csv(path: Path | str, header: list[str], rows: list[list]) -> int:
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+    return len(rows)
+
+
+def _run_from_csv(row: list[str]) -> AuditRun:
+    return AuditRun(
+        node=row[0], tool=Tool(row[1]), timestamp=row[2], iteration=int(row[3]),
+        phase=Phase(row[4]), raw_score=float(row[5]), normalized_score=float(row[6]),
+        runtime_seconds=float(row[7]),
+    )
+
+
+def _aggregate_from_csv(row: list[str]) -> AggregateScore:
+    return AggregateScore(
+        node=row[0], iteration=int(row[1]), lynis=float(row[2]),
+        openscap=float(row[3]), aide=float(row[4]),
+        custom=float(row[5]) if row[5] else None, standard_uca=float(row[6]),
+        extended_uca=float(row[7]) if row[7] else None, timestamp=row[8],
+    )

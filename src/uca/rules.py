@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path, PurePosixPath
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .errors import (
     DuplicateIdError,
@@ -171,11 +171,11 @@ def _parse_mode(text: str, what: str) -> int:
     return mode
 
 
-def load_rules(document: str) -> RuleSet:
+def load_rules(document: str | bytes) -> RuleSet:
     """Parse and validate a JSON rules document (top-level list of rules)."""
     try:
         data = json.loads(document)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # malformed, too deep or undecodable
         raise SchemaError(f"rules document is not valid JSON: {exc}") from None
     if not isinstance(data, list):
         raise SchemaError("rules document must be a top-level list")
@@ -289,19 +289,23 @@ def default_rules() -> RuleSet:
     ))
 
 
-def _find_directive(content: str, key: str) -> tuple[str, str] | None:
-    """Last uncommented, unindented ``key value`` line; returns (line, value)."""
+def _find_directive(content: str, key: str, sshd: bool) -> tuple[str, str] | None:
+    """The ``key value`` line in effect, as (line, value). With ``sshd`` the
+    first one before any ``Match`` line (sshd_config(5)), otherwise the last
+    one, as shadow-utils' getdef reads login.defs."""
     found = None
     for raw in content.splitlines():
-        if not raw.strip():
+        line = raw.strip()
+        if not line or line.startswith("#"):
             continue
-        if raw[0] in (" ", "\t") or raw.startswith("#"):
-            continue
-        parts = re.split(r"[=\s]+", raw.strip(), maxsplit=1)
-        if parts[0].lower() != key.lower():
-            continue
-        value = parts[1].strip() if len(parts) > 1 else ""
-        found = (raw.strip(), value)
+        parts = re.split(r"[=\s]+", line, maxsplit=1)
+        word = parts[0].lower()
+        if sshd and word == "match":
+            break
+        if word == key.lower():
+            found = (line, parts[1].strip() if len(parts) > 1 else "")
+            if sshd:
+                break
     return found
 
 
@@ -310,7 +314,8 @@ def _check_config_directive(rule: Rule, snapshot: NodeSnapshot) -> tuple[bool, s
     content = snapshot.files.get(path)
     if content is None:
         return False, MISSING_EVIDENCE
-    hit = _find_directive(content, str(rule.params["key"]))
+    sshd = PurePosixPath(path).name == "sshd_config"
+    hit = _find_directive(content, str(rule.params["key"]), sshd)
     if hit is None:
         return False, MISSING_EVIDENCE
     line, value = hit
@@ -418,20 +423,41 @@ def save_snapshot(
     (directory / "firewall.txt").write_text(snapshot.firewall_state.value + "\n")
 
 
+def _read_snapshot_file(path: Path) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise SnapshotError(f"{path}: not UTF-8: {exc}") from None
+
+
+def _tsv_rows(path: Path, columns: str) -> Iterator[tuple[str, list[str]]]:
+    """("path:line", fields) for each non-blank row of a table file, if any."""
+    if not path.is_file():
+        return
+    for lineno, line in enumerate(_read_snapshot_file(path).splitlines(), 1):
+        if line.strip():
+            fields = line.split("\t")
+            if len(fields) != columns.count("<TAB>") + 1:
+                raise SnapshotError(f"{path}:{lineno}: expected {columns}")
+            yield f"{path}:{lineno}", fields
+
+
 def load_snapshot(directory: Path | str) -> NodeSnapshot:
     """Read a snapshot directory back into a NodeSnapshot.
 
-    Raises SnapshotError for a missing/invalid manifest or malformed table
-    rows; a missing firewall.txt loads as ``unknown``.
+    Raises SnapshotError for a missing/invalid manifest, a file that is not
+    UTF-8 or malformed table rows; a missing firewall.txt loads as ``unknown``.
     """
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
     if not manifest_path.is_file():
         raise SnapshotError(f"{directory}: missing manifest.json")
     try:
-        manifest = json.loads(manifest_path.read_text())
-    except json.JSONDecodeError as exc:
+        manifest = json.loads(_read_snapshot_file(manifest_path))
+    except (ValueError, RecursionError) as exc:
         raise SnapshotError(f"{manifest_path}: invalid JSON: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise SnapshotError(f"{manifest_path}: expected a JSON object")
     node = manifest.get("node")
     if not isinstance(node, str) or not node:
         raise SnapshotError(f"{manifest_path}: missing node id")
@@ -442,40 +468,23 @@ def load_snapshot(directory: Path | str) -> NodeSnapshot:
         for file_path in sorted(files_root.rglob("*")):
             if file_path.is_file():
                 rel = file_path.relative_to(files_root)
-                files["/" + rel.as_posix()] = file_path.read_text()
+                files["/" + rel.as_posix()] = _read_snapshot_file(file_path)
 
-    services: dict[str, str] = {}
-    services_path = directory / "services.tsv"
-    if services_path.is_file():
-        for lineno, line in enumerate(services_path.read_text().splitlines(), 1):
-            if not line.strip():
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2:
-                raise SnapshotError(f"{services_path}:{lineno}: expected name<TAB>state")
-            services[fields[0]] = fields[1]
+    services = {name: state for _, (name, state)
+                in _tsv_rows(directory / "services.tsv", "name<TAB>state")}
 
     permissions: dict[str, tuple[int, str, str]] = {}
-    permissions_path = directory / "permissions.tsv"
-    if permissions_path.is_file():
-        for lineno, line in enumerate(permissions_path.read_text().splitlines(), 1):
-            if not line.strip():
-                continue
-            fields = line.split("\t")
-            if len(fields) != 4:
-                raise SnapshotError(
-                    f"{permissions_path}:{lineno}: expected path<TAB>mode<TAB>owner<TAB>group"
-                )
-            try:
-                mode = _parse_mode(fields[1], f"{permissions_path}:{lineno}")
-            except SchemaError as exc:
-                raise SnapshotError(str(exc)) from None
-            permissions[fields[0]] = (mode, fields[2], fields[3])
+    for where, (path, mode, owner, group) in _tsv_rows(
+            directory / "permissions.tsv", "path<TAB>mode<TAB>owner<TAB>group"):
+        try:
+            permissions[path] = (_parse_mode(mode, where), owner, group)
+        except SchemaError as exc:
+            raise SnapshotError(str(exc)) from None
 
     firewall = FirewallState.UNKNOWN
     firewall_path = directory / "firewall.txt"
     if firewall_path.is_file():
-        word = firewall_path.read_text().strip()
+        word = _read_snapshot_file(firewall_path).strip()
         try:
             firewall = FirewallState(word)
         except ValueError:

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import shutil
+import sqlite3
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +13,7 @@ from click.testing import CliRunner
 from uca.cli import main
 from uca.fixtures import Profile, make_aide_fixture, make_lynis_fixture, make_snapshot, make_xccdf_fixture
 from uca.repository import open_store
-from uca.rules import save_snapshot
+from uca.rules import default_rules, rules_to_json, save_snapshot
 
 
 @pytest.fixture()
@@ -440,3 +442,140 @@ class TestWeightConfiguration:
                                       "--config", str(config), "rules"])
         assert result.exit_code == 1
         assert "sum to 1" in result.output
+
+
+def _one_error_line(result) -> bool:
+    lines = result.output.splitlines()
+    return len(lines) == 1 and lines[0].startswith("Error: ")
+
+
+class TestUnreadableJsonDocuments:
+    @pytest.mark.parametrize("content", [b'["\xff"]', b"[" * 100_000],
+                             ids=["not-utf8", "nested-too-deep"])
+    @pytest.mark.parametrize("argv", [
+        ["rules", "--rules", "{doc}"],
+        ["fixtures", "--out-dir", "{out}", "--spec", "{doc}"],
+        ["--config", "{doc}", "rules"],
+    ], ids=["rules", "spec", "config"])
+    def test_exits_1_with_one_error_line(self, runner, tmp_path, argv, content):
+        doc = tmp_path / "doc.json"
+        doc.write_bytes(content)
+        argv = [a.format(doc=doc, out=tmp_path / "corpus") for a in argv]
+        result = runner.invoke(main, ["--store", str(tmp_path / "s.db"), *argv])
+        assert result.exit_code == 1, result.output
+        assert _one_error_line(result), result.output
+
+
+@pytest.fixture()
+def seed_155_copy(default_corpus, tmp_path):
+    """A private copy of the seed-155 store, and the corpus it was made from."""
+    store = tmp_path / "uca.db"
+    shutil.copy(default_corpus.store_path, store)
+    return store, default_corpus.corpus_dir
+
+
+def _json_report(runner, store) -> str:
+    result = runner.invoke(main, ["--store", str(store), "--format", "json", "report"])
+    assert result.exit_code == 0, result.output
+    return result.stdout
+
+
+def _tree_hash(directory: Path) -> str:
+    """sha256 of ``find . -type f | LC_ALL=C sort | xargs sha256sum``."""
+    names = sorted("./" + p.relative_to(directory).as_posix()
+                   for p in directory.rglob("*") if p.is_file())
+    listing = "".join(hashlib.sha256((directory / name).read_bytes()).hexdigest()
+                      + "  " + name + "\n" for name in names)
+    return hashlib.sha256(listing.encode()).hexdigest()
+
+
+class TestRepeatedAndFailedCommands:
+    """Running a command again replaces what it wrote; a failed command writes
+    nothing."""
+
+    def test_score_again_leaves_report_unchanged(self, runner, seed_155_copy):
+        store, corpus = seed_155_copy
+        before = _json_report(runner, store)
+        result = runner.invoke(main, [
+            "--store", str(store), "score", "baseline", "--iteration", "11",
+            "--snapshot", str(corpus / "snapshots" / "baseline"),
+        ])
+        assert result.exit_code == 0, result.output
+        assert _json_report(runner, store) == before
+
+    def test_ingest_again_leaves_stats_unchanged(self, runner, seed_155_copy):
+        store, corpus = seed_155_copy
+        stats_argv = ["--store", str(store), "--format", "json", "stats",
+                      "openscap", "baseline", "full"]
+        before = runner.invoke(main, stats_argv).stdout
+        result = runner.invoke(main, [
+            "--store", str(store), "ingest", "baseline", "openscap",
+            str(corpus / "runs" / "baseline" / "3" / "openscap.xml"), "--iteration", "3",
+        ])
+        assert result.exit_code == 0, result.output
+        after = runner.invoke(main, stats_argv).stdout
+        assert json.loads(after)["n_a"] == 12
+        assert after == before
+
+    def test_failed_rules_record_writes_nothing(self, runner, seed_155_copy, tmp_path):
+        store, corpus = seed_155_copy
+        reweighted = json.loads(rules_to_json(default_rules()))
+        for entry in reweighted:
+            entry["weight"] = 1
+        rules_path = tmp_path / "r.json"
+        rules_path.write_text(json.dumps(reweighted))
+        with open_store(store) as handle:
+            rules_before = handle.stored_rules()
+        report_before = _json_report(runner, store)
+        result = runner.invoke(main, [
+            "--store", str(store), "rules", "--rules", str(rules_path),
+            "--snapshot", str(corpus / "snapshots" / "baseline"),
+            "--iteration", "-1", "--record",
+        ])
+        assert result.exit_code == 1
+        assert _one_error_line(result), result.output
+        with open_store(store) as handle:
+            assert handle.stored_rules() == rules_before
+        assert _json_report(runner, store) == report_before
+
+    def test_locked_store_exits_1(self, runner, tmp_path, monkeypatch):
+        path = tmp_path / "s.db"
+        (tmp_path / "lynis.dat").write_text(make_lynis_fixture(64))
+        open_store(path).close()
+        blocker = sqlite3.connect(path, isolation_level=None)
+
+        def open_then_lock(store_path):
+            store = open_store(store_path)
+            store._conn.execute("PRAGMA busy_timeout = 0")
+            blocker.execute("BEGIN EXCLUSIVE")
+            return store
+
+        monkeypatch.setattr("uca.cli.open_store", open_then_lock)
+        try:
+            result = runner.invoke(main, ["--store", str(path), "ingest", "node1", "lynis",
+                                          str(tmp_path / "lynis.dat")])
+        finally:
+            blocker.close()
+        assert result.exit_code == 1
+        assert _one_error_line(result), result.output
+        assert "locked" in result.output
+
+    @pytest.mark.parametrize("runs", [1, 2])
+    def test_seed_155_hashes_pinned(self, runner, tmp_path, runs):
+        # the three hashes ROADMAP.md records, also after a second generation
+        # into the same store
+        store = tmp_path / "uca.db"
+        for _ in range(runs):
+            result = runner.invoke(main, ["--store", str(store), "fixtures", "--out-dir",
+                                          str(tmp_path / "corpus"), "--seed", "155"])
+            assert result.exit_code == 0, result.output
+        assert _tree_hash(tmp_path / "corpus") == (
+            "ed864f0e135103f8d028d64f28252f1e137ad05c2f0cd8f91e528a8487e16aec")
+        assert hashlib.sha256(_json_report(runner, store).encode()).hexdigest() == (
+            "5708f57abe7840678531243c2fbae8c871082d0d9fae08e07d77dcd3b0af034b")
+        result = runner.invoke(main, ["--store", str(store), "export", "--out-dir",
+                                      str(tmp_path / "ex")])
+        assert result.exit_code == 0, result.output
+        exported = b"".join(p.read_bytes() for p in sorted((tmp_path / "ex").glob("*.csv")))
+        assert hashlib.sha256(exported).hexdigest() == (
+            "3d1b3d9ba6acae620447cfc2172391d95f55790c1ef0b6d1a094fc8a255752b8")

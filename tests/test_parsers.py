@@ -473,10 +473,7 @@ class TestFuzz:
                               st.text(alphabet="<>/=\"'&;#![]?- x:rule-sTR")))
     def test_only_typed_errors(self, document):
         """Arbitrary text or bytes end in a result or a UcaError."""
-        parsers = [parse_lynis_report, parse_aide_report, parse_xccdf_results]
-        if isinstance(document, str):
-            parsers.append(load_rules)
-        for parse in parsers:
+        for parse in (parse_lynis_report, parse_aide_report, parse_xccdf_results, load_rules):
             try:
                 parse(document)
             except UcaError:

@@ -1,4 +1,5 @@
 import math
+import sqlite3
 
 import pytest
 
@@ -109,6 +110,42 @@ class TestRecording:
             with pytest.raises(ConstraintViolationError):
                 store.record_aggregate(_aggregate(standard_uca=99.0))
 
+    def test_recording_a_key_again_replaces_it(self, tmp_path):
+        from uca.fixtures import Profile, make_snapshot
+        from uca.rules import default_rules, evaluate_rules
+
+        with open_store(tmp_path / "s.db") as store:
+            for score in (50.0, 60.0):
+                store.record_audit_run(_run(normalized_score=score))
+                store.record_audit_run(_run(tool=Tool.AIDE, normalized_score=score))
+                store.record_aggregate(_aggregate())
+                for profile in (Profile.BASELINE, Profile.FULL):
+                    store.record_rule_results(
+                        evaluate_rules(default_rules(), make_snapshot(profile, "baseline"))
+                        + evaluate_rules(default_rules(), make_snapshot(profile, "web"), 1))
+            assert [(r.tool, r.normalized_score) for r in store.audit_runs()] == [
+                (Tool.AIDE, 60.0), (Tool.LYNIS, 60.0)]
+            assert store.count_aggregates() == 1
+            results = store.rule_results()
+            assert [(r.node, r.iteration) for r in results] == (
+                [("baseline", 0)] * 8 + [("web", 1)] * 8)
+            assert sum(r.passed for r in results) == 2 * 7
+
+    def test_write_blocked_by_another_connection(self, tmp_path):
+        path = tmp_path / "s.db"
+        with open_store(path) as store:
+            store._conn.execute("PRAGMA busy_timeout = 0")
+            blocker = sqlite3.connect(path, isolation_level=None)
+            try:
+                blocker.execute("BEGIN EXCLUSIVE")
+                with pytest.raises(StoreIOError, match="locked"):
+                    store.record_audit_run(_run())
+            finally:
+                blocker.close()
+            # the failed write left no transaction open
+            store.record_audit_run(_run())
+            assert store.count_runs() == 1
+
     def test_rule_results_count(self, corpus_store_copy):
         from uca.fixtures import Profile, make_snapshot
         from uca.rules import default_rules, evaluate_rules
@@ -171,6 +208,25 @@ class TestCsvExport:
         with open_store(tmp_path / "s.db") as store:
             with pytest.raises(ConstraintViolationError, match="bad.csv:2"):
                 store.import_audit_csv(path)
+
+    @pytest.mark.parametrize("importer, header, good, bad", [
+        ("import_audit_csv", AUDIT_CSV_HEADER,
+         "web,lynis,2025-03-03T00:00:00+00:00,0,pre,64,64,1",
+         "web,lynis,2025-03-03T00:00:00+00:00,not-an-int,pre,64,64,1"),
+        ("import_audit_csv", AUDIT_CSV_HEADER,
+         "web,lynis,2025-03-03T00:00:00+00:00,0,pre,64,64,1",
+         "web,aide,2025-03-03T00:00:00+00:00,0,pre,64,140,1"),
+        ("import_aggregate_csv", AGGREGATE_CSV_HEADER,
+         "web,0,64,40,45,,50.6,,2025-03-03T00:09:00+00:00",
+         "web,1,64,40,45,39.34,50.6,,2025-03-03T01:09:00+00:00"),
+    ], ids=["unparsable-run", "run-outside-schema", "aggregate-outside-schema"])
+    def test_bad_row_at_line_3_leaves_no_rows(self, tmp_path, importer, header, good, bad):
+        path = tmp_path / "bad.csv"
+        path.write_text(",".join(header) + f"\n{good}\n{bad}\n")
+        with open_store(tmp_path / "s.db") as store:
+            with pytest.raises(ConstraintViolationError):
+                getattr(store, importer)(path)
+            assert store.count_runs() == store.count_aggregates() == 0
 
 
 class TestRuntimeSummary:

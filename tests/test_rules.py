@@ -1,8 +1,10 @@
 import json
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uca.errors import (
@@ -10,6 +12,7 @@ from uca.errors import (
     NonPositiveWeightError,
     SchemaError,
     SnapshotError,
+    UcaError,
     UnknownRuleIdError,
 )
 from uca.fixtures import Profile, make_snapshot
@@ -126,17 +129,44 @@ class TestEvaluateRule:
         assert result.passed
         assert result.evidence == "PermitRootLogin no"
 
-    def test_config_directive_last_uncommented_wins(self):
+    @pytest.mark.parametrize("first, second", [("yes", "no"), ("no", "yes")])
+    def test_config_directive_sshd_first_value_wins(self, first, second):
+        # sshd keeps the first value of a keyword; leading blanks do not
+        # matter, comments do not count
         rule = default_rules().get("ssh_root_login")
         content = (
-            "PermitRootLogin no\n"
-            "# PermitRootLogin no\n"
-            "  PermitRootLogin no\n"
-            "PermitRootLogin yes\n"
+            f"# PermitRootLogin {second}\n"
+            f"  PermitRootLogin {first}\n"
+            f"PermitRootLogin {second}\n"
         )
         result = evaluate_rule(rule, _snapshot(files={"/etc/ssh/sshd_config": content}))
-        assert not result.passed
-        assert result.evidence == "PermitRootLogin yes"
+        assert result.passed is (first == "no")
+        assert result.evidence == f"PermitRootLogin {first}"
+
+    @pytest.mark.parametrize("first, second", [("30", "99999"), ("99999", "30")])
+    def test_config_directive_login_defs_last_value_wins(self, first, second):
+        # shadow-utils' getdef overwrites a repeated key
+        rule = default_rules().get("password_max_days")
+        content = (
+            f"PASS_MAX_DAYS\t{first}\n"
+            f"  PASS_MAX_DAYS\t{second}\n"
+            f"# PASS_MAX_DAYS\t{first}\n"
+        )
+        result = evaluate_rule(rule, _snapshot(files={"/etc/login.defs": content}))
+        assert result.passed is (second == "30")
+        assert result.evidence == f"PASS_MAX_DAYS\t{second}"
+
+    @pytest.mark.parametrize("content, passed, evidence", [
+        ("Port 22\nMatch User backup\n    PermitRootLogin no\n", False, "not present"),
+        ("PermitRootLogin yes\nMatch Address 10.0.0.0/8\n  PermitRootLogin no\n",
+         False, "PermitRootLogin yes"),
+        ("PermitRootLogin no\nmatch all\nPermitRootLogin yes\n", True, "PermitRootLogin no"),
+    ])
+    def test_config_directive_sshd_match_block_is_conditional(self, content, passed,
+                                                              evidence):
+        rule = default_rules().get("ssh_root_login")
+        result = evaluate_rule(rule, _snapshot(files={"/etc/ssh/sshd_config": content}))
+        assert (result.passed, result.evidence) == (passed, evidence)
 
     def test_config_directive_key_case_insensitive(self):
         rule = default_rules().get("ssh_root_login")
@@ -338,3 +368,69 @@ class TestSnapshotIO:
         (tmp_path / "snap" / "permissions.tsv").write_text("/etc/shadow\tnot-octal\tr\tg\n")
         with pytest.raises(SnapshotError):
             load_snapshot(tmp_path / "snap")
+
+    @pytest.mark.parametrize("manifest", ["[1, 2]", '"node"', "null", "7"])
+    def test_manifest_not_an_object(self, tmp_path, manifest):
+        save_snapshot(make_snapshot(Profile.BASELINE), tmp_path / "snap")
+        (tmp_path / "snap" / "manifest.json").write_text(manifest)
+        with pytest.raises(SnapshotError, match="expected a JSON object"):
+            load_snapshot(tmp_path / "snap")
+
+    def test_manifest_nested_too_deep(self, tmp_path):
+        save_snapshot(make_snapshot(Profile.BASELINE), tmp_path / "snap")
+        (tmp_path / "snap" / "manifest.json").write_text("[" * 100_000)
+        with pytest.raises(SnapshotError, match="invalid JSON"):
+            load_snapshot(tmp_path / "snap")
+
+    @pytest.mark.parametrize("name", ["manifest.json", "services.tsv", "permissions.tsv",
+                                      "firewall.txt", "files/etc/login.defs"])
+    def test_file_not_utf8(self, tmp_path, name):
+        save_snapshot(make_snapshot(Profile.BASELINE), tmp_path / "snap")
+        (tmp_path / "snap" / name).write_bytes(b"active\xff\xfe\n")
+        with pytest.raises(SnapshotError, match="not UTF-8|invalid JSON"):
+            load_snapshot(tmp_path / "snap")
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=6,
+)
+_TABLE_TEXT = st.text(alphabet="\t\n\r 0178/abé:-", max_size=40)
+
+
+def _entry(text):
+    """File contents as bytes or text, or None for a directory in its place."""
+    return st.one_of(st.none(), st.binary(max_size=40), text)
+
+
+# Each snapshot file may be absent, a directory, arbitrary bytes, or text
+# shaped like its format, so that generated directories get past the manifest.
+_SNAPSHOT_DIRS = st.fixed_dictionaries({}, optional={
+    "manifest.json": _entry(st.one_of(
+        _JSON.map(json.dumps),
+        st.fixed_dictionaries({"node": _JSON | st.text(min_size=1)}).map(json.dumps),
+    )),
+    "services.tsv": _entry(_TABLE_TEXT),
+    "permissions.tsv": _entry(_TABLE_TEXT),
+    "firewall.txt": _entry(st.sampled_from(["active\n", "inactive", "maybe"]) | st.text()),
+    "files/etc/login.defs": _entry(st.text()),
+})
+
+
+class TestSnapshotFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(entries=_SNAPSHOT_DIRS)
+    def test_arbitrary_directories_raise_only_typed_errors(self, entries):
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, content in entries.items():
+                path = Path(tmp, name)
+                if content is None:
+                    path.mkdir(parents=True)
+                    continue
+                path.parent.mkdir(parents=True, exist_ok=True)
+                path.write_bytes(content if isinstance(content, bytes) else content.encode())
+            try:
+                assert isinstance(load_snapshot(tmp), NodeSnapshot)
+            except UcaError:
+                pass
