@@ -9,7 +9,6 @@ the individual weight flags.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -18,20 +17,19 @@ from pathlib import Path
 import click
 
 from . import fixtures as fixtures_mod
+from . import pipeline, stats
 from . import report as report_mod
-from . import scoring, stats
 from .errors import (
     InvalidWeightsError,
-    MissingRunsError,
     ParseError,
     UcaError,
     UnknownNodeError,
     UnknownToolError,
 )
 from .parsers import FileChunks
-from .repository import AuditRun, Phase, Store, open_store
-from .rules import default_rules, evaluate_rules, load_rules, load_snapshot, score_rules
-from .scoring import AggregateScore, Tool, WeightConfig
+from .repository import Phase, Store, open_store
+from .rules import default_rules, load_rules, load_snapshot
+from .scoring import Tool, WeightConfig
 
 TOOL_CHOICES = [tool.value for tool in Tool]
 
@@ -132,32 +130,24 @@ def main(ctx, store_path, config_path, fmt, w_lynis, w_openscap, w_aide, w_custo
 def ingest(app: AppContext, node, tool, input_path, iteration, phase,
            runtime_seconds, timestamp):
     """Parse one tool output file and record the run."""
-    tool = Tool(tool)
     # an XCCDF results file is parsed as it is read, in pieces
-    document = (FileChunks(input_path) if tool is Tool.OPENSCAP
+    document = (FileChunks(input_path) if tool == Tool.OPENSCAP
                 else Path(input_path).read_bytes())
     try:
-        raw, normalized = scoring.score_tool_document(
-            tool, document, app.weights.aide_penalty_per_change
+        run = pipeline.parse_run(
+            node, tool, document, iteration=iteration, phase=phase,
+            runtime_seconds=runtime_seconds, timestamp=timestamp or _now_iso(),
+            weights=app.weights,
         )
     except ParseError as exc:
         raise type(exc)(f"{input_path}: {exc}") from exc
-    run = AuditRun(
-        node=node,
-        tool=tool,
-        timestamp=timestamp or _now_iso(),
-        iteration=iteration,
-        phase=Phase(phase),
-        raw_score=raw,
-        normalized_score=normalized,
-        runtime_seconds=runtime_seconds,
-    )
     with app.open() as store:
         run_id = store.record_audit_run(run)
-    _emit(app, {"id": run_id, "node": node, "tool": tool.value,
-                "raw_score": round(raw, 2), "normalized_score": round(normalized, 2)},
-          f"recorded run {run_id}: {node}/{tool.value} "
-          f"raw={raw:.2f} normalized={normalized:.2f}")
+    _emit(app, {"id": run_id, "node": node, "tool": tool,
+                "raw_score": round(run.raw_score, 2),
+                "normalized_score": round(run.normalized_score, 2)},
+          f"recorded run {run_id}: {node}/{tool} "
+          f"raw={run.raw_score:.2f} normalized={run.normalized_score:.2f}")
 
 
 @main.command()
@@ -172,49 +162,23 @@ def score(app: AppContext, node, iteration, rules_path, snapshot_path):
     """Combine the three recorded tool runs into unified scores."""
     if rules_path is not None and snapshot_path is None:
         raise click.UsageError("--rules needs --snapshot to evaluate against")
-    with app.open() as store, store.transaction():
-        runs = store.runs_for(node, iteration)
-        missing = [t.value for t in Tool if t.value not in runs]
-        if missing:
-            raise MissingRunsError(
-                f"{node} iteration {iteration}: missing runs for {', '.join(missing)}"
-            )
-        components = {t: runs[t.value].normalized_score for t in Tool}
-        standard = scoring.compute_standard_uca(
-            components[Tool.LYNIS], components[Tool.OPENSCAP],
-            components[Tool.AIDE], app.weights,
-        )
-        custom = extended = None
-        if snapshot_path is not None:
-            ruleset = (load_rules(Path(rules_path).read_bytes())
-                       if rules_path else default_rules())
-            snapshot = load_snapshot(snapshot_path)
-            results = evaluate_rules(ruleset, snapshot, iteration=iteration)
-            # rule results belong to the scored node even if the snapshot
-            # manifest names it differently
-            results = [dataclasses.replace(r, node=node) for r in results]
-            store.record_rules(ruleset)
-            store.record_rule_results(results)
-            custom = score_rules(results, ruleset)
-            extended = scoring.compute_extended_uca(standard, custom, app.weights)
-        agg = AggregateScore(
-            node=node, iteration=iteration,
-            lynis=components[Tool.LYNIS], openscap=components[Tool.OPENSCAP],
-            aide=components[Tool.AIDE], standard_uca=standard,
-            custom=custom, extended_uca=extended, timestamp=_now_iso(),
-        )
-        agg_id = store.record_aggregate(agg)
+    ruleset = load_rules(Path(rules_path).read_bytes()) if rules_path else None
+    snapshot = load_snapshot(snapshot_path) if snapshot_path is not None else None
+    with app.open() as store:
+        agg = pipeline.score_iteration(store, node, iteration, weights=app.weights,
+                                       timestamp=_now_iso(), ruleset=ruleset,
+                                       snapshot=snapshot)
     payload = {
-        "id": agg_id, "node": node, "iteration": iteration,
+        "id": agg.id, "node": node, "iteration": iteration,
         "lynis": round(agg.lynis, 2), "openscap": round(agg.openscap, 2),
         "aide": round(agg.aide, 2),
-        "standard_uca": round(standard, 2),
-        "custom": None if custom is None else round(custom, 2),
-        "extended_uca": None if extended is None else round(extended, 2),
+        "standard_uca": round(agg.standard_uca, 2),
+        "custom": None if agg.custom is None else round(agg.custom, 2),
+        "extended_uca": None if agg.extended_uca is None else round(agg.extended_uca, 2),
     }
-    text = (f"{node} iteration {iteration}: standard_uca={standard:.2f}"
-            + (f" custom={custom:.2f} extended_uca={extended:.2f}"
-               if custom is not None else ""))
+    text = (f"{node} iteration {iteration}: standard_uca={agg.standard_uca:.2f}"
+            + (f" custom={agg.custom:.2f} extended_uca={agg.extended_uca:.2f}"
+               if agg.custom is not None else ""))
     _emit(app, payload, text)
 
 
@@ -244,17 +208,16 @@ def rules_cmd(app: AppContext, rules_path, snapshot_path, node, iteration, recor
         _emit(app, {"rules": rows, "total_weight": ruleset.total_weight}, text)
         return
     snapshot = load_snapshot(snapshot_path)
-    if node is not None:
-        snapshot.node = node
-    results = evaluate_rules(ruleset, snapshot, iteration=iteration)
-    pct = score_rules(results, ruleset)
+    node = snapshot.node if node is None else node
+    results, pct = pipeline.evaluate_snapshot(ruleset, snapshot, node=node,
+                                              iteration=iteration)
     if record:
         with app.open() as store, store.transaction():
             store.record_rules(ruleset)
             store.record_rule_results(results)
     passed = sum(1 for r in results if r.passed)
     payload = {
-        "node": snapshot.node,
+        "node": node,
         "iteration": iteration,
         "passed": passed,
         "failed": len(results) - passed,
@@ -268,7 +231,7 @@ def rules_cmd(app: AppContext, rules_path, snapshot_path, node, iteration, recor
         f"{'PASS' if r.passed else 'FAIL'}  {r.rule_id:<26} {r.evidence}"
         for r in results
     ]
-    lines.append(f"{snapshot.node}: {passed} passed, {len(results) - passed} failed,"
+    lines.append(f"{node}: {passed} passed, {len(results) - passed} failed,"
                  f" score {pct:.2f}%")
     _emit(app, payload, "\n".join(lines))
 

@@ -26,18 +26,11 @@ from datetime import datetime, timedelta, timezone
 from enum import Enum
 from pathlib import Path
 
-from . import scoring
+from . import pipeline, scoring
 from .errors import OutOfRangeError, SpecError
-from .repository import AuditRun, Phase, open_store
-from .rules import (
-    FirewallState,
-    NodeSnapshot,
-    default_rules,
-    evaluate_rules,
-    save_snapshot,
-    score_rules,
-)
-from .scoring import AggregateScore, Tool, WeightConfig
+from .repository import Phase, open_store
+from .rules import FirewallState, NodeSnapshot, default_rules, save_snapshot
+from .scoring import Tool, WeightConfig
 
 __all__ = [
     "Profile",
@@ -388,9 +381,11 @@ def make_corpus(
     store_path: Path | str | None = None,
     weights: WeightConfig = scoring.DEFAULT_WEIGHTS,
 ) -> CorpusResult:
-    """Generate fixture files, feed them through the real parsers, and record
-    runs, per-iteration aggregates and rule results into a store in one
-    transaction; generating into the same store again replaces those rows.
+    """Generate fixture files and record them into a store in one transaction,
+    through the same steps as ``uca ingest`` and ``uca score --snapshot``
+    (``pipeline.parse_run`` and ``pipeline.score_iteration``): runs,
+    per-iteration aggregates and rule results. Generating into the same store
+    again replaces those rows.
 
     Layout: ``runs/<node>/<iteration>/<tool file>`` plus ``snapshots/<node>/``.
     The default spec yields 3 tools x 3 nodes x 12 iterations = 108 runs and
@@ -405,35 +400,22 @@ def make_corpus(
     ruleset = default_rules()
     start_iso = spec.start_time.isoformat()
 
-    snapshots: dict[str, NodeSnapshot] = {}
-    custom_scores: dict[str, float] = {}
-    for node in spec.nodes:
-        snapshot = make_snapshot(node.profile, node=node.name)
-        save_snapshot(snapshot, out_dir / "snapshots" / node.name, captured_at=start_iso)
-        snapshots[node.name] = snapshot
-        custom_scores[node.name] = score_rules(
-            evaluate_rules(ruleset, snapshot), ruleset
-        )
+    snapshots = {node.name: make_snapshot(node.profile, node=node.name)
+                 for node in spec.nodes}
+    for name, snapshot in snapshots.items():
+        save_snapshot(snapshot, out_dir / "snapshots" / name, captured_at=start_iso)
 
-    runs = aggregates = rule_rows = 0
     with open_store(store_path) as store, store.transaction():
-        store.record_rules(ruleset)
         for iteration in range(spec.iterations):
             phase = _phase_for(iteration)
             for node_index, node in enumerate(spec.nodes):
                 run_dir = out_dir / "runs" / node.name / str(iteration)
                 run_dir.mkdir(parents=True, exist_ok=True)
-                normalized: dict[Tool, float] = {}
-                for tool_index, tool in enumerate(
-                    (Tool.LYNIS, Tool.OPENSCAP, Tool.AIDE)
-                ):
+                for tool_index, tool in enumerate(Tool):
                     document = _draw_documents(
                         rng, spec, node, tool, weights.aide_penalty_per_change
                     )
                     (run_dir / TOOL_FILE_NAMES[tool]).write_text(document)
-                    raw, norm = scoring.score_tool_document(
-                        tool, document, weights.aide_penalty_per_change
-                    )
                     runtime_mean, runtime_sd = spec.runtime_distributions[tool]
                     runtime = max(0.0, rng.gauss(runtime_mean, runtime_sd))
                     timestamp = (
@@ -444,51 +426,26 @@ def make_corpus(
                             seconds=120 * tool_index,
                         )
                     ).isoformat()
-                    store.record_audit_run(AuditRun(
-                        node=node.name,
-                        tool=tool,
-                        timestamp=timestamp,
-                        iteration=iteration,
-                        phase=phase,
-                        raw_score=raw,
-                        normalized_score=norm,
-                        runtime_seconds=runtime,
+                    store.record_audit_run(pipeline.parse_run(
+                        node.name, tool, document, iteration=iteration, phase=phase,
+                        runtime_seconds=runtime, timestamp=timestamp, weights=weights,
                     ))
-                    runs += 1
-                    normalized[tool] = norm
 
-                results = evaluate_rules(
-                    ruleset, snapshots[node.name], iteration=iteration
-                )
-                rule_rows += store.record_rule_results(results)
-                custom = custom_scores[node.name]
-                standard = scoring.compute_standard_uca(
-                    normalized[Tool.LYNIS],
-                    normalized[Tool.OPENSCAP],
-                    normalized[Tool.AIDE],
-                    weights,
-                )
                 agg_timestamp = (
                     spec.start_time
                     + timedelta(hours=iteration, minutes=10 * node_index + 9)
                 ).isoformat()
-                store.record_aggregate(AggregateScore(
-                    node=node.name,
-                    iteration=iteration,
-                    lynis=normalized[Tool.LYNIS],
-                    openscap=normalized[Tool.OPENSCAP],
-                    aide=normalized[Tool.AIDE],
-                    standard_uca=standard,
-                    custom=custom,
-                    extended_uca=scoring.compute_extended_uca(standard, custom, weights),
-                    timestamp=agg_timestamp,
-                ))
-                aggregates += 1
+                pipeline.score_iteration(
+                    store, node.name, iteration, weights=weights,
+                    timestamp=agg_timestamp, ruleset=ruleset,
+                    snapshot=snapshots[node.name],
+                )
 
+    scored = len(spec.nodes) * spec.iterations  # one aggregate per node and iteration
     return CorpusResult(
         corpus_dir=out_dir,
         store_path=store_path,
-        runs_recorded=runs,
-        aggregates_recorded=aggregates,
-        rule_results_recorded=rule_rows,
+        runs_recorded=scored * len(Tool),
+        aggregates_recorded=scored,
+        rule_results_recorded=scored * len(ruleset.rules),
     )

@@ -1,0 +1,66 @@
+"""The steps every writer shares: parse a tool document into a run, and score
+one node's iteration from its recorded runs. ``uca ingest``, ``uca score``,
+``uca rules`` and ``fixtures.make_corpus`` call these and nothing below them,
+so a generated corpus is parsed, blended and recorded the way a user's is.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+from typing import Iterable
+
+from . import scoring
+from .errors import MissingRunsError
+from .repository import AuditRun, Phase, Store
+from .rules import (NodeSnapshot, RuleResult, RuleSet, default_rules, evaluate_rules,
+                    score_rules)
+from .scoring import AggregateScore, Tool, WeightConfig
+
+__all__ = ["parse_run", "evaluate_snapshot", "score_iteration"]
+
+
+def parse_run(node: str, tool: Tool | str, document: str | bytes | Iterable[bytes], *,
+              iteration: int, phase: Phase | str, runtime_seconds: float,
+              timestamp: str, weights: WeightConfig) -> AuditRun:
+    """Parse one tool output document into a run; nothing is recorded."""
+    raw, normalized = scoring.score_tool_document(
+        tool, document, weights.aide_penalty_per_change)
+    return AuditRun(node, Tool(tool), timestamp, iteration, Phase(phase), raw,
+                    normalized, runtime_seconds)
+
+
+def evaluate_snapshot(ruleset: RuleSet, snapshot: NodeSnapshot, *, node: str,
+                      iteration: int) -> tuple[list[RuleResult], float]:
+    """The rule results, named ``node`` whatever the snapshot's manifest says,
+    and their weighted score."""
+    results = [dataclasses.replace(r, node=node)
+               for r in evaluate_rules(ruleset, snapshot, iteration=iteration)]
+    return results, score_rules(results, ruleset)
+
+
+def score_iteration(store: Store, node: str, iteration: int, *, weights: WeightConfig,
+                    timestamp: str, ruleset: RuleSet | None = None,
+                    snapshot: NodeSnapshot | None = None) -> AggregateScore:
+    """Blend the recorded runs of (node, iteration) and record the aggregate, in
+    one transaction. With a snapshot, also record the rule results (of the
+    default rule set unless ``ruleset``) and blend their score in."""
+    with store.transaction():
+        runs = store.runs_for(node, iteration)
+        missing = [t.value for t in Tool if t.value not in runs]
+        if missing:
+            raise MissingRunsError(
+                f"{node} iteration {iteration}: missing runs for {', '.join(missing)}")
+        lynis, openscap, aide = (runs[t.value].normalized_score for t in Tool)
+        standard = scoring.compute_standard_uca(lynis, openscap, aide, weights)
+        custom = extended = None
+        if snapshot is not None:
+            ruleset = default_rules() if ruleset is None else ruleset
+            results, custom = evaluate_snapshot(ruleset, snapshot, node=node,
+                                                iteration=iteration)
+            store.record_rules(ruleset)
+            store.record_rule_results(results)
+            extended = scoring.compute_extended_uca(standard, custom, weights)
+        agg = AggregateScore(node, iteration, lynis, openscap, aide, standard, custom,
+                             extended, timestamp)
+        store.record_aggregate(agg)
+    return agg

@@ -297,12 +297,6 @@ class Store:
 
     # --- queries -------------------------------------------------------------
 
-    def count_runs(self) -> int:
-        return self._conn.execute("SELECT COUNT(*) FROM audit_runs").fetchone()[0]
-
-    def count_aggregates(self) -> int:
-        return self._conn.execute("SELECT COUNT(*) FROM aggregate_scores").fetchone()[0]
-
     def nodes(self) -> list[str]:
         rows = self._conn.execute(
             "SELECT DISTINCT node FROM audit_runs ORDER BY node"
@@ -359,23 +353,6 @@ class Store:
             )
             for row in rows
         ))
-
-    def rule_results(self, node: str | None = None) -> list[RuleResult]:
-        query = (
-            "SELECT rule_id, node, iteration, passed, evidence"
-            " FROM custom_rule_results"
-        )
-        params: tuple = ()
-        if node is not None:
-            query += " WHERE node = ?"
-            params = (node,)
-        query += " ORDER BY node, iteration, id"
-        rows = self._conn.execute(query, params).fetchall()
-        return [
-            RuleResult(rule_id=r[0], node=r[1], iteration=r[2],
-                       passed=bool(r[3]), evidence=r[4])
-            for r in rows
-        ]
 
     def latest_rule_outcomes(self) -> list[RuleResult]:
         """Results of each node's latest evaluated iteration, ordered by node
@@ -437,7 +414,9 @@ class Store:
                     parse_row: Callable[[list[str]], object],
                     record: Callable[[object], int]) -> int:
         """Record every row of a CSV export in one transaction, so a bad row
-        leaves the store as it was; returns rows recorded."""
+        leaves the store as it was; a row that does not parse or that the store
+        rejects raises ConstraintViolationError naming ``path:line``. Returns
+        rows recorded."""
         count = 0
         with open(path, newline="") as handle, self.transaction():
             reader = csv.reader(handle)
@@ -446,10 +425,10 @@ class Store:
                 raise ConstraintViolationError(f"{path}: unexpected header {found!r}")
             for lineno, row in enumerate(reader, start=2):
                 try:
-                    item = parse_row(row)
-                except (IndexError, ValueError) as exc:
+                    record(parse_row(row))
+                except (IndexError, ValueError, ConstraintViolationError,
+                        sqlite3.IntegrityError) as exc:
                     raise ConstraintViolationError(f"{path}:{lineno}: {exc}") from None
-                record(item)
                 count += 1
         return count
 

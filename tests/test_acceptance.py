@@ -139,8 +139,8 @@ def test_criterion_5_aide_normalization_exhaustive():
 
 def test_criterion_6_corpus_shape_and_runtime(default_corpus, corpus_store):
     """108 runs, 36 aggregates; runtime totals match the reference table."""
-    assert corpus_store.count_runs() == 108
-    assert corpus_store.count_aggregates() == 36
+    assert len(corpus_store.audit_runs()) == 108
+    assert len(corpus_store.aggregates()) == 36
     summary = corpus_store.summarize_runtime()
     assert summary.per_tool["aide"].total == pytest.approx(3368.91, abs=0.05)
     assert summary.per_tool["lynis"].total == pytest.approx(1303.59, abs=0.05)

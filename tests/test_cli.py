@@ -11,7 +11,14 @@ import pytest
 from click.testing import CliRunner
 
 from uca.cli import main
-from uca.fixtures import Profile, make_aide_fixture, make_lynis_fixture, make_snapshot, make_xccdf_fixture
+from uca.fixtures import (
+    TOOL_FILE_NAMES,
+    Profile,
+    make_aide_fixture,
+    make_lynis_fixture,
+    make_snapshot,
+    make_xccdf_fixture,
+)
 from uca.repository import open_store
 from uca.rules import default_rules, rules_to_json, save_snapshot
 
@@ -193,7 +200,8 @@ class TestRulesCommand:
                                       "--iteration", "2"])
         assert result.exit_code == 0
         with open_store(store) as handle:
-            results = handle.rule_results("baseline")
+            results = [r for r in handle.latest_rule_outcomes()
+                       if r.node == "baseline"]
             assert len(results) == 8
             assert handle.stored_rules().total_weight == 61
 
@@ -394,6 +402,54 @@ class TestFixturesCommand:
                                       "--out-dir", str(tmp_path / "corpus")])
         assert result.exit_code == 0
         assert "108 runs, 36 aggregates" in result.output
+
+    def test_cli_replay_writes_the_same_store(self, runner, tmp_path):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"iterations": 3, "nodes": [
+            {"name": "baseline", "profile": "baseline"},
+            {"name": "full", "profile": "full"},
+        ]}))
+        generated, replayed = tmp_path / "generated.db", tmp_path / "replayed.db"
+        corpus = tmp_path / "corpus"
+        result = runner.invoke(main, ["--store", str(generated), "fixtures",
+                                      "--out-dir", str(corpus), "--spec", str(spec_path)])
+        assert result.exit_code == 0, result.output
+        with open_store(generated) as store:
+            runs = store.audit_runs()
+        assert len(runs) == 18
+        for run in runs:
+            name = TOOL_FILE_NAMES[run.tool]
+            result = runner.invoke(main, [
+                "--store", str(replayed), "ingest", run.node, run.tool.value,
+                str(corpus / "runs" / run.node / str(run.iteration) / name),
+                "--iteration", str(run.iteration), "--phase", run.phase.value,
+                "--timestamp", run.timestamp, "--runtime", repr(run.runtime_seconds),
+            ])
+            assert result.exit_code == 0, result.output
+        for node, iteration in sorted({(run.node, run.iteration) for run in runs}):
+            result = runner.invoke(main, [
+                "--store", str(replayed), "score", node, "--iteration", str(iteration),
+                "--snapshot", str(corpus / "snapshots" / node),
+            ])
+            assert result.exit_code == 0, result.output
+
+        exports = []
+        for store_path in (generated, replayed):
+            out = tmp_path / f"export-{store_path.stem}"
+            result = runner.invoke(main, ["--store", str(store_path), "export",
+                                          "--out-dir", str(out)])
+            assert result.exit_code == 0, result.output
+            aggregates = (out / "aggregate_scores.csv").read_text().splitlines()
+            with sqlite3.connect(store_path) as conn:
+                rule_results = sorted(conn.execute(
+                    "SELECT rule_id, node, iteration, passed, evidence"
+                    " FROM custom_rule_results"))
+            exports.append(((out / "audit_runs.csv").read_bytes(),
+                            [line.rsplit(",", 1)[0] for line in aggregates],
+                            rule_results))
+        (audit, aggregates, rule_results), replay = exports
+        assert len(aggregates) == 7 and len(rule_results) == 48
+        assert replay == (audit, aggregates, rule_results)
 
     def test_malformed_spec_structure(self, runner, tmp_path):
         spec_path = tmp_path / "spec.json"

@@ -132,8 +132,8 @@ class TestMakeCorpus:
         assert default_corpus.runs_recorded == 108
         assert default_corpus.aggregates_recorded == 36
         assert default_corpus.rule_results_recorded == 288
-        assert corpus_store.count_runs() == 108
-        assert corpus_store.count_aggregates() == 36
+        assert len(corpus_store.audit_runs()) == 108
+        assert len(corpus_store.aggregates()) == 36
 
     def test_phases_follow_iteration(self, corpus_store):
         for run in corpus_store.audit_runs():

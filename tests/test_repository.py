@@ -56,7 +56,7 @@ class TestOpenStore:
         with open_store(path) as store:
             store.record_audit_run(_run())
         with open_store(path) as store:
-            assert store.count_runs() == 1
+            assert len(store.audit_runs()) == 1
 
     def test_unopenable_path(self, tmp_path):
         with pytest.raises(StoreIOError):
@@ -125,8 +125,8 @@ class TestRecording:
                         + evaluate_rules(default_rules(), make_snapshot(profile, "web"), 1))
             assert [(r.tool, r.normalized_score) for r in store.audit_runs()] == [
                 (Tool.AIDE, 60.0), (Tool.LYNIS, 60.0)]
-            assert store.count_aggregates() == 1
-            results = store.rule_results()
+            assert len(store.aggregates()) == 1
+            results = store.latest_rule_outcomes()
             assert [(r.node, r.iteration) for r in results] == (
                 [("baseline", 0)] * 8 + [("web", 1)] * 8)
             assert sum(r.passed for r in results) == 2 * 7
@@ -144,7 +144,7 @@ class TestRecording:
                 blocker.close()
             # the failed write left no transaction open
             store.record_audit_run(_run())
-            assert store.count_runs() == 1
+            assert len(store.audit_runs()) == 1
 
     def test_rule_results_count(self, corpus_store_copy):
         from uca.fixtures import Profile, make_snapshot
@@ -219,14 +219,18 @@ class TestCsvExport:
         ("import_aggregate_csv", AGGREGATE_CSV_HEADER,
          "web,0,64,40,45,,50.6,,2025-03-03T00:09:00+00:00",
          "web,1,64,40,45,39.34,50.6,,2025-03-03T01:09:00+00:00"),
-    ], ids=["unparsable-run", "run-outside-schema", "aggregate-outside-schema"])
+        ("import_aggregate_csv", AGGREGATE_CSV_HEADER,
+         "web,0,64,40,45,,50.6,,2025-03-03T00:09:00+00:00",
+         "web,1,64,40,45,,99,,2025-03-03T01:09:00+00:00"),
+    ], ids=["unparsable-run", "run-outside-schema", "aggregate-outside-schema",
+            "aggregate-outside-components"])
     def test_bad_row_at_line_3_leaves_no_rows(self, tmp_path, importer, header, good, bad):
         path = tmp_path / "bad.csv"
         path.write_text(",".join(header) + f"\n{good}\n{bad}\n")
         with open_store(tmp_path / "s.db") as store:
-            with pytest.raises(ConstraintViolationError):
+            with pytest.raises(ConstraintViolationError, match="bad.csv:3: "):
                 getattr(store, importer)(path)
-            assert store.count_runs() == store.count_aggregates() == 0
+            assert len(store.audit_runs()) == len(store.aggregates()) == 0
 
 
 class TestRuntimeSummary:
@@ -297,4 +301,4 @@ class TestConcurrency:
             for thread in threads:
                 thread.join()
             assert not errors
-            assert store.count_runs() == 40
+            assert len(store.audit_runs()) == 40
