@@ -43,6 +43,10 @@ class AppContext:
     def open(self) -> Store:
         return open_store(self.store_path)
 
+    def read(self) -> Store:
+        """The store of a read command: a missing one is an error, not created."""
+        return open_store(self.store_path, create=False)
+
 
 def _load_weights(config_path: Path | None, overrides: dict[str, float]) -> WeightConfig:
     mapping: dict[str, float] = {}
@@ -244,7 +248,7 @@ def rules_cmd(app: AppContext, rules_path, snapshot_path, node, iteration, recor
 @click.pass_obj
 def stats_cmd(app: AppContext, tool, node_a, node_b, welch):
     """Two-sample t-test of a tool's scores between two nodes (b - a)."""
-    with app.open() as store:
+    with app.read() as store:
         known_nodes = store.nodes()
         for name in (node_a, node_b):
             if name not in known_nodes:
@@ -277,7 +281,7 @@ def report(app: AppContext, out_dir):
     """Emit the four summary tables plus plot-data CSVs."""
     if app.fmt == "csv-dir" and out_dir is None:
         raise click.UsageError("--out-dir is required with --format csv-dir")
-    with app.open() as store:
+    with app.read() as store:
         bundle = report_mod.build_report(store)
     written: list[Path] = []
     if out_dir is not None:
@@ -300,10 +304,10 @@ def report(app: AppContext, out_dir):
 @click.pass_obj
 def export(app: AppContext, out_dir):
     """Write audit_runs.csv and aggregate_scores.csv."""
-    out_dir.mkdir(parents=True, exist_ok=True)
     audit_path = out_dir / "audit_runs.csv"
     agg_path = out_dir / "aggregate_scores.csv"
-    with app.open() as store:
+    with app.read() as store:
+        out_dir.mkdir(parents=True, exist_ok=True)
         audit_rows = store.export_audit_csv(audit_path)
         agg_rows = store.export_aggregate_csv(agg_path)
     _emit(app, {"files": [

@@ -4,20 +4,26 @@ Every number in the bundle is recomputed from raw store rows at build time;
 nothing is cached between invocations, so re-running a report over the same
 store is byte-identical. Rounding to two decimals happens here, at the
 output boundary.
+
+It is built from the plain tuples of the store's row queries, with no per-run
+record objects; ``ReportBundle.runs`` holds one ``(node, tool, iteration,
+normalized_score)`` tuple per audit run, in the store's run order.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
 
 from . import stats
-from .errors import DegenerateSampleError, EmptyStoreError, UnknownRuleIdError
-from .repository import AuditRun, RuntimeSummary, Store
-from .rules import score_rules
+from .errors import DegenerateSampleError, EmptyStoreError
+from .repository import RuntimeSummary, Store
 from .scoring import Tool
 
 __all__ = [
@@ -31,6 +37,7 @@ __all__ = [
 ]
 
 SCORE_METRICS = ("lynis", "openscap", "aide", "custom", "standard_uca", "extended_uca")
+RULE_COLUMNS = ("node", "passed", "failed", "score_pct")
 
 
 @dataclass
@@ -52,69 +59,40 @@ class ReportBundle:
     runtime: RuntimeSummary
     node_low: str | None
     node_high: str | None
-    # every audit run in store order, for the score progression plot
-    runs: list[AuditRun]
+    # (node, tool, iteration, normalized_score) per audit run, in store order,
+    # for the score progression plot
+    runs: list[tuple[str, str, int, float]]
     significance: list[SignificanceRow] = field(default_factory=list)
-
-
-def _mean(values: list[float]) -> float | None:
-    if not values:
-        return None
-    return stats.describe(values).mean
-
-
-def _group(pairs: Iterable[tuple]) -> dict:
-    groups: dict = {}
-    for key, value in pairs:
-        groups.setdefault(key, []).append(value)
-    return groups
 
 
 def build_report(store: Store) -> ReportBundle:
     """Recompute the four report tables from one read of each store table."""
-    runs = store.audit_runs()
+    runs = store.score_rows()
     if not runs:
         raise EmptyStoreError("no audit runs recorded; ingest or generate a corpus first")
 
     # (metric, node) -> values in store order: tool scores by iteration, then
     # the aggregate columns by iteration
-    samples = _group(((run.tool.value, run.node), run.normalized_score) for run in runs)
-    for agg in store.aggregates():
-        for metric in ("custom", "standard_uca", "extended_uca"):
-            value = getattr(agg, metric)
+    samples = {(tool, node): [row[3] for row in group]
+               for (node, tool), group in groupby(runs, itemgetter(0, 1))}
+    for node, *values in store.aggregate_rows():
+        for metric, value in zip(("custom", "standard_uca", "extended_uca"), values):
             if value is not None:
-                samples.setdefault((metric, agg.node), []).append(value)
+                samples.setdefault((metric, node), []).append(value)
 
     def mean(metric: str, node: str) -> float | None:
-        return _mean(samples.get((metric, node), []))
+        # stats.describe's mean: fsum rounds once, so input order cannot matter
+        values = samples.get((metric, node))
+        return math.fsum(values) / len(values) if values else None
 
     # Column order: weakest to strongest by mean standard score, so the
     # significance comparison (first vs last column) reads naturally.
-    standard = {n: mean("standard_uca", n) for n in {run.node for run in runs}}
+    standard = {n: mean("standard_uca", n) for n in {row[0] for row in runs}}
     nodes = sorted(standard, key=lambda n: (standard[n] is None, standard[n] or 0.0, n))
     score_table = {m: {n: mean(m, n) for n in nodes} for m in SCORE_METRICS}
 
-    ruleset = store.stored_rules()
-    latest_by_node = _group((r.node, r) for r in store.latest_rule_outcomes())
-    rule_table = []
-    for node in nodes:
-        latest = latest_by_node.get(node)
-        if not latest:
-            continue
-        passed = sum(1 for r in latest if r.passed)
-        score_pct = None
-        if ruleset is not None:
-            try:
-                score_pct = score_rules(latest, ruleset)
-            except UnknownRuleIdError:
-                # results recorded against a rule set no longer stored
-                score_pct = None
-        rule_table.append({
-            "node": node,
-            "passed": passed,
-            "failed": len(latest) - passed,
-            "score_pct": score_pct,
-        })
+    tallies = {row[0]: row for row in store.rule_tallies()}
+    rule_table = [dict(zip(RULE_COLUMNS, tallies[n])) for n in nodes if n in tallies]
 
     node_low = node_high = None
     significance: list[SignificanceRow] = []
@@ -286,7 +264,7 @@ def _csv_files(bundle: ReportBundle) -> dict[str, tuple[list[str], Iterable]]:
     def by_node(*metrics: str) -> list:
         return list(zip(bundle.nodes, *(cells[m] for m in metrics)))
 
-    rules_header = ["node", "passed", "failed", "score_pct"]
+    rules_header = list(RULE_COLUMNS)
     rules = [[r["node"], r["passed"], r["failed"], _cell(r["score_pct"])]
              for r in bundle.rule_table]
     runtime_header = ["tool", "avg_runtime_seconds", "total_runtime_seconds", "runs"]
@@ -309,8 +287,8 @@ def _csv_files(bundle: ReportBundle) -> dict[str, tuple[list[str], Iterable]]:
                                     by_node("lynis", "openscap", "aide")),
         "plot_score_progression.csv": (
             ["node", "tool", "iteration", "normalized_score"],
-            ([run.node, run.tool.value, run.iteration, f"{run.normalized_score:.2f}"]
-             for run in bundle.runs),
+            ([node, tool, iteration, f"{score:.2f}"]
+             for node, tool, iteration, score in bundle.runs),
         ),
         "plot_uca_comparison.csv": (["node", "standard_uca", "extended_uca"],
                                     by_node("standard_uca", "extended_uca")),

@@ -158,6 +158,7 @@ _RUN_QUERY = (
     "SELECT node, tool, timestamp, iteration, phase, raw_score, normalized_score,"
     " runtime_seconds, id FROM audit_runs"
 )
+_RUN_ORDER = " ORDER BY node, tool, iteration, id"
 
 
 def _run_from_row(row: tuple) -> AuditRun:
@@ -165,17 +166,19 @@ def _run_from_row(row: tuple) -> AuditRun:
     return AuditRun(node, Tool(tool), timestamp, iteration, Phase(phase), *values)
 
 
-def open_store(path: Path | str) -> "Store":
-    """Open (creating if needed) the store at ``path``; idempotent."""
-    return Store(path)
+def open_store(path: Path | str, *, create: bool = True) -> "Store":
+    """Open the store at ``path``, creating it unless ``create`` is False."""
+    return Store(path, create=create)
 
 
 class Store:
     """Handle to one store file. Use as a context manager or call close()."""
 
-    def __init__(self, path: Path | str):
+    def __init__(self, path: Path | str, *, create: bool = True):
         self.path = Path(path)
         self._lock = threading.RLock()
+        if not create and not self.path.exists():
+            raise EmptyStoreError(f"no audit runs recorded: no store at {self.path}")
         try:
             # autocommit outside transaction(): no implicit BEGIN
             self._conn = sqlite3.connect(str(self.path), check_same_thread=False,
@@ -263,12 +266,18 @@ class Store:
         return agg.id
 
     def record_rules(self, ruleset: RuleSet) -> int:
-        """Upsert rule definitions; returns the number written."""
+        """Upsert rule definitions, rewriting changed rows only; returns rules given."""
         with self.transaction():
             self._conn.executemany(
-                "INSERT OR REPLACE INTO custom_rules"
+                "INSERT INTO custom_rules"
                 " (rule_id, name, check_type, weight, params, description)"
-                " VALUES (?, ?, ?, ?, ?, ?)",
+                " VALUES (?, ?, ?, ?, ?, ?) ON CONFLICT (rule_id) DO UPDATE SET"
+                " name = excluded.name, check_type = excluded.check_type,"
+                " weight = excluded.weight, params = excluded.params,"
+                " description = excluded.description"
+                " WHERE (name, check_type, weight, params, description) IS NOT"
+                " (excluded.name, excluded.check_type, excluded.weight,"
+                " excluded.params, excluded.description)",
                 [
                     (r.id, r.name, r.check_type.value, r.weight,
                      json.dumps(dict(r.params), sort_keys=True), r.description)
@@ -310,8 +319,17 @@ class Store:
         return [row[0] for row in rows]
 
     def audit_runs(self) -> list[AuditRun]:
-        rows = self._conn.execute(_RUN_QUERY + " ORDER BY node, tool, iteration, id")
-        return [_run_from_row(row) for row in rows]
+        return [_run_from_row(row) for row in self._conn.execute(_RUN_QUERY + _RUN_ORDER)]
+
+    def score_rows(self) -> list[tuple[str, str, int, float]]:
+        """(node, tool, iteration, normalized_score) per run, in audit_runs() order."""
+        query = "SELECT node, tool, iteration, normalized_score FROM audit_runs"
+        return self._conn.execute(query + _RUN_ORDER).fetchall()
+
+    def aggregate_rows(self) -> list[tuple[str, float | None, float, float | None]]:
+        """(node, custom, standard_uca, extended_uca), in aggregates() order."""
+        return self._conn.execute("SELECT node, custom, standard_uca, extended_uca"
+                                  " FROM aggregate_scores ORDER BY node, iteration, id").fetchall()
 
     def aggregates(self) -> list[AggregateScore]:
         # columns in AggregateScore field order
@@ -354,6 +372,21 @@ class Store:
             for row in rows
         ))
 
+    def rule_tallies(self) -> list[tuple[str, int, int, float | None]]:
+        """(node, passed, failed, score_pct) of each node's latest evaluation;
+        score_pct is None when no rules are stored or a result's rule is not."""
+        rows = self._conn.execute(
+            "SELECT r.node, SUM(r.passed), COUNT(*) - SUM(r.passed), SUM(r.passed * c.weight),"
+            " COUNT(*) - COUNT(c.rule_id), (SELECT SUM(weight) FROM custom_rules)"
+            " FROM custom_rule_results AS r LEFT JOIN custom_rules AS c USING (rule_id)"
+            " WHERE (r.node, r.iteration) IN (SELECT node, MAX(iteration)"
+            " FROM custom_rule_results GROUP BY node) GROUP BY r.node ORDER BY r.node"
+        )
+        # score_rules' arithmetic: integer weights, one float division
+        return [(node, passed, failed,
+                 None if total is None or unknown else 100.0 * weighted / total)
+                for node, passed, failed, weighted, unknown, total in rows]
+
     def latest_rule_outcomes(self) -> list[RuleResult]:
         """Results of each node's latest evaluated iteration, ordered by node
         and insertion; evidence is not read and left empty."""
@@ -384,21 +417,17 @@ class Store:
     def export_audit_csv(self, path: Path | str) -> int:
         """Write audit_runs.csv ordered by (node, tool, iteration); returns rows."""
         return _write_csv(path, AUDIT_CSV_HEADER, [
-            [run.node, run.tool.value, run.timestamp, run.iteration, run.phase.value,
-             f"{run.raw_score:.2f}", f"{run.normalized_score:.2f}",
-             repr(run.runtime_seconds)]
-            for run in self.audit_runs()
+            [*row, f"{raw:.2f}", f"{normalized:.2f}", repr(runtime)]
+            for *row, raw, normalized, runtime, _id in self._conn.execute(_RUN_QUERY + _RUN_ORDER)
         ])
 
     def export_aggregate_csv(self, path: Path | str) -> int:
         """Write aggregate_scores.csv ordered by (node, iteration); returns rows."""
         return _write_csv(path, AGGREGATE_CSV_HEADER, [
-            [agg.node, agg.iteration, f"{agg.lynis:.2f}", f"{agg.openscap:.2f}",
-             f"{agg.aide:.2f}", "" if agg.custom is None else f"{agg.custom:.2f}",
-             f"{agg.standard_uca:.2f}",
-             "" if agg.extended_uca is None else f"{agg.extended_uca:.2f}",
-             agg.timestamp]
-            for agg in self.aggregates()
+            [node, iteration, *("" if v is None else f"{v:.2f}" for v in scores), timestamp]
+            for node, iteration, *scores, timestamp in self._conn.execute(
+                "SELECT node, iteration, lynis, openscap, aide, custom, standard_uca,"
+                " extended_uca, timestamp FROM aggregate_scores ORDER BY node, iteration, id")
         ])
 
     def import_audit_csv(self, path: Path | str) -> int:

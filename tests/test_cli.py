@@ -19,7 +19,7 @@ from uca.fixtures import (
     make_snapshot,
     make_xccdf_fixture,
 )
-from uca.repository import open_store
+from uca.repository import AUDIT_CSV_HEADER, open_store
 from uca.rules import default_rules, rules_to_json, save_snapshot
 
 
@@ -378,6 +378,44 @@ class TestExport:
         assert "aggregate_scores.csv (36 rows)" in result.output
         assert (out / "audit_runs.csv").exists()
         assert (out / "aggregate_scores.csv").exists()
+
+
+class TestReadCommandsNeedAStore:
+    """report, stats and export on a path with no store: one error line, exit 1,
+    no store and no output created."""
+
+    def _assert_nothing_created(self, runner, tmp_path, *argv):
+        store = tmp_path / "nope.db"
+        result = runner.invoke(main, ["--store", str(store), *argv])
+        assert result.exit_code == 1
+        assert _one_error_line(result), result.output
+        assert str(store) in result.output and "no audit runs" in result.output
+        assert not store.exists() and not (tmp_path / "out").exists()
+
+    def test_report(self, runner, tmp_path):
+        self._assert_nothing_created(runner, tmp_path, "--format", "csv-dir", "report",
+                                     "--out-dir", str(tmp_path / "out"))
+
+    def test_stats(self, runner, tmp_path):
+        self._assert_nothing_created(runner, tmp_path, "stats", "lynis", "a", "b")
+
+    def test_export(self, runner, tmp_path):
+        self._assert_nothing_created(runner, tmp_path, "export", "--out-dir",
+                                     str(tmp_path / "out"))
+
+    def test_empty_and_corrupt_stores_as_before(self, runner, tmp_path):
+        empty, corrupt = tmp_path / "empty.db", tmp_path / "corrupt.db"
+        open_store(empty).close()
+        corrupt.write_bytes(b"not a database" * 100)
+        result = runner.invoke(main, ["--store", str(empty), "export",
+                                      "--out-dir", str(tmp_path / "ex")])
+        assert result.exit_code == 0
+        assert (tmp_path / "ex" / "audit_runs.csv").read_text() == ",".join(
+            AUDIT_CSV_HEADER) + "\n"
+        result = runner.invoke(main, ["--store", str(empty), "report"])
+        assert result.exit_code == 1 and "ingest or generate" in result.output
+        result = runner.invoke(main, ["--store", str(corrupt), "report"])
+        assert result.exit_code == 1 and "not a database" in result.output
 
 
 class TestFixturesCommand:

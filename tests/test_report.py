@@ -1,11 +1,31 @@
-import pytest
+import csv
+import io
+import tempfile
+from pathlib import Path
 
-from uca.errors import EmptyStoreError
+import pytest
+from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from uca import stats
+from uca.cli import main
+from uca.errors import DegenerateSampleError, EmptyStoreError, UnknownRuleIdError
 from uca.fixtures import CorpusSpec, NodeSpec, Profile, make_corpus
-from uca.report import build_report, bundle_to_dict, render_text
-from uca.repository import AuditRun, Phase, open_store
-from uca.rules import RuleResult
-from uca.scoring import Tool
+from uca.report import (
+    SCORE_METRICS,
+    ReportBundle,
+    SignificanceRow,
+    build_report,
+    bundle_to_dict,
+    render_json,
+    render_text,
+    write_csv_tables,
+    write_plot_data,
+)
+from uca.repository import AGGREGATE_CSV_HEADER, AUDIT_CSV_HEADER, AuditRun, Phase, open_store
+from uca.rules import RuleResult, RuleSet, score_rules
+from uca.scoring import AggregateScore, Tool
 from uca.stats import describe
 
 
@@ -34,7 +54,7 @@ class TestBuildReport:
         for tool in Tool:
             for node in bundle.nodes:
                 expected = describe(corpus_store.tool_scores(tool.value, node)).mean
-                assert bundle.score_table[tool.value][node] == pytest.approx(expected)
+                assert bundle.score_table[tool.value][node] == expected
 
     def test_rule_table_matches_reference(self, corpus_store):
         bundle = build_report(corpus_store)
@@ -91,3 +111,186 @@ class TestBuildReport:
         assert len(bundle.nodes) == 24
         assert len(bundle.rule_table) == 24
         assert len(bundle.runs) == 24 * 2 * 3
+
+
+def _corpus_24(out: Path):
+    nodes = tuple(NodeSpec(f"n{i:02d}", list(Profile)[i % 3]) for i in range(24))
+    return make_corpus(CorpusSpec(nodes=nodes, iterations=2), out)
+
+
+def test_report_and_export_build_no_records(tmp_path, monkeypatch):
+    store_path = str(_corpus_24(tmp_path / "corpus").store_path)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-run record built")
+
+    for record in (AuditRun, AggregateScore, RuleResult, RuleSet):
+        monkeypatch.setattr(record, "__init__", refuse)
+    monkeypatch.setattr(stats, "describe", refuse)
+    with open_store(store_path) as store, pytest.raises(AssertionError):
+        store.audit_runs()  # the patch bites
+    runner = CliRunner()
+    for argv in (["report"], ["--format", "json", "report"],
+                 ["--format", "csv-dir", "report", "--out-dir", str(tmp_path / "csv")],
+                 ["report", "--out-dir", str(tmp_path / "plots")],
+                 ["export", "--out-dir", str(tmp_path / "export")]):
+        result = runner.invoke(main, ["--store", store_path, *argv])
+        assert result.exit_code == 0, (argv, result.output, result.exception)
+
+
+# --- the report as computed before it read plain rows ------------------------
+
+def _reference_bundle(store) -> ReportBundle:
+    """build_report from AuditRun, AggregateScore, RuleResult and RuleSet
+    records, with stats.describe means and rules.score_rules scores."""
+    runs = store.audit_runs()
+    if not runs:
+        raise EmptyStoreError("no audit runs recorded")
+    samples: dict = {}
+    for run in runs:
+        samples.setdefault((run.tool.value, run.node), []).append(run.normalized_score)
+    for agg in store.aggregates():
+        for metric in ("custom", "standard_uca", "extended_uca"):
+            value = getattr(agg, metric)
+            if value is not None:
+                samples.setdefault((metric, agg.node), []).append(value)
+
+    def mean(metric, node):
+        values = samples.get((metric, node), [])
+        return describe(values).mean if values else None
+
+    standard = {n: mean("standard_uca", n) for n in {run.node for run in runs}}
+    nodes = sorted(standard, key=lambda n: (standard[n] is None, standard[n] or 0.0, n))
+    ruleset = store.stored_rules()
+    latest_by_node: dict = {}
+    for result in store.latest_rule_outcomes():
+        latest_by_node.setdefault(result.node, []).append(result)
+    rule_table = []
+    for node in nodes:
+        latest = latest_by_node.get(node)
+        if not latest:
+            continue
+        passed = sum(1 for r in latest if r.passed)
+        score_pct = None
+        if ruleset is not None:
+            try:
+                score_pct = score_rules(latest, ruleset)
+            except UnknownRuleIdError:
+                pass
+        rule_table.append({"node": node, "passed": passed, "failed": len(latest) - passed,
+                           "score_pct": score_pct})
+    node_low = node_high = None
+    significance = []
+    ranked = [n for n in nodes if standard[n] is not None]
+    if len(ranked) >= 2:
+        node_low, node_high = ranked[0], ranked[-1]
+        for tool in Tool:
+            low = samples.get((tool.value, node_low), [])
+            high = samples.get((tool.value, node_high), [])
+            if len(low) < 2 or len(high) < 2:
+                continue
+            try:
+                r = stats.pooled_t_test(low, high)
+            except DegenerateSampleError:
+                continue
+            significance.append(SignificanceRow(tool.value, r.mean_diff, r.t, r.df,
+                                                r.p_two_tailed, r.d))
+    return ReportBundle(
+        nodes=nodes,
+        score_table={m: {n: mean(m, n) for n in nodes} for m in SCORE_METRICS},
+        rule_table=rule_table,
+        runtime=store.summarize_runtime(),
+        node_low=node_low,
+        node_high=node_high,
+        runs=[(run.node, run.tool.value, run.iteration, run.normalized_score) for run in runs],
+        significance=significance,
+    )
+
+
+def _reference_exports(store) -> dict[str, bytes]:
+    """audit_runs.csv and aggregate_scores.csv formatted from records."""
+    def cell(value):
+        return "" if value is None else f"{value:.2f}"
+
+    tables = {
+        "audit_runs.csv": (AUDIT_CSV_HEADER, [
+            [run.node, run.tool.value, run.timestamp, run.iteration, run.phase.value,
+             f"{run.raw_score:.2f}", f"{run.normalized_score:.2f}", repr(run.runtime_seconds)]
+            for run in store.audit_runs()]),
+        "aggregate_scores.csv": (AGGREGATE_CSV_HEADER, [
+            [agg.node, agg.iteration, cell(agg.lynis), cell(agg.openscap), cell(agg.aide),
+             cell(agg.custom), cell(agg.standard_uca), cell(agg.extended_uca), agg.timestamp]
+            for agg in store.aggregates()]),
+    }
+    files = {}
+    for name, (header, rows) in tables.items():
+        text = io.StringIO()
+        writer = csv.writer(text, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        files[name] = text.getvalue().encode()
+    return files
+
+
+def _csv_bytes(bundle, out: Path) -> dict[str, bytes]:
+    paths = write_csv_tables(bundle, out) + write_plot_data(bundle, out)
+    return {path.name: path.read_bytes() for path in paths}
+
+
+# Scores from the whole range, plus values whose two-decimal rounding is close.
+_SCORES = st.one_of(st.floats(0, 100), st.sampled_from([0.0, 0.005, 33.335, 66.665, 100.0]))
+# "e" has rule results but never runs; "ghost" is a rule that is never stored.
+_NODES = ("a", "b", "c", "d")
+_RULE_IDS = ("r1", "r2", "r3")
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    runs=st.lists(st.tuples(st.sampled_from(_NODES), st.sampled_from([t.value for t in Tool]),
+                            st.integers(0, 3), _SCORES, st.floats(0, 1e4)), max_size=24),
+    aggregates=st.lists(st.tuples(
+        st.sampled_from(_NODES), st.integers(0, 3), st.tuples(_SCORES, _SCORES, _SCORES),
+        _SCORES, st.one_of(st.none(), st.tuples(_SCORES, _SCORES))), max_size=12),
+    rules=st.lists(st.tuples(st.sampled_from(_RULE_IDS), st.integers(1, 9)),
+                   unique_by=lambda rule: rule[0], max_size=3),
+    results=st.lists(st.tuples(st.sampled_from(_RULE_IDS + ("ghost",)),
+                               st.sampled_from(_NODES + ("e",)), st.integers(0, 3),
+                               st.booleans()), max_size=16),
+)
+def test_plain_row_report_matches_record_reference(runs, aggregates, rules, results):
+    """Random stores written with raw SQL, duplicate keys included, give the
+    same bundle, bit for bit, and the same bytes in every rendering and export."""
+    with open_store(":memory:") as store:
+        conn = store._conn
+        conn.executemany(
+            "INSERT INTO audit_runs (node, tool, timestamp, iteration, phase, raw_score,"
+            " normalized_score, runtime_seconds) VALUES (?, ?, 'ts', ?, 'iteration', ?, ?, ?)",
+            [(node, tool, it, score, score, runtime) for node, tool, it, score, runtime in runs])
+        conn.executemany(
+            "INSERT INTO aggregate_scores (node, iteration, lynis, openscap, aide,"
+            " standard_uca, custom, extended_uca, timestamp)"
+            " VALUES (?, ?, ?, ?, ?, ?, ?, ?, 'ts')",
+            [(node, it, *components, standard, *(custom or (None, None)))
+             for node, it, components, standard, custom in aggregates])
+        conn.executemany(
+            "INSERT INTO custom_rules (rule_id, name, check_type, weight, params)"
+            " VALUES (?, ?, 'service_active', ?, '{}')",
+            [(rule_id, rule_id, weight) for rule_id, weight in rules])
+        conn.executemany(
+            "INSERT INTO custom_rule_results (rule_id, node, iteration, passed, evidence)"
+            " VALUES (?, ?, ?, ?, '')", results)
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp)
+            store.export_audit_csv(out / "audit_runs.csv")
+            store.export_aggregate_csv(out / "aggregate_scores.csv")
+            reference = _reference_exports(store)
+            assert {name: (out / name).read_bytes() for name in reference} == reference
+            if not runs:
+                with pytest.raises(EmptyStoreError):
+                    build_report(store)
+                return
+            bundle, expected = build_report(store), _reference_bundle(store)
+            assert bundle == expected
+            assert render_text(bundle) == render_text(expected)
+            assert render_json(bundle) == render_json(expected)
+            assert _csv_bytes(bundle, out / "new") == _csv_bytes(expected, out / "reference")

@@ -154,6 +154,28 @@ class TestRecording:
         assert corpus_store_copy.record_rule_results(results) == 8
 
 
+    def test_recording_rules_again_writes_only_changed_rows(self, tmp_path):
+        from dataclasses import replace
+
+        from uca.fixtures import CorpusSpec, NodeSpec, Profile, make_corpus
+        from uca.rules import RuleSet
+
+        nodes = tuple(NodeSpec(f"n{i}", list(Profile)[i % 3]) for i in range(4))
+        corpus = make_corpus(CorpusSpec(nodes=nodes, iterations=3), tmp_path / "corpus")
+        with open_store(corpus.store_path) as store:
+            sql = "SELECT count(*), max(rowid) FROM custom_rules"
+            # twelve evaluations recorded the same eight rules
+            assert store._conn.execute(sql).fetchone() == (8, 8)
+            rules = store.stored_rules().rules
+            changed = replace(rules[3], weight=rules[3].weight + 1)
+            store.record_rules(RuleSet(rules[:3] + (changed,) + rules[4:]))
+            assert store._conn.execute(sql).fetchone() == (8, 8)
+            assert store._conn.execute(
+                "SELECT rowid, weight FROM custom_rules WHERE rule_id = ?", (changed.id,)
+            ).fetchone() == (4, changed.weight)
+            assert store.stored_rules().rules == rules[:3] + (changed,) + rules[4:]
+
+
 class TestCsvExport:
     def test_empty_store_header_only(self, tmp_path):
         with open_store(tmp_path / "s.db") as store:
