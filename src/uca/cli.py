@@ -44,7 +44,8 @@ class AppContext:
         return open_store(self.store_path)
 
     def read(self) -> Store:
-        """The store of a read command: a missing one is an error, not created."""
+        """The store of a command that needs recorded runs: a missing one is an
+        error, not created."""
         return open_store(self.store_path, create=False)
 
 
@@ -168,7 +169,7 @@ def score(app: AppContext, node, iteration, rules_path, snapshot_path):
         raise click.UsageError("--rules needs --snapshot to evaluate against")
     ruleset = load_rules(Path(rules_path).read_bytes()) if rules_path else None
     snapshot = load_snapshot(snapshot_path) if snapshot_path is not None else None
-    with app.open() as store:
+    with app.read() as store:
         agg = pipeline.score_iteration(store, node, iteration, weights=app.weights,
                                        timestamp=_now_iso(), ruleset=ruleset,
                                        snapshot=snapshot)
@@ -216,9 +217,8 @@ def rules_cmd(app: AppContext, rules_path, snapshot_path, node, iteration, recor
     results, pct = pipeline.evaluate_snapshot(ruleset, snapshot, node=node,
                                               iteration=iteration)
     if record:
-        with app.open() as store, store.transaction():
-            store.record_rules(ruleset)
-            store.record_rule_results(results)
+        with app.open() as store:
+            store.record_evaluation(ruleset, results)
     passed = sum(1 for r in results if r.passed)
     payload = {
         "node": node,

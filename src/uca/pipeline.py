@@ -50,15 +50,14 @@ def score_iteration(store: Store, node: str, iteration: int, *, weights: WeightC
         if missing:
             raise MissingRunsError(
                 f"{node} iteration {iteration}: missing runs for {', '.join(missing)}")
-        lynis, openscap, aide = (runs[t.value].normalized_score for t in Tool)
+        lynis, openscap, aide = (runs[t.value] for t in Tool)
         standard = scoring.compute_standard_uca(lynis, openscap, aide, weights)
         custom = extended = None
         if snapshot is not None:
             ruleset = default_rules() if ruleset is None else ruleset
             results, custom = evaluate_snapshot(ruleset, snapshot, node=node,
                                                 iteration=iteration)
-            store.record_rules(ruleset)
-            store.record_rule_results(results)
+            store.record_evaluation(ruleset, results)
             extended = scoring.compute_extended_uca(standard, custom, weights)
         agg = AggregateScore(node, iteration, lynis, openscap, aide, standard, custom,
                              extended, timestamp)

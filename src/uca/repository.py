@@ -1,18 +1,23 @@
 """Single-file SQLite repository for audit runs, scores and rule outcomes.
 
-Schema (four tables, created on open):
-  audit_runs           one row per tool execution
-  aggregate_scores     one row per node and iteration with the unified scores
+Schema version 2 (``PRAGMA user_version``), four tables:
+  audit_runs           one row per (node, tool, iteration)
+  aggregate_scores     one row per (node, iteration) with the unified scores
   custom_rules         rule definitions (params stored as JSON)
-  custom_rule_results  one row per rule execution per node and iteration
+  custom_rule_results  one row per (node, iteration, rule_id), with its rule's
+                       weight in the evaluation that recorded it
+
+Row invariants are the schema's: UNIQUE keys, CHECK ranges, standard_uca
+between its components and a weight >= 1 on every result. Opening a version-1
+store (user_version 0) migrates it in one transaction: the highest id of each
+key stays and each result takes its rule's weight from custom_rules; a result
+of no stored rule raises CorruptStoreError and leaves the file as it was.
 
 Write contract: every write runs in ``Store.transaction()``, which commits
 once at the end of its outermost block, so a command that wraps its writes in
-one block writes all or nothing. Each record method first deletes its key: a
-run's (node, tool, iteration), an aggregate's (node, iteration), and every
-(node, iteration) a rule evaluation covers; recording again replaces. Row
-invariants live in the schema's CHECK and NOT NULL constraints, except that
-standard_uca lies between its components.
+one block writes all or nothing. Recording a run or an aggregate replaces the
+row of its key; recording an evaluation replaces the results of every (node,
+iteration) it covers.
 
 Concurrency contract: concurrent reads are fine; writes are serialized by a
 lock on the store handle, and the handle may be passed between threads.
@@ -22,6 +27,7 @@ Timestamps are stored as ISO-8601 UTC text.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import sqlite3
 import threading
@@ -100,9 +106,10 @@ class RuntimeSummary:
     grand_total: float = 0.0
 
 
-# One transaction, so that creating a store costs one commit, not seven.
+# Schema version 2, the text of every store, new or migrated. custom_rules is
+# as in version 1, so a migration keeps it and creates the other three.
+_VERSION = 2
 _SCHEMA = """
-BEGIN;
 CREATE TABLE IF NOT EXISTS audit_runs (
     id INTEGER PRIMARY KEY AUTOINCREMENT,
     node TEXT NOT NULL,
@@ -113,7 +120,8 @@ CREATE TABLE IF NOT EXISTS audit_runs (
     raw_score REAL NOT NULL,
     normalized_score REAL NOT NULL
         CHECK (normalized_score >= 0 AND normalized_score <= 100),
-    runtime_seconds REAL NOT NULL CHECK (runtime_seconds >= 0)
+    runtime_seconds REAL NOT NULL CHECK (runtime_seconds >= 0),
+    UNIQUE (node, tool, iteration)
 );
 CREATE TABLE IF NOT EXISTS aggregate_scores (
     id INTEGER PRIMARY KEY AUTOINCREMENT,
@@ -127,7 +135,10 @@ CREATE TABLE IF NOT EXISTS aggregate_scores (
     extended_uca REAL
         CHECK (extended_uca IS NULL OR (extended_uca >= 0 AND extended_uca <= 100)),
     timestamp TEXT NOT NULL,
-    CHECK ((custom IS NULL) = (extended_uca IS NULL))
+    CHECK ((custom IS NULL) = (extended_uca IS NULL)),
+    CONSTRAINT standard_uca_between_components CHECK (standard_uca BETWEEN
+        min(lynis, openscap, aide) - 1e-9 AND max(lynis, openscap, aide) + 1e-9),
+    UNIQUE (node, iteration)
 );
 CREATE TABLE IF NOT EXISTS custom_rules (
     rule_id TEXT PRIMARY KEY,
@@ -143,27 +154,38 @@ CREATE TABLE IF NOT EXISTS custom_rule_results (
     node TEXT NOT NULL,
     iteration INTEGER NOT NULL CHECK (iteration >= 0),
     passed INTEGER NOT NULL CHECK (passed IN (0, 1)),
-    evidence TEXT NOT NULL
-);
-CREATE INDEX IF NOT EXISTS audit_runs_key ON audit_runs (node, tool, iteration);
-CREATE INDEX IF NOT EXISTS aggregate_scores_key ON aggregate_scores (node, iteration);
-CREATE INDEX IF NOT EXISTS custom_rule_results_key
-    ON custom_rule_results (node, iteration);
-COMMIT;
+    evidence TEXT NOT NULL,
+    weight INTEGER NOT NULL CHECK (weight >= 1),
+    UNIQUE (node, iteration, rule_id)
+)
+"""
+
+# Version 1 (user_version 0) had no keys and no result weights: keep the
+# highest id of each key, and give each result its rule's stored weight.
+_MIGRATE_V1 = """
+ALTER TABLE audit_runs RENAME TO v1_runs;
+ALTER TABLE aggregate_scores RENAME TO v1_aggregates;
+ALTER TABLE custom_rule_results RENAME TO v1_results;
+""" + _SCHEMA + """;
+INSERT INTO audit_runs SELECT * FROM v1_runs
+    WHERE id IN (SELECT MAX(id) FROM v1_runs GROUP BY node, tool, iteration);
+INSERT INTO aggregate_scores SELECT * FROM v1_aggregates
+    WHERE id IN (SELECT MAX(id) FROM v1_aggregates GROUP BY node, iteration);
+INSERT INTO custom_rule_results SELECT *,
+    (SELECT weight FROM custom_rules WHERE rule_id = v1_results.rule_id) FROM v1_results
+    WHERE id IN (SELECT MAX(id) FROM v1_results GROUP BY node, iteration, rule_id);
+DROP TABLE v1_runs;
+DROP TABLE v1_aggregates;
+DROP TABLE v1_results
 """
 
 
-# Columns in AuditRun field order, id last; _run_from_row maps one row.
+# Columns in AuditRun field order, id last.
 _RUN_QUERY = (
     "SELECT node, tool, timestamp, iteration, phase, raw_score, normalized_score,"
     " runtime_seconds, id FROM audit_runs"
 )
-_RUN_ORDER = " ORDER BY node, tool, iteration, id"
-
-
-def _run_from_row(row: tuple) -> AuditRun:
-    node, tool, timestamp, iteration, phase, *values = row
-    return AuditRun(node, Tool(tool), timestamp, iteration, Phase(phase), *values)
+_RUN_ORDER = " ORDER BY node, tool, iteration"
 
 
 def open_store(path: Path | str, *, create: bool = True) -> "Store":
@@ -187,10 +209,21 @@ class Store:
             # "unable to open database file": missing parent, no permission
             raise StoreIOError(f"{self.path}: {exc}") from None
         try:
-            self._conn.executescript(_SCHEMA)
-        except sqlite3.OperationalError as exc:
-            # read-only or failing medium
-            raise StoreIOError(f"{self.path}: {exc}") from None
+            # IMMEDIATE: of two processes opening one old store, one upgrades it
+            with self.transaction():
+                version = self._conn.execute("PRAGMA user_version").fetchone()[0]
+                if version not in (0, _VERSION):
+                    raise CorruptStoreError(f"{self.path}: unknown schema version {version}")
+                if version == 0:
+                    v1 = self._conn.execute(
+                        "SELECT 1 FROM sqlite_master WHERE name = 'audit_runs'").fetchone()
+                    # not executescript, which commits first
+                    for statement in (_MIGRATE_V1 if v1 else _SCHEMA).split(";"):
+                        self._conn.execute(statement)
+                    self._conn.execute(f"PRAGMA user_version = {_VERSION}")
+        except ConstraintViolationError as exc:
+            # a version-1 row the schema rejects, such as a result of no stored rule
+            raise CorruptStoreError(f"{self.path}: cannot migrate: {exc}") from None
         except sqlite3.DatabaseError as exc:
             # "file is not a database"
             raise CorruptStoreError(f"{self.path}: {exc}") from None
@@ -227,14 +260,10 @@ class Store:
 
     def record_audit_run(self, run: AuditRun) -> int:
         """Record one run, replacing any run of its (node, tool, iteration)."""
-        key = (run.node, run.tool, run.iteration)
         with self.transaction():
-            self._conn.execute(
-                "DELETE FROM audit_runs WHERE node = ? AND tool = ? AND iteration = ?", key
-            )
             cursor = self._conn.execute(
-                "INSERT INTO audit_runs (node, tool, timestamp, iteration, phase,"
-                " raw_score, normalized_score, runtime_seconds)"
+                "INSERT OR REPLACE INTO audit_runs (node, tool, timestamp, iteration,"
+                " phase, raw_score, normalized_score, runtime_seconds)"
                 " VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
                 (run.node, run.tool, run.timestamp, run.iteration, run.phase,
                  run.raw_score, run.normalized_score, run.runtime_seconds),
@@ -244,19 +273,9 @@ class Store:
 
     def record_aggregate(self, agg: AggregateScore) -> int:
         """Record one aggregate, replacing any aggregate of its (node, iteration)."""
-        low = min(agg.lynis, agg.openscap, agg.aide) - 1e-9
-        high = max(agg.lynis, agg.openscap, agg.aide) + 1e-9
-        if not low <= agg.standard_uca <= high:
-            raise ConstraintViolationError(
-                "standard_uca must lie between its components"
-            )
         with self.transaction():
-            self._conn.execute(
-                "DELETE FROM aggregate_scores WHERE node = ? AND iteration = ?",
-                (agg.node, agg.iteration),
-            )
             cursor = self._conn.execute(
-                "INSERT INTO aggregate_scores (node, iteration, lynis, openscap,"
+                "INSERT OR REPLACE INTO aggregate_scores (node, iteration, lynis, openscap,"
                 " aide, custom, standard_uca, extended_uca, timestamp)"
                 " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
                 (agg.node, agg.iteration, agg.lynis, agg.openscap, agg.aide,
@@ -265,8 +284,12 @@ class Store:
         agg.id = cursor.lastrowid
         return agg.id
 
-    def record_rules(self, ruleset: RuleSet) -> int:
-        """Upsert rule definitions, rewriting changed rows only; returns rules given."""
+    def record_evaluation(self, ruleset: RuleSet, results: list[RuleResult]) -> int:
+        """Record one evaluation of ``ruleset``: upsert its changed rule definitions
+        and replace the results of each (node, iteration) covered, each with its
+        rule's weight (UnknownRuleIdError if none). Returns results recorded."""
+        rows = [(r.rule_id, r.node, r.iteration, int(r.passed), r.evidence,
+                 ruleset.get(r.rule_id).weight) for r in results]
         with self.transaction():
             self._conn.executemany(
                 "INSERT INTO custom_rules"
@@ -278,48 +301,35 @@ class Store:
                 " WHERE (name, check_type, weight, params, description) IS NOT"
                 " (excluded.name, excluded.check_type, excluded.weight,"
                 " excluded.params, excluded.description)",
-                [
-                    (r.id, r.name, r.check_type.value, r.weight,
-                     json.dumps(dict(r.params), sort_keys=True), r.description)
-                    for r in ruleset.rules
-                ],
+                [(r.id, r.name, r.check_type.value, r.weight,
+                  json.dumps(dict(r.params), sort_keys=True), r.description)
+                 for r in ruleset.rules],
             )
-        return len(ruleset.rules)
-
-    def record_rule_results(self, results: list[RuleResult]) -> int:
-        """Record one evaluation, replacing the results of each (node, iteration)."""
-        with self.transaction():
             self._conn.executemany(
                 "DELETE FROM custom_rule_results WHERE node = ? AND iteration = ?",
                 dict.fromkeys((r.node, r.iteration) for r in results),
             )
             self._conn.executemany(
                 "INSERT INTO custom_rule_results"
-                " (rule_id, node, iteration, passed, evidence)"
-                " VALUES (?, ?, ?, ?, ?)",
-                [
-                    (r.rule_id, r.node, r.iteration, int(r.passed), r.evidence)
-                    for r in results
-                ],
+                " (rule_id, node, iteration, passed, evidence, weight)"
+                " VALUES (?, ?, ?, ?, ?, ?)", rows,
             )
-        return len(results)
+        return len(rows)
 
     # --- queries -------------------------------------------------------------
 
     def nodes(self) -> list[str]:
-        rows = self._conn.execute(
-            "SELECT DISTINCT node FROM audit_runs ORDER BY node"
-        ).fetchall()
-        return [row[0] for row in rows]
+        query = "SELECT DISTINCT node FROM audit_runs ORDER BY node"
+        return [node for node, in self._conn.execute(query)]
 
     def tools(self) -> list[str]:
-        rows = self._conn.execute(
-            "SELECT DISTINCT tool FROM audit_runs ORDER BY tool"
-        ).fetchall()
-        return [row[0] for row in rows]
+        query = "SELECT DISTINCT tool FROM audit_runs ORDER BY tool"
+        return [tool for tool, in self._conn.execute(query)]
 
     def audit_runs(self) -> list[AuditRun]:
-        return [_run_from_row(row) for row in self._conn.execute(_RUN_QUERY + _RUN_ORDER)]
+        return [AuditRun(node, Tool(tool), timestamp, iteration, Phase(phase), *values)
+                for node, tool, timestamp, iteration, phase, *values
+                in self._conn.execute(_RUN_QUERY + _RUN_ORDER)]
 
     def score_rows(self) -> list[tuple[str, str, int, float]]:
         """(node, tool, iteration, normalized_score) per run, in audit_runs() order."""
@@ -329,30 +339,27 @@ class Store:
     def aggregate_rows(self) -> list[tuple[str, float | None, float, float | None]]:
         """(node, custom, standard_uca, extended_uca), in aggregates() order."""
         return self._conn.execute("SELECT node, custom, standard_uca, extended_uca"
-                                  " FROM aggregate_scores ORDER BY node, iteration, id").fetchall()
+                                  " FROM aggregate_scores ORDER BY node, iteration").fetchall()
 
     def aggregates(self) -> list[AggregateScore]:
         # columns in AggregateScore field order
         rows = self._conn.execute(
             "SELECT node, iteration, lynis, openscap, aide, standard_uca, custom,"
-            " extended_uca, timestamp, id FROM aggregate_scores"
-            " ORDER BY node, iteration, id"
+            " extended_uca, timestamp, id FROM aggregate_scores ORDER BY node, iteration"
         )
         return [AggregateScore(*row) for row in rows]
 
-    def runs_for(self, node: str, iteration: int) -> dict[str, AuditRun]:
-        """Latest run per tool for (node, iteration)."""
-        rows = self._conn.execute(
-            _RUN_QUERY + " WHERE node = ? AND iteration = ? ORDER BY id",
-            (node, iteration),
-        ).fetchall()
-        return {run.tool.value: run for run in map(_run_from_row, rows)}
+    def runs_for(self, node: str, iteration: int) -> dict[str, float]:
+        """{tool: normalized_score} of the runs of (node, iteration)."""
+        return dict(self._conn.execute(
+            "SELECT tool, normalized_score FROM audit_runs WHERE node = ? AND iteration = ?",
+            (node, iteration)))
 
     def tool_scores(self, tool: str, node: str) -> list[float]:
         """Normalized scores for one tool on one node, ordered by iteration."""
         rows = self._conn.execute(
             "SELECT normalized_score FROM audit_runs"
-            " WHERE tool = ? AND node = ? ORDER BY iteration, id",
+            " WHERE tool = ? AND node = ? ORDER BY iteration",
             (Tool(tool).value, node),
         ).fetchall()
         return [row[0] for row in rows]
@@ -372,30 +379,18 @@ class Store:
             for row in rows
         ))
 
-    def rule_tallies(self) -> list[tuple[str, int, int, float | None]]:
-        """(node, passed, failed, score_pct) of each node's latest evaluation;
-        score_pct is None when no rules are stored or a result's rule is not."""
+    def rule_tallies(self) -> list[tuple[str, int, int, float]]:
+        """(node, passed, failed, score_pct) of each node's latest evaluation,
+        scored with the weights its results were recorded with."""
         rows = self._conn.execute(
-            "SELECT r.node, SUM(r.passed), COUNT(*) - SUM(r.passed), SUM(r.passed * c.weight),"
-            " COUNT(*) - COUNT(c.rule_id), (SELECT SUM(weight) FROM custom_rules)"
-            " FROM custom_rule_results AS r LEFT JOIN custom_rules AS c USING (rule_id)"
-            " WHERE (r.node, r.iteration) IN (SELECT node, MAX(iteration)"
-            " FROM custom_rule_results GROUP BY node) GROUP BY r.node ORDER BY r.node"
+            "SELECT node, SUM(passed), COUNT(*) - SUM(passed), SUM(passed * weight),"
+            " SUM(weight) FROM custom_rule_results WHERE (node, iteration) IN"
+            " (SELECT node, MAX(iteration) FROM custom_rule_results GROUP BY node)"
+            " GROUP BY node ORDER BY node"
         )
         # score_rules' arithmetic: integer weights, one float division
-        return [(node, passed, failed,
-                 None if total is None or unknown else 100.0 * weighted / total)
-                for node, passed, failed, weighted, unknown, total in rows]
-
-    def latest_rule_outcomes(self) -> list[RuleResult]:
-        """Results of each node's latest evaluated iteration, ordered by node
-        and insertion; evidence is not read and left empty."""
-        rows = self._conn.execute(
-            "SELECT rule_id, node, iteration, passed FROM custom_rule_results"
-            " WHERE (node, iteration) IN (SELECT node, MAX(iteration)"
-            " FROM custom_rule_results GROUP BY node) ORDER BY node, id"
-        ).fetchall()
-        return [RuleResult(*row[:3], passed=bool(row[3]), evidence="") for row in rows]
+        return [(node, passed, failed, 100.0 * weighted / total)
+                for node, passed, failed, weighted, total in rows]
 
     def summarize_runtime(self) -> RuntimeSummary:
         """Per-tool average/total runtime and the grand total."""
@@ -427,7 +422,7 @@ class Store:
             [node, iteration, *("" if v is None else f"{v:.2f}" for v in scores), timestamp]
             for node, iteration, *scores, timestamp in self._conn.execute(
                 "SELECT node, iteration, lynis, openscap, aide, custom, standard_uca,"
-                " extended_uca, timestamp FROM aggregate_scores ORDER BY node, iteration, id")
+                " extended_uca, timestamp FROM aggregate_scores ORDER BY node, iteration")
         ])
 
     def import_audit_csv(self, path: Path | str) -> int:
@@ -442,13 +437,19 @@ class Store:
     def _import_csv(self, path: Path | str, header: list[str],
                     parse_row: Callable[[list[str]], object],
                     record: Callable[[object], int]) -> int:
-        """Record every row of a CSV export in one transaction, so a bad row
-        leaves the store as it was; a row that does not parse or that the store
-        rejects raises ConstraintViolationError naming ``path:line``. Returns
-        rows recorded."""
+        """Record every row of a UTF-8 CSV export in one transaction, so a bad
+        row leaves the store as it was; a line that does not decode, a row that
+        does not parse or one the store rejects raises ConstraintViolationError
+        naming ``path:line``. Returns rows recorded."""
+        data = Path(path).read_bytes()
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = data.count(b"\n", 0, exc.start) + 1
+            raise ConstraintViolationError(f"{path}:{line}: {exc}") from None
         count = 0
-        with open(path, newline="") as handle, self.transaction():
-            reader = csv.reader(handle)
+        with self.transaction():
+            reader = csv.reader(io.StringIO(text, newline=""))
             found = next(reader, None)
             if found != header:
                 raise ConstraintViolationError(f"{path}: unexpected header {found!r}")
@@ -463,7 +464,7 @@ class Store:
 
 
 def _write_csv(path: Path | str, header: list[str], rows: list[list]) -> int:
-    with open(path, "w", newline="") as handle:
+    with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)

@@ -200,9 +200,8 @@ class TestRulesCommand:
                                       "--iteration", "2"])
         assert result.exit_code == 0
         with open_store(store) as handle:
-            results = [r for r in handle.latest_rule_outcomes()
-                       if r.node == "baseline"]
-            assert len(results) == 8
+            # baseline's eight results: three pass
+            assert handle.rule_tallies() == [("baseline", 3, 5, pytest.approx(39.34, abs=0.005))]
             assert handle.stored_rules().total_weight == 61
 
     def test_json_format(self, runner, tmp_path):
@@ -381,8 +380,8 @@ class TestExport:
 
 
 class TestReadCommandsNeedAStore:
-    """report, stats and export on a path with no store: one error line, exit 1,
-    no store and no output created."""
+    """report, stats, export and score on a path with no store: one error line,
+    exit 1, no store and no output created."""
 
     def _assert_nothing_created(self, runner, tmp_path, *argv):
         store = tmp_path / "nope.db"
@@ -402,6 +401,18 @@ class TestReadCommandsNeedAStore:
     def test_export(self, runner, tmp_path):
         self._assert_nothing_created(runner, tmp_path, "export", "--out-dir",
                                      str(tmp_path / "out"))
+
+    def test_score(self, runner, tmp_path):
+        self._assert_nothing_created(runner, tmp_path, "score", "web", "--iteration", "0")
+
+    def test_newer_schema_version_exits_1(self, runner, tmp_path):
+        path = tmp_path / "v3.db"
+        with open_store(path) as store:
+            store._conn.execute("PRAGMA user_version = 3")
+        result = runner.invoke(main, ["--store", str(path), "report"])
+        assert result.exit_code == 1
+        assert _one_error_line(result), result.output
+        assert "schema version 3" in result.output
 
     def test_empty_and_corrupt_stores_as_before(self, runner, tmp_path):
         empty, corrupt = tmp_path / "empty.db", tmp_path / "corrupt.db"
@@ -610,6 +621,25 @@ class TestRepeatedAndFailedCommands:
         after = runner.invoke(main, stats_argv).stdout
         assert json.loads(after)["n_a"] == 12
         assert after == before
+
+    def test_reweighted_rules_rescore_only_their_evaluation(self, runner, seed_155_copy,
+                                                            tmp_path):
+        store, corpus = seed_155_copy
+        reweighted = json.loads(rules_to_json(default_rules()))
+        for entry in reweighted:
+            entry["weight"] = 1
+        rules_path = tmp_path / "r.json"
+        rules_path.write_text(json.dumps(reweighted))
+        result = runner.invoke(main, [
+            "--store", str(store), "rules", "--rules", str(rules_path),
+            "--snapshot", str(corpus / "snapshots" / "baseline"),
+            "--iteration", "11", "--record",
+        ])
+        assert result.exit_code == 0, result.output
+        rows = json.loads(_json_report(runner, store))["custom_rules"]
+        # baseline passes 3 of 8 unit-weight rules; partial and full keep theirs
+        assert [(row["node"], row["score_pct"]) for row in rows] == [
+            ("baseline", 37.5), ("partial", 72.13), ("full", 83.61)]
 
     def test_failed_rules_record_writes_nothing(self, runner, seed_155_copy, tmp_path):
         store, corpus = seed_155_copy

@@ -1,5 +1,6 @@
 import csv
 import io
+import sqlite3
 import tempfile
 from pathlib import Path
 
@@ -24,7 +25,7 @@ from uca.report import (
     write_plot_data,
 )
 from uca.repository import AGGREGATE_CSV_HEADER, AUDIT_CSV_HEADER, AuditRun, Phase, open_store
-from uca.rules import RuleResult, RuleSet, score_rules
+from uca.rules import CheckType, Rule, RuleResult, RuleSet, default_rules, score_rules
 from uca.scoring import AggregateScore, Tool
 from uca.stats import describe
 
@@ -83,16 +84,15 @@ class TestBuildReport:
             assert (bundle.node_low, bundle.node_high) == ("low", "high")
             assert bundle.significance == []
 
-    def test_rule_score_none_when_ids_unknown(self, tmp_path):
+    def test_unknown_rule_id_writes_nothing(self, tmp_path):
         with open_store(tmp_path / "s.db") as store:
             store.record_audit_run(_run("solo", "lynis", 0, 50.0))
-            store.record_rule_results([
-                RuleResult("ghost_rule", "solo", 0, True, "x"),
-            ])
-            bundle = build_report(store)
-            assert bundle.rule_table == [
-                {"node": "solo", "passed": 1, "failed": 0, "score_pct": None},
-            ]
+            with pytest.raises(UnknownRuleIdError):
+                store.record_evaluation(default_rules(), [
+                    RuleResult("ghost_rule", "solo", 0, True, "x"),
+                ])
+            assert store.stored_rules() is None
+            assert build_report(store).rule_table == []
 
     def test_renderings_are_deterministic(self, corpus_store):
         first = build_report(corpus_store)
@@ -161,22 +161,21 @@ def _reference_bundle(store) -> ReportBundle:
 
     standard = {n: mean("standard_uca", n) for n in {run.node for run in runs}}
     nodes = sorted(standard, key=lambda n: (standard[n] is None, standard[n] or 0.0, n))
-    ruleset = store.stored_rules()
-    latest_by_node: dict = {}
-    for result in store.latest_rule_outcomes():
-        latest_by_node.setdefault(result.node, []).append(result)
+    evaluations: dict = {}
+    for node, iteration, rule_id, passed, weight in store._conn.execute(
+            "SELECT node, iteration, rule_id, passed, weight FROM custom_rule_results"):
+        evaluations.setdefault((node, iteration), []).append(
+            (RuleResult(rule_id, node, iteration, bool(passed), ""),
+             Rule(rule_id, rule_id, CheckType.SERVICE_ACTIVE, weight)))
     rule_table = []
     for node in nodes:
-        latest = latest_by_node.get(node)
-        if not latest:
+        iterations = [i for n, i in evaluations if n == node]
+        if not iterations:
             continue
-        passed = sum(1 for r in latest if r.passed)
-        score_pct = None
-        if ruleset is not None:
-            try:
-                score_pct = score_rules(latest, ruleset)
-            except UnknownRuleIdError:
-                pass
+        latest = evaluations[node, max(iterations)]
+        results = [result for result, _ in latest]
+        passed = sum(1 for r in results if r.passed)
+        score_pct = score_rules(results, RuleSet(tuple(rule for _, rule in latest)))
         rule_table.append({"node": node, "passed": passed, "failed": len(latest) - passed,
                            "score_pct": score_pct})
     node_low = node_high = None
@@ -239,46 +238,57 @@ def _csv_bytes(bundle, out: Path) -> dict[str, bytes]:
 
 # Scores from the whole range, plus values whose two-decimal rounding is close.
 _SCORES = st.one_of(st.floats(0, 100), st.sampled_from([0.0, 0.005, 33.335, 66.665, 100.0]))
-# "e" has rule results but never runs; "ghost" is a rule that is never stored.
+# "e" has rule results but never runs; "ghost" is a rule that is never stored,
+# and a stored rule's weight need not be the weight its results carry.
 _NODES = ("a", "b", "c", "d")
 _RULE_IDS = ("r1", "r2", "r3")
+_INSERT_RUN = (
+    "INSERT INTO audit_runs (node, tool, timestamp, iteration, phase, raw_score,"
+    " normalized_score, runtime_seconds) VALUES (?, ?, 'ts', ?, 'iteration', ?, ?, ?)")
+_INSERT_AGGREGATE = (
+    "INSERT INTO aggregate_scores (node, iteration, lynis, openscap, aide,"
+    " standard_uca, custom, extended_uca, timestamp) VALUES (?, ?, ?, ?, ?, ?, ?, ?, 'ts')")
+_INSERT_RESULT = (
+    "INSERT INTO custom_rule_results (rule_id, node, iteration, passed, weight, evidence)"
+    " VALUES (?, ?, ?, ?, ?, '')")
 
 
 @settings(max_examples=150, deadline=None)
 @given(
     runs=st.lists(st.tuples(st.sampled_from(_NODES), st.sampled_from([t.value for t in Tool]),
-                            st.integers(0, 3), _SCORES, st.floats(0, 1e4)), max_size=24),
+                            st.integers(0, 3), _SCORES, st.floats(0, 1e4)),
+                  unique_by=lambda run: run[:3], max_size=24),
     aggregates=st.lists(st.tuples(
         st.sampled_from(_NODES), st.integers(0, 3), st.tuples(_SCORES, _SCORES, _SCORES),
-        _SCORES, st.one_of(st.none(), st.tuples(_SCORES, _SCORES))), max_size=12),
+        st.one_of(st.none(), st.tuples(_SCORES, _SCORES))),
+        unique_by=lambda agg: agg[:2], max_size=12),
     rules=st.lists(st.tuples(st.sampled_from(_RULE_IDS), st.integers(1, 9)),
                    unique_by=lambda rule: rule[0], max_size=3),
     results=st.lists(st.tuples(st.sampled_from(_RULE_IDS + ("ghost",)),
                                st.sampled_from(_NODES + ("e",)), st.integers(0, 3),
-                               st.booleans()), max_size=16),
+                               st.booleans(), st.integers(1, 9)),
+                     unique_by=lambda result: result[:3], max_size=16),
 )
 def test_plain_row_report_matches_record_reference(runs, aggregates, rules, results):
-    """Random stores written with raw SQL, duplicate keys included, give the
-    same bundle, bit for bit, and the same bytes in every rendering and export."""
+    """Random stores written with raw SQL give the same bundle, bit for bit,
+    and the same bytes in every rendering and export; a second row of a key
+    is rejected."""
+    run_rows = [(node, tool, it, score, score, runtime) for node, tool, it, score, runtime in runs]
+    # the median component as the standard score, which must lie between them
+    aggregate_rows = [(node, it, *components, sorted(components)[1], *(custom or (None, None)))
+                      for node, it, components, custom in aggregates]
     with open_store(":memory:") as store:
         conn = store._conn
-        conn.executemany(
-            "INSERT INTO audit_runs (node, tool, timestamp, iteration, phase, raw_score,"
-            " normalized_score, runtime_seconds) VALUES (?, ?, 'ts', ?, 'iteration', ?, ?, ?)",
-            [(node, tool, it, score, score, runtime) for node, tool, it, score, runtime in runs])
-        conn.executemany(
-            "INSERT INTO aggregate_scores (node, iteration, lynis, openscap, aide,"
-            " standard_uca, custom, extended_uca, timestamp)"
-            " VALUES (?, ?, ?, ?, ?, ?, ?, ?, 'ts')",
-            [(node, it, *components, standard, *(custom or (None, None)))
-             for node, it, components, standard, custom in aggregates])
+        for insert, rows in ((_INSERT_RUN, run_rows), (_INSERT_AGGREGATE, aggregate_rows),
+                             (_INSERT_RESULT, results)):
+            conn.executemany(insert, rows)
+            if rows:
+                with pytest.raises(sqlite3.IntegrityError, match="UNIQUE"):
+                    conn.execute(insert, rows[0])
         conn.executemany(
             "INSERT INTO custom_rules (rule_id, name, check_type, weight, params)"
             " VALUES (?, ?, 'service_active', ?, '{}')",
             [(rule_id, rule_id, weight) for rule_id, weight in rules])
-        conn.executemany(
-            "INSERT INTO custom_rule_results (rule_id, node, iteration, passed, evidence)"
-            " VALUES (?, ?, ?, ?, '')", results)
         with tempfile.TemporaryDirectory() as tmp:
             out = Path(tmp)
             store.export_audit_csv(out / "audit_runs.csv")

@@ -69,6 +69,135 @@ class TestOpenStore:
             open_store(path)
 
 
+# The version-1 schema (user_version 0) as its last release created it; releases
+# before that lacked the three *_key indexes.
+_V1_SCHEMA = """
+CREATE TABLE IF NOT EXISTS audit_runs (
+    id INTEGER PRIMARY KEY AUTOINCREMENT,
+    node TEXT NOT NULL,
+    tool TEXT NOT NULL CHECK (tool IN ('lynis', 'openscap', 'aide')),
+    timestamp TEXT NOT NULL,
+    iteration INTEGER NOT NULL CHECK (iteration >= 0),
+    phase TEXT NOT NULL CHECK (phase IN ('pre', 'post', 'iteration')),
+    raw_score REAL NOT NULL,
+    normalized_score REAL NOT NULL
+        CHECK (normalized_score >= 0 AND normalized_score <= 100),
+    runtime_seconds REAL NOT NULL CHECK (runtime_seconds >= 0)
+);
+CREATE TABLE IF NOT EXISTS aggregate_scores (
+    id INTEGER PRIMARY KEY AUTOINCREMENT,
+    node TEXT NOT NULL,
+    iteration INTEGER NOT NULL CHECK (iteration >= 0),
+    lynis REAL NOT NULL CHECK (lynis >= 0 AND lynis <= 100),
+    openscap REAL NOT NULL CHECK (openscap >= 0 AND openscap <= 100),
+    aide REAL NOT NULL CHECK (aide >= 0 AND aide <= 100),
+    custom REAL CHECK (custom IS NULL OR (custom >= 0 AND custom <= 100)),
+    standard_uca REAL NOT NULL CHECK (standard_uca >= 0 AND standard_uca <= 100),
+    extended_uca REAL
+        CHECK (extended_uca IS NULL OR (extended_uca >= 0 AND extended_uca <= 100)),
+    timestamp TEXT NOT NULL,
+    CHECK ((custom IS NULL) = (extended_uca IS NULL))
+);
+CREATE TABLE IF NOT EXISTS custom_rules (
+    rule_id TEXT PRIMARY KEY,
+    name TEXT NOT NULL,
+    check_type TEXT NOT NULL,
+    weight INTEGER NOT NULL CHECK (weight >= 1),
+    params TEXT NOT NULL,
+    description TEXT NOT NULL DEFAULT ''
+);
+CREATE TABLE IF NOT EXISTS custom_rule_results (
+    id INTEGER PRIMARY KEY AUTOINCREMENT,
+    rule_id TEXT NOT NULL,
+    node TEXT NOT NULL,
+    iteration INTEGER NOT NULL CHECK (iteration >= 0),
+    passed INTEGER NOT NULL CHECK (passed IN (0, 1)),
+    evidence TEXT NOT NULL
+);
+CREATE INDEX IF NOT EXISTS audit_runs_key ON audit_runs (node, tool, iteration);
+CREATE INDEX IF NOT EXISTS aggregate_scores_key ON aggregate_scores (node, iteration);
+CREATE INDEX IF NOT EXISTS custom_rule_results_key
+    ON custom_rule_results (node, iteration);
+"""
+
+
+def _v1_store(path, results):
+    """A version-1 store with a duplicate key in each keyed table: the first
+    row of each key is the stale one. ``results`` are (rule_id, passed) rows
+    of web's iteration 0; rules r1 (weight 3) and r2 (weight 5) are stored."""
+    conn = sqlite3.connect(path, isolation_level=None)
+    conn.executescript(_V1_SCHEMA)
+    conn.executemany(
+        "INSERT INTO audit_runs (node, tool, timestamp, iteration, phase, raw_score,"
+        " normalized_score, runtime_seconds) VALUES ('web', ?, 'ts', 0, 'pre', ?, ?, 1)",
+        [("lynis", 50, 50), ("aide", 70, 70), ("lynis", 60, 60)])
+    conn.executemany(
+        "INSERT INTO aggregate_scores (node, iteration, lynis, openscap, aide,"
+        " standard_uca, timestamp) VALUES ('web', 0, ?, ?, ?, ?, 'ts')",
+        [(50, 50, 50, 50), (60, 60, 60, 60)])
+    conn.executemany(
+        "INSERT INTO custom_rules (rule_id, name, check_type, weight, params)"
+        " VALUES (?, ?, 'service_active', ?, '{}')", [("r1", "r1", 3), ("r2", "r2", 5)])
+    conn.executemany(
+        "INSERT INTO custom_rule_results (rule_id, node, iteration, passed, evidence)"
+        " VALUES (?, 'web', 0, ?, '')", results)
+    conn.close()
+
+
+def _schema(store):
+    """The schema version and the text of every table and index."""
+    return (store._conn.execute("PRAGMA user_version").fetchone(), store._conn.execute(
+        "SELECT type, name, tbl_name, sql FROM sqlite_master ORDER BY name").fetchall())
+
+
+class TestSchemaVersion:
+    def test_v1_store_migrates_to_one_row_per_key(self, tmp_path):
+        path = tmp_path / "v1.db"
+        _v1_store(path, [("r1", 0), ("r2", 1), ("r1", 1)])
+        with open_store(path) as store:
+            assert store._conn.execute("PRAGMA user_version").fetchone() == (2,)
+            assert [(r.tool, r.normalized_score) for r in store.audit_runs()] == [
+                (Tool.AIDE, 70.0), (Tool.LYNIS, 60.0)]
+            assert [a.standard_uca for a in store.aggregates()] == [60.0]
+            assert store._conn.execute(
+                "SELECT rule_id, passed, weight FROM custom_rule_results ORDER BY rule_id"
+            ).fetchall() == [("r1", 1, 3), ("r2", 1, 5)]
+            assert store.rule_tallies() == [("web", 2, 0, 100.0)]
+
+    def test_migrated_schema_equals_new_schema(self, tmp_path):
+        _v1_store(tmp_path / "v1.db", [("r1", 1)])
+        with open_store(tmp_path / "v1.db") as migrated, \
+                open_store(tmp_path / "new.db") as new:
+            assert _schema(migrated) == _schema(new)
+            assert _schema(new)[0] == (2,)
+
+    def test_v1_result_of_unknown_rule_is_corrupt_and_left_as_it_was(self, tmp_path):
+        path = tmp_path / "v1.db"
+        _v1_store(path, [("r1", 1), ("ghost", 1)])
+        before = path.read_bytes()
+        with pytest.raises(CorruptStoreError, match="cannot migrate"):
+            open_store(path)
+        assert path.read_bytes() == before
+
+    def test_newer_schema_version_is_refused(self, tmp_path):
+        path = tmp_path / "v3.db"
+        with open_store(path) as store:
+            store._conn.execute("PRAGMA user_version = 3")
+        with pytest.raises(CorruptStoreError, match="schema version 3"):
+            open_store(path)
+
+    def test_key_ordered_reads_use_the_key_indexes(self, tmp_path):
+        with open_store(tmp_path / "s.db") as store:
+            statements = []
+            store._conn.set_trace_callback(statements.append)
+            store.score_rows()
+            store.aggregate_rows()
+            store._conn.set_trace_callback(None)
+            for sql in statements:
+                plan = store._conn.execute("EXPLAIN QUERY PLAN " + sql).fetchall()
+                assert not any("TEMP B-TREE" in row[-1] for row in plan), (sql, plan)
+
+
 class TestRecording:
     def test_audit_run_round_trip(self, tmp_path):
         with open_store(tmp_path / "s.db") as store:
@@ -120,16 +249,17 @@ class TestRecording:
                 store.record_audit_run(_run(tool=Tool.AIDE, normalized_score=score))
                 store.record_aggregate(_aggregate())
                 for profile in (Profile.BASELINE, Profile.FULL):
-                    store.record_rule_results(
+                    store.record_evaluation(default_rules(), (
                         evaluate_rules(default_rules(), make_snapshot(profile, "baseline"))
-                        + evaluate_rules(default_rules(), make_snapshot(profile, "web"), 1))
+                        + evaluate_rules(default_rules(), make_snapshot(profile, "web"), 1)))
             assert [(r.tool, r.normalized_score) for r in store.audit_runs()] == [
                 (Tool.AIDE, 60.0), (Tool.LYNIS, 60.0)]
             assert len(store.aggregates()) == 1
-            results = store.latest_rule_outcomes()
-            assert [(r.node, r.iteration) for r in results] == (
+            results = store._conn.execute("SELECT node, iteration, passed"
+                                          " FROM custom_rule_results ORDER BY node, id").fetchall()
+            assert [(node, iteration) for node, iteration, _ in results] == (
                 [("baseline", 0)] * 8 + [("web", 1)] * 8)
-            assert sum(r.passed for r in results) == 2 * 7
+            assert sum(passed for *_, passed in results) == 2 * 7
 
     def test_write_blocked_by_another_connection(self, tmp_path):
         path = tmp_path / "s.db"
@@ -151,7 +281,7 @@ class TestRecording:
         from uca.rules import default_rules, evaluate_rules
 
         results = evaluate_rules(default_rules(), make_snapshot(Profile.FULL), 99)
-        assert corpus_store_copy.record_rule_results(results) == 8
+        assert corpus_store_copy.record_evaluation(default_rules(), results) == 8
 
 
     def test_recording_rules_again_writes_only_changed_rows(self, tmp_path):
@@ -168,7 +298,7 @@ class TestRecording:
             assert store._conn.execute(sql).fetchone() == (8, 8)
             rules = store.stored_rules().rules
             changed = replace(rules[3], weight=rules[3].weight + 1)
-            store.record_rules(RuleSet(rules[:3] + (changed,) + rules[4:]))
+            store.record_evaluation(RuleSet(rules[:3] + (changed,) + rules[4:]), [])
             assert store._conn.execute(sql).fetchone() == (8, 8)
             assert store._conn.execute(
                 "SELECT rowid, weight FROM custom_rules WHERE rule_id = ?", (changed.id,)
@@ -254,6 +384,21 @@ class TestCsvExport:
                 getattr(store, importer)(path)
             assert len(store.audit_runs()) == len(store.aggregates()) == 0
 
+
+    @pytest.mark.parametrize("importer, header, good", [
+        ("import_audit_csv", AUDIT_CSV_HEADER,
+         "web,lynis,2025-03-03T00:00:00+00:00,0,pre,64,64,1"),
+        ("import_aggregate_csv", AGGREGATE_CSV_HEADER,
+         "web,0,64,40,45,,50.6,,2025-03-03T00:09:00+00:00"),
+    ])
+    def test_bytes_not_utf8_name_their_line(self, tmp_path, importer, header, good):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(f"{','.join(header)}\n{good}\n".encode()
+                         + b"w\xffb" + good[3:].encode() + b"\n")
+        with open_store(tmp_path / "s.db") as store:
+            with pytest.raises(ConstraintViolationError, match="bad.csv:3: 'utf-8' codec"):
+                getattr(store, importer)(path)
+            assert len(store.audit_runs()) == len(store.aggregates()) == 0
 
 class TestRuntimeSummary:
     def test_single_run(self, tmp_path):
