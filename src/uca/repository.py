@@ -19,8 +19,10 @@ one block writes all or nothing. Recording a run or an aggregate replaces the
 row of its key; recording an evaluation replaces the results of every (node,
 iteration) it covers.
 
-Concurrency contract: concurrent reads are fine; writes are serialized by a
-lock on the store handle, and the handle may be passed between threads.
+Concurrency contract: opening a version-2 store takes no write lock, so a
+read-only file opens and reads see the committed state while another process
+writes; writes are serialized by a lock on the store handle, which may be
+passed between threads.
 Timestamps are stored as ISO-8601 UTC text.
 """
 
@@ -110,7 +112,7 @@ class RuntimeSummary:
 # as in version 1, so a migration keeps it and creates the other three.
 _VERSION = 2
 _SCHEMA = """
-CREATE TABLE IF NOT EXISTS audit_runs (
+CREATE TABLE audit_runs (
     id INTEGER PRIMARY KEY AUTOINCREMENT,
     node TEXT NOT NULL,
     tool TEXT NOT NULL CHECK (tool IN ('lynis', 'openscap', 'aide')),
@@ -123,7 +125,7 @@ CREATE TABLE IF NOT EXISTS audit_runs (
     runtime_seconds REAL NOT NULL CHECK (runtime_seconds >= 0),
     UNIQUE (node, tool, iteration)
 );
-CREATE TABLE IF NOT EXISTS aggregate_scores (
+CREATE TABLE aggregate_scores (
     id INTEGER PRIMARY KEY AUTOINCREMENT,
     node TEXT NOT NULL,
     iteration INTEGER NOT NULL CHECK (iteration >= 0),
@@ -148,7 +150,7 @@ CREATE TABLE IF NOT EXISTS custom_rules (
     params TEXT NOT NULL,
     description TEXT NOT NULL DEFAULT ''
 );
-CREATE TABLE IF NOT EXISTS custom_rule_results (
+CREATE TABLE custom_rule_results (
     id INTEGER PRIMARY KEY AUTOINCREMENT,
     rule_id TEXT NOT NULL,
     node TEXT NOT NULL,
@@ -209,24 +211,30 @@ class Store:
             # "unable to open database file": missing parent, no permission
             raise StoreIOError(f"{self.path}: {exc}") from None
         try:
-            # IMMEDIATE: of two processes opening one old store, one upgrades it
-            with self.transaction():
-                version = self._conn.execute("PRAGMA user_version").fetchone()[0]
-                if version not in (0, _VERSION):
-                    raise CorruptStoreError(f"{self.path}: unknown schema version {version}")
-                if version == 0:
-                    v1 = self._conn.execute(
-                        "SELECT 1 FROM sqlite_master WHERE name = 'audit_runs'").fetchone()
-                    # not executescript, which commits first
-                    for statement in (_MIGRATE_V1 if v1 else _SCHEMA).split(";"):
-                        self._conn.execute(statement)
-                    self._conn.execute(f"PRAGMA user_version = {_VERSION}")
+            # a current store opens under no write lock; a new or version-1 one is
+            # checked again under BEGIN IMMEDIATE, so of two processes, one upgrades it
+            if self._schema_version() == 0:
+                with self.transaction():
+                    if self._schema_version() == 0:
+                        v1 = self._conn.execute(
+                            "SELECT 1 FROM sqlite_master WHERE name = 'audit_runs'").fetchone()
+                        # not executescript, which commits first
+                        for statement in (_MIGRATE_V1 if v1 else _SCHEMA).split(";"):
+                            self._conn.execute(statement)
+                        self._conn.execute(f"PRAGMA user_version = {_VERSION}")
         except ConstraintViolationError as exc:
             # a version-1 row the schema rejects, such as a result of no stored rule
             raise CorruptStoreError(f"{self.path}: cannot migrate: {exc}") from None
         except sqlite3.DatabaseError as exc:
             # "file is not a database"
             raise CorruptStoreError(f"{self.path}: {exc}") from None
+
+    def _schema_version(self) -> int:
+        """0 for a new or version-1 store, else _VERSION; CorruptStoreError if newer."""
+        version = self._conn.execute("PRAGMA user_version").fetchone()[0]
+        if version not in (0, _VERSION):
+            raise CorruptStoreError(f"{self.path}: unknown schema version {version}")
+        return version
 
     def close(self) -> None:
         self._conn.close()
@@ -301,9 +309,11 @@ class Store:
                 " WHERE (name, check_type, weight, params, description) IS NOT"
                 " (excluded.name, excluded.check_type, excluded.weight,"
                 " excluded.params, excluded.description)",
-                [(r.id, r.name, r.check_type.value, r.weight,
-                  json.dumps(dict(r.params), sort_keys=True), r.description)
-                 for r in ruleset.rules],
+                [
+                    (r.id, r.name, r.check_type.value, r.weight,
+                     json.dumps(dict(r.params), sort_keys=True), r.description)
+                    for r in ruleset.rules
+                ],
             )
             self._conn.executemany(
                 "DELETE FROM custom_rule_results WHERE node = ? AND iteration = ?",
@@ -319,12 +329,16 @@ class Store:
     # --- queries -------------------------------------------------------------
 
     def nodes(self) -> list[str]:
-        query = "SELECT DISTINCT node FROM audit_runs ORDER BY node"
-        return [node for node, in self._conn.execute(query)]
+        rows = self._conn.execute(
+            "SELECT DISTINCT node FROM audit_runs ORDER BY node"
+        ).fetchall()
+        return [row[0] for row in rows]
 
     def tools(self) -> list[str]:
-        query = "SELECT DISTINCT tool FROM audit_runs ORDER BY tool"
-        return [tool for tool, in self._conn.execute(query)]
+        rows = self._conn.execute(
+            "SELECT DISTINCT tool FROM audit_runs ORDER BY tool"
+        ).fetchall()
+        return [row[0] for row in rows]
 
     def audit_runs(self) -> list[AuditRun]:
         return [AuditRun(node, Tool(tool), timestamp, iteration, Phase(phase), *values)

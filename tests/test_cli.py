@@ -684,6 +684,38 @@ class TestRepeatedAndFailedCommands:
         assert _one_error_line(result), result.output
         assert "locked" in result.output
 
+    def test_read_commands_on_a_read_only_store(self, runner, seed_155_copy, tmp_path,
+                                                monkeypatch):
+        store, _ = seed_155_copy
+        before = store.read_bytes()
+        store.chmod(0o444)
+        # the superuser writes through file modes, so SQLite opens read-only too
+        connect = sqlite3.connect
+        monkeypatch.setattr(sqlite3, "connect", lambda path, **kwargs: connect(
+            f"file:{path}?mode=ro", uri=True, **kwargs))
+        assert hashlib.sha256(_json_report(runner, store).encode()).hexdigest() == (
+            "5708f57abe7840678531243c2fbae8c871082d0d9fae08e07d77dcd3b0af034b")
+        for argv in (["stats", "lynis", "baseline", "full"],
+                     ["export", "--out-dir", str(tmp_path / "ex")]):
+            result = runner.invoke(main, ["--store", str(store), *argv])
+            assert result.exit_code == 0, result.output
+        assert store.read_bytes() == before
+
+    def test_read_commands_beside_a_write_transaction(self, runner, seed_155_copy):
+        store, _ = seed_155_copy
+        report_before = _json_report(runner, store)
+        writer = sqlite3.connect(store, isolation_level=None)
+        try:
+            writer.execute("BEGIN IMMEDIATE")
+            writer.execute("DELETE FROM audit_runs")
+            # the committed state, read at once rather than after the busy timeout
+            assert _json_report(runner, store) == report_before
+            result = runner.invoke(main, ["--store", str(store), "stats", "lynis",
+                                          "baseline", "full"])
+            assert result.exit_code == 0, result.output
+        finally:
+            writer.close()
+
     @pytest.mark.parametrize("runs", [1, 2])
     def test_seed_155_hashes_pinned(self, runner, tmp_path, runs):
         # the three hashes ROADMAP.md records, also after a second generation
