@@ -289,7 +289,7 @@ def report(app: AppContext, out_dir):
         if app.fmt == "csv-dir":
             written += report_mod.write_csv_tables(bundle, out_dir)
     if app.fmt == "json":
-        click.echo(json.dumps(report_mod.bundle_to_dict(bundle), indent=2))
+        click.echo(report_mod.render_json(bundle), nl=False)
     elif app.fmt == "csv-dir":
         for path in sorted(written):
             click.echo(str(path))

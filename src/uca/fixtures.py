@@ -288,7 +288,11 @@ class CorpusSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CorpusSpec":
-        """Build a spec from parsed JSON, keeping defaults for absent keys."""
+        """Build a spec from parsed JSON, keeping defaults for absent keys; a key
+        that is no field raises SpecError."""
+        unknown = set(data) - set(cls.__dataclass_fields__)
+        if unknown:
+            raise SpecError(f"invalid spec document: unknown keys {sorted(unknown)}")
         spec = cls()
         if "nodes" in data:
             spec = replace(spec, nodes=tuple(

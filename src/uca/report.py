@@ -12,7 +12,6 @@ normalized_score)`` tuple per audit run, in the store's run order.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from collections.abc import Iterable
@@ -23,7 +22,7 @@ from pathlib import Path
 
 from . import stats
 from .errors import DegenerateSampleError, EmptyStoreError
-from .repository import RuntimeSummary, Store
+from .repository import RuntimeSummary, Store, write_csv
 from .scoring import Tool
 
 __all__ = [
@@ -41,16 +40,6 @@ RULE_COLUMNS = ("node", "passed", "failed", "score_pct")
 
 
 @dataclass
-class SignificanceRow:
-    tool: str
-    mean_diff: float
-    t: float
-    df: float
-    p_two_tailed: float
-    d: float
-
-
-@dataclass
 class ReportBundle:
     nodes: list[str]
     # metric -> node -> mean (None when no data)
@@ -62,7 +51,8 @@ class ReportBundle:
     # (node, tool, iteration, normalized_score) per audit run, in store order,
     # for the score progression plot
     runs: list[tuple[str, str, int, float]]
-    significance: list[SignificanceRow] = field(default_factory=list)
+    # (tool, node_high - node_low test) per tool with a defined t statistic
+    significance: list[tuple[str, stats.TestResult]] = field(default_factory=list)
 
 
 def build_report(store: Store) -> ReportBundle:
@@ -95,7 +85,7 @@ def build_report(store: Store) -> ReportBundle:
     rule_table = [dict(zip(RULE_COLUMNS, tallies[n])) for n in nodes if n in tallies]
 
     node_low = node_high = None
-    significance: list[SignificanceRow] = []
+    significance: list[tuple[str, stats.TestResult]] = []
     ranked = [n for n in nodes if standard[n] is not None]
     if len(ranked) >= 2:
         node_low, node_high = ranked[0], ranked[-1]
@@ -105,17 +95,9 @@ def build_report(store: Store) -> ReportBundle:
             if len(low_scores) < 2 or len(high_scores) < 2:
                 continue
             try:
-                result = stats.pooled_t_test(low_scores, high_scores)
+                significance.append((tool.value, stats.pooled_t_test(low_scores, high_scores)))
             except DegenerateSampleError:
                 continue
-            significance.append(SignificanceRow(
-                tool=tool.value,
-                mean_diff=result.mean_diff,
-                t=result.t,
-                df=result.df,
-                p_two_tailed=result.p_two_tailed,
-                d=result.d,
-            ))
 
     return ReportBundle(
         nodes=nodes,
@@ -179,9 +161,9 @@ def render_text(bundle: ReportBundle) -> str:
             "  " + "tool".ljust(14) + "diff".rjust(8) + "t".rjust(8)
             + "df".rjust(6) + "p".rjust(8) + "d".rjust(8)
         )
-        for row in bundle.significance:
+        for tool, row in bundle.significance:
             lines.append(
-                "  " + row.tool.ljust(14)
+                "  " + tool.ljust(14)
                 + f"{row.mean_diff:+.2f}".rjust(8)
                 + f"{row.t:.2f}".rjust(8)
                 + f"{row.df:.0f}".rjust(6)
@@ -230,14 +212,14 @@ def bundle_to_dict(bundle: ReportBundle) -> dict:
             "node_high": bundle.node_high,
             "rows": [
                 {
-                    "tool": row.tool,
+                    "tool": tool,
                     "mean_diff": _round(row.mean_diff),
                     "t": _round(row.t, 4),
                     "df": row.df,
                     "p_two_tailed": _round(row.p_two_tailed, 6),
                     "cohens_d": _round(row.d, 4),
                 }
-                for row in bundle.significance
+                for tool, row in bundle.significance
             ],
         },
     }
@@ -279,9 +261,9 @@ def _csv_files(bundle: ReportBundle) -> dict[str, tuple[list[str], Iterable]]:
         "table_significance.csv": (
             ["tool", "node_low", "node_high", "mean_diff", "t", "df", "p_two_tailed",
              "cohens_d"],
-            [[row.tool, bundle.node_low, bundle.node_high, f"{row.mean_diff:.2f}",
+            [[tool, bundle.node_low, bundle.node_high, f"{row.mean_diff:.2f}",
               f"{row.t:.4f}", f"{row.df:g}", f"{row.p_two_tailed:.6f}", f"{row.d:.4f}"]
-             for row in bundle.significance],
+             for tool, row in bundle.significance],
         ),
         "plot_scores_by_node.csv": (["node", "lynis", "openscap", "aide"],
                                     by_node("lynis", "openscap", "aide")),
@@ -303,10 +285,7 @@ def _write_csv_files(bundle: ReportBundle, out_dir: Path, prefix: str) -> list[P
     written = []
     for name, (header, rows) in _csv_files(bundle).items():
         if name.startswith(prefix):
-            with open(out_dir / name, "w", newline="") as handle:
-                writer = csv.writer(handle, lineterminator="\n")
-                writer.writerow(header)
-                writer.writerows(rows)
+            write_csv(out_dir / name, header, rows)
             written.append(out_dir / name)
     return written
 

@@ -1,17 +1,18 @@
 """Single-file SQLite repository for audit runs, scores and rule outcomes.
 
-Schema version 2 (``PRAGMA user_version``), four tables:
+Schema version 3 (``PRAGMA user_version``), three tables:
   audit_runs           one row per (node, tool, iteration)
   aggregate_scores     one row per (node, iteration) with the unified scores
-  custom_rules         rule definitions (params stored as JSON)
   custom_rule_results  one row per (node, iteration, rule_id), with its rule's
                        weight in the evaluation that recorded it
 
 Row invariants are the schema's: UNIQUE keys, CHECK ranges, standard_uca
-between its components and a weight >= 1 on every result. Opening a version-1
-store (user_version 0) migrates it in one transaction: the highest id of each
-key stays and each result takes its rule's weight from custom_rules; a result
-of no stored rule raises CorruptStoreError and leaves the file as it was.
+between its components and a weight >= 1 on every result. Opening an older
+store upgrades it in one transaction. A version-1 store (user_version 0) keeps
+the highest id of each key, and each result takes its rule's weight from the
+table of rule definitions, which is then dropped; a result of no stored rule
+raises CorruptStoreError and leaves the file as it was. A version-2 store drops
+that table, which nothing read.
 
 Write contract: every write runs in ``Store.transaction()``, which commits
 once at the end of its outermost block, so a command that wraps its writes in
@@ -19,10 +20,10 @@ one block writes all or nothing. Recording a run or an aggregate replaces the
 row of its key; recording an evaluation replaces the results of every (node,
 iteration) it covers.
 
-Concurrency contract: opening a version-2 store takes no write lock, so a
+Concurrency contract: opening a version-3 store takes no write lock, so a
 read-only file opens and reads see the committed state while another process
-writes; writes are serialized by a lock on the store handle, which may be
-passed between threads.
+writes; an older store must be writable once, to be upgraded. Writes are
+serialized by a lock on the store handle, which may be passed between threads.
 Timestamps are stored as ISO-8601 UTC text.
 """
 
@@ -30,10 +31,9 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import sqlite3
 import threading
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
@@ -45,7 +45,7 @@ from .errors import (
     EmptyStoreError,
     StoreIOError,
 )
-from .rules import CheckType, Rule, RuleResult, RuleSet
+from .rules import RuleResult, RuleSet
 from .scoring import AggregateScore, Tool
 
 __all__ = [
@@ -55,6 +55,7 @@ __all__ = [
     "RuntimeSummary",
     "Store",
     "open_store",
+    "write_csv",
     "AUDIT_CSV_HEADER",
     "AGGREGATE_CSV_HEADER",
 ]
@@ -108,9 +109,8 @@ class RuntimeSummary:
     grand_total: float = 0.0
 
 
-# Schema version 2, the text of every store, new or migrated. custom_rules is
-# as in version 1, so a migration keeps it and creates the other three.
-_VERSION = 2
+# Schema version 3, the text of every store, new or upgraded.
+_VERSION = 3
 _SCHEMA = """
 CREATE TABLE audit_runs (
     id INTEGER PRIMARY KEY AUTOINCREMENT,
@@ -142,14 +142,6 @@ CREATE TABLE aggregate_scores (
         min(lynis, openscap, aide) - 1e-9 AND max(lynis, openscap, aide) + 1e-9),
     UNIQUE (node, iteration)
 );
-CREATE TABLE IF NOT EXISTS custom_rules (
-    rule_id TEXT PRIMARY KEY,
-    name TEXT NOT NULL,
-    check_type TEXT NOT NULL,
-    weight INTEGER NOT NULL CHECK (weight >= 1),
-    params TEXT NOT NULL,
-    description TEXT NOT NULL DEFAULT ''
-);
 CREATE TABLE custom_rule_results (
     id INTEGER PRIMARY KEY AUTOINCREMENT,
     rule_id TEXT NOT NULL,
@@ -163,7 +155,8 @@ CREATE TABLE custom_rule_results (
 """
 
 # Version 1 (user_version 0) had no keys and no result weights: keep the
-# highest id of each key, and give each result its rule's stored weight.
+# highest id of each key, give each result its rule's stored weight, then
+# drop the table of rule definitions.
 _MIGRATE_V1 = """
 ALTER TABLE audit_runs RENAME TO v1_runs;
 ALTER TABLE aggregate_scores RENAME TO v1_aggregates;
@@ -178,8 +171,14 @@ INSERT INTO custom_rule_results SELECT *,
     WHERE id IN (SELECT MAX(id) FROM v1_results GROUP BY node, iteration, rule_id);
 DROP TABLE v1_runs;
 DROP TABLE v1_aggregates;
-DROP TABLE v1_results
+DROP TABLE v1_results;
+DROP TABLE custom_rules
 """
+
+# The statements that bring a store of each user_version to _VERSION: a new
+# file (a version-1 store also reads 0 and runs _MIGRATE_V1 instead), a
+# version-2 store, and one another process upgraded while this one waited.
+_UPGRADES = {0: _SCHEMA, 2: "DROP TABLE custom_rules", _VERSION: ""}
 
 
 # Columns in AuditRun field order, id last.
@@ -211,17 +210,17 @@ class Store:
             # "unable to open database file": missing parent, no permission
             raise StoreIOError(f"{self.path}: {exc}") from None
         try:
-            # a current store opens under no write lock; a new or version-1 one is
+            # a current store opens under no write lock; an older or new one is
             # checked again under BEGIN IMMEDIATE, so of two processes, one upgrades it
-            if self._schema_version() == 0:
+            if self._schema_version() != _VERSION:
                 with self.transaction():
-                    if self._schema_version() == 0:
-                        v1 = self._conn.execute(
-                            "SELECT 1 FROM sqlite_master WHERE name = 'audit_runs'").fetchone()
-                        # not executescript, which commits first
-                        for statement in (_MIGRATE_V1 if v1 else _SCHEMA).split(";"):
-                            self._conn.execute(statement)
-                        self._conn.execute(f"PRAGMA user_version = {_VERSION}")
+                    version = self._schema_version()
+                    v1 = version == 0 and self._conn.execute(
+                        "SELECT 1 FROM sqlite_master WHERE name = 'audit_runs'").fetchone()
+                    # not executescript, which commits first
+                    for statement in (_MIGRATE_V1 if v1 else _UPGRADES[version]).split(";"):
+                        self._conn.execute(statement)
+                    self._conn.execute(f"PRAGMA user_version = {_VERSION}")
         except ConstraintViolationError as exc:
             # a version-1 row the schema rejects, such as a result of no stored rule
             raise CorruptStoreError(f"{self.path}: cannot migrate: {exc}") from None
@@ -230,9 +229,9 @@ class Store:
             raise CorruptStoreError(f"{self.path}: {exc}") from None
 
     def _schema_version(self) -> int:
-        """0 for a new or version-1 store, else _VERSION; CorruptStoreError if newer."""
+        """The store's user_version; CorruptStoreError if no upgrade is known."""
         version = self._conn.execute("PRAGMA user_version").fetchone()[0]
-        if version not in (0, _VERSION):
+        if version not in _UPGRADES:
             raise CorruptStoreError(f"{self.path}: unknown schema version {version}")
         return version
 
@@ -293,28 +292,12 @@ class Store:
         return agg.id
 
     def record_evaluation(self, ruleset: RuleSet, results: list[RuleResult]) -> int:
-        """Record one evaluation of ``ruleset``: upsert its changed rule definitions
-        and replace the results of each (node, iteration) covered, each with its
-        rule's weight (UnknownRuleIdError if none). Returns results recorded."""
+        """Record one evaluation of ``ruleset``: replace the results of each (node,
+        iteration) covered, each with its rule's weight (UnknownRuleIdError if
+        none). Returns results recorded."""
         rows = [(r.rule_id, r.node, r.iteration, int(r.passed), r.evidence,
                  ruleset.get(r.rule_id).weight) for r in results]
         with self.transaction():
-            self._conn.executemany(
-                "INSERT INTO custom_rules"
-                " (rule_id, name, check_type, weight, params, description)"
-                " VALUES (?, ?, ?, ?, ?, ?) ON CONFLICT (rule_id) DO UPDATE SET"
-                " name = excluded.name, check_type = excluded.check_type,"
-                " weight = excluded.weight, params = excluded.params,"
-                " description = excluded.description"
-                " WHERE (name, check_type, weight, params, description) IS NOT"
-                " (excluded.name, excluded.check_type, excluded.weight,"
-                " excluded.params, excluded.description)",
-                [
-                    (r.id, r.name, r.check_type.value, r.weight,
-                     json.dumps(dict(r.params), sort_keys=True), r.description)
-                    for r in ruleset.rules
-                ],
-            )
             self._conn.executemany(
                 "DELETE FROM custom_rule_results WHERE node = ? AND iteration = ?",
                 dict.fromkeys((r.node, r.iteration) for r in results),
@@ -378,21 +361,6 @@ class Store:
         ).fetchall()
         return [row[0] for row in rows]
 
-    def stored_rules(self) -> RuleSet | None:
-        rows = self._conn.execute(
-            "SELECT rule_id, name, check_type, weight, params, description"
-            " FROM custom_rules ORDER BY rowid"
-        ).fetchall()
-        if not rows:
-            return None
-        return RuleSet(rules=tuple(
-            Rule(
-                id=row[0], name=row[1], check_type=CheckType(row[2]),
-                weight=row[3], params=json.loads(row[4]), description=row[5],
-            )
-            for row in rows
-        ))
-
     def rule_tallies(self) -> list[tuple[str, int, int, float]]:
         """(node, passed, failed, score_pct) of each node's latest evaluation,
         scored with the weights its results were recorded with."""
@@ -425,14 +393,14 @@ class Store:
 
     def export_audit_csv(self, path: Path | str) -> int:
         """Write audit_runs.csv ordered by (node, tool, iteration); returns rows."""
-        return _write_csv(path, AUDIT_CSV_HEADER, [
+        return write_csv(path, AUDIT_CSV_HEADER, [
             [*row, f"{raw:.2f}", f"{normalized:.2f}", repr(runtime)]
             for *row, raw, normalized, runtime, _id in self._conn.execute(_RUN_QUERY + _RUN_ORDER)
         ])
 
     def export_aggregate_csv(self, path: Path | str) -> int:
         """Write aggregate_scores.csv ordered by (node, iteration); returns rows."""
-        return _write_csv(path, AGGREGATE_CSV_HEADER, [
+        return write_csv(path, AGGREGATE_CSV_HEADER, [
             [node, iteration, *("" if v is None else f"{v:.2f}" for v in scores), timestamp]
             for node, iteration, *scores, timestamp in self._conn.execute(
                 "SELECT node, iteration, lynis, openscap, aide, custom, standard_uca,"
@@ -477,12 +445,15 @@ class Store:
         return count
 
 
-def _write_csv(path: Path | str, header: list[str], rows: list[list]) -> int:
+def write_csv(path: Path | str, header: list[str], rows: Iterable[Iterable]) -> int:
+    """Write ``header`` and ``rows`` as a UTF-8 CSV file; returns rows written."""
+    count = 0
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(rows)
-    return len(rows)
+        for count, row in enumerate(rows, 1):
+            writer.writerow(row)
+    return count
 
 
 def _run_from_csv(row: list[str]) -> AuditRun:

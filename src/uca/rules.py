@@ -405,22 +405,24 @@ def save_snapshot(
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     manifest = {"node": snapshot.node, "captured_at": captured_at}
-    (directory / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    (directory / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n",
+                                             encoding="utf-8")
     for path in sorted(snapshot.files):
         rel = PurePosixPath(path)
         if not rel.is_absolute():
             raise SnapshotError(f"snapshot file path must be absolute: {path!r}")
         dest = directory.joinpath("files", *rel.parts[1:])
         dest.parent.mkdir(parents=True, exist_ok=True)
-        dest.write_text(snapshot.files[path])
-    with open(directory / "services.tsv", "w") as handle:
+        dest.write_text(snapshot.files[path], encoding="utf-8")
+    with open(directory / "services.tsv", "w", encoding="utf-8") as handle:
         for name in sorted(snapshot.services):
             handle.write(f"{name}\t{snapshot.services[name]}\n")
-    with open(directory / "permissions.tsv", "w") as handle:
+    with open(directory / "permissions.tsv", "w", encoding="utf-8") as handle:
         for path in sorted(snapshot.permissions):
             mode, owner, group = snapshot.permissions[path]
             handle.write(f"{path}\t{mode:04o}\t{owner}\t{group}\n")
-    (directory / "firewall.txt").write_text(snapshot.firewall_state.value + "\n")
+    (directory / "firewall.txt").write_text(snapshot.firewall_state.value + "\n",
+                                            encoding="utf-8")
 
 
 def _read_snapshot_file(path: Path) -> str:

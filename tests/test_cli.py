@@ -20,7 +20,7 @@ from uca.fixtures import (
     make_xccdf_fixture,
 )
 from uca.repository import AUDIT_CSV_HEADER, open_store
-from uca.rules import default_rules, rules_to_json, save_snapshot
+from uca.rules import default_rules, load_snapshot, rules_to_json, save_snapshot
 
 
 @pytest.fixture()
@@ -202,7 +202,9 @@ class TestRulesCommand:
         with open_store(store) as handle:
             # baseline's eight results: three pass
             assert handle.rule_tallies() == [("baseline", 3, 5, pytest.approx(39.34, abs=0.005))]
-            assert handle.stored_rules().total_weight == 61
+            # each result carries its rule's weight: the eight sum to the set's 61
+            assert handle._conn.execute(
+                "SELECT SUM(weight) FROM custom_rule_results").fetchone() == (61,)
 
     def test_json_format(self, runner, tmp_path):
         snap_dir = tmp_path / "snap"
@@ -406,13 +408,13 @@ class TestReadCommandsNeedAStore:
         self._assert_nothing_created(runner, tmp_path, "score", "web", "--iteration", "0")
 
     def test_newer_schema_version_exits_1(self, runner, tmp_path):
-        path = tmp_path / "v3.db"
+        path = tmp_path / "v4.db"
         with open_store(path) as store:
-            store._conn.execute("PRAGMA user_version = 3")
+            store._conn.execute("PRAGMA user_version = 4")
         result = runner.invoke(main, ["--store", str(path), "report"])
         assert result.exit_code == 1
         assert _one_error_line(result), result.output
-        assert "schema version 3" in result.output
+        assert "schema version 4" in result.output
 
     def test_empty_and_corrupt_stores_as_before(self, runner, tmp_path):
         empty, corrupt = tmp_path / "empty.db", tmp_path / "corrupt.db"
@@ -499,6 +501,17 @@ class TestFixturesCommand:
         (audit, aggregates, rule_results), replay = exports
         assert len(aggregates) == 7 and len(rule_results) == 48
         assert replay == (audit, aggregates, rule_results)
+
+    def test_unknown_spec_key_exits_1_and_writes_nothing(self, runner, tmp_path):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"iteration": 5}))
+        result = runner.invoke(main, ["--store", str(tmp_path / "s.db"), "fixtures",
+                                      "--out-dir", str(tmp_path / "corpus"),
+                                      "--spec", str(spec_path)])
+        assert result.exit_code == 1
+        assert _one_error_line(result), result.output
+        assert "'iteration'" in result.output
+        assert not (tmp_path / "s.db").exists() and not (tmp_path / "corpus").exists()
 
     def test_malformed_spec_structure(self, runner, tmp_path):
         spec_path = tmp_path / "spec.json"
@@ -649,7 +662,7 @@ class TestRepeatedAndFailedCommands:
         rules_path = tmp_path / "r.json"
         rules_path.write_text(json.dumps(reweighted))
         with open_store(store) as handle:
-            rules_before = handle.stored_rules()
+            results_before = handle._conn.execute("SELECT * FROM custom_rule_results").fetchall()
         report_before = _json_report(runner, store)
         result = runner.invoke(main, [
             "--store", str(store), "rules", "--rules", str(rules_path),
@@ -659,7 +672,8 @@ class TestRepeatedAndFailedCommands:
         assert result.exit_code == 1
         assert _one_error_line(result), result.output
         with open_store(store) as handle:
-            assert handle.stored_rules() == rules_before
+            assert handle._conn.execute(
+                "SELECT * FROM custom_rule_results").fetchall() == results_before
         assert _json_report(runner, store) == report_before
 
     def test_locked_store_exits_1(self, runner, tmp_path, monkeypatch):
@@ -735,3 +749,69 @@ class TestRepeatedAndFailedCommands:
         exported = b"".join(p.read_bytes() for p in sorted((tmp_path / "ex").glob("*.csv")))
         assert hashlib.sha256(exported).hexdigest() == (
             "3d1b3d9ba6acae620447cfc2172391d95f55790c1ef0b6d1a094fc8a255752b8")
+
+
+def _exports(runner, store, out) -> list[bytes]:
+    result = runner.invoke(main, ["--store", str(store), "export", "--out-dir", str(out)])
+    assert result.exit_code == 0, result.output
+    return [(out / name).read_bytes() for name in ("audit_runs.csv", "aggregate_scores.csv")]
+
+
+class TestVersion2Store:
+    """A version-2 store is upgraded on its first writable open, to the same
+    outputs; a read-only one is refused and left as it was."""
+
+    def test_upgrades_on_open_with_the_same_outputs(self, runner, v2_store, default_corpus,
+                                                    tmp_path):
+        seed_store = default_corpus.store_path
+        assert _json_report(runner, v2_store) == _json_report(runner, seed_store)
+        assert _exports(runner, v2_store, tmp_path / "v2") == _exports(
+            runner, seed_store, tmp_path / "new")
+        with sqlite3.connect(v2_store) as conn:
+            assert conn.execute("PRAGMA user_version").fetchone() == (3,)
+            assert conn.execute(
+                "SELECT name FROM sqlite_master WHERE name LIKE '%custom_rules%'").fetchall() == []
+
+    def test_read_only_store_exits_1_unchanged(self, runner, v2_store, monkeypatch):
+        before = v2_store.read_bytes()
+        connect = sqlite3.connect
+        monkeypatch.setattr(sqlite3, "connect", lambda path, **kwargs: connect(
+            f"file:{path}?mode=ro", uri=True, **kwargs))
+        result = runner.invoke(main, ["--store", str(v2_store), "--format", "json", "report"])
+        assert result.exit_code == 1
+        assert _one_error_line(result), result.output
+        assert "readonly" in result.output
+        assert v2_store.read_bytes() == before
+
+
+class TestLocaleIndependentFiles:
+    """Files are written as UTF-8 whatever the locale's encoding."""
+
+    _ENV = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+
+    def _run(self, *argv, cwd):
+        import uca
+
+        src = str(Path(uca.__file__).resolve().parents[1])
+        return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                              cwd=cwd, env={**os.environ, **self._ENV, "PYTHONPATH": src},
+                              timeout=60)
+
+    def test_report_csvs(self, runner, tmp_path):
+        store = tmp_path / "s.db"
+        _ingest_triple(runner, store, tmp_path, node="b\u00e4se")
+        proc = self._run("-m", "uca.cli", "--store", str(store), "report", "--out-dir", "out",
+                         cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "out" / "plot_scores_by_node.csv").read_text(
+            encoding="utf-8").splitlines()[1].startswith("b\u00e4se,")
+
+    def test_save_snapshot(self, tmp_path):
+        code = ("from uca.rules import NodeSnapshot, save_snapshot; save_snapshot(NodeSnapshot("
+                "'n\\u00e4', files={'/etc/motd': 'Gr\\u00fc\\u00dfe'},"
+                " services={'d\\u00e4mon': 'active'}), 'snap')")
+        proc = self._run("-c", code, cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        snapshot = load_snapshot(tmp_path / "snap")
+        assert (snapshot.node, snapshot.files, snapshot.services) == (
+            "n\u00e4", {"/etc/motd": "Gr\u00fc\u00dfe"}, {"d\u00e4mon": "active"})

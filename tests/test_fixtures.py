@@ -126,6 +126,10 @@ class TestCorpusSpec:
         with pytest.raises(SpecError, match="invalid spec document"):
             CorpusSpec.from_json(document)
 
+    def test_from_json_names_unknown_keys(self):
+        with pytest.raises(SpecError, match=r"unknown keys \['iteration', 'node'\]$"):
+            CorpusSpec.from_json('{"iteration": 5, "seed": 1, "node": "a"}')
+
 
 class TestMakeCorpus:
     def test_default_corpus_shape(self, default_corpus, corpus_store):

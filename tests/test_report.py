@@ -16,7 +16,6 @@ from uca.fixtures import CorpusSpec, NodeSpec, Profile, make_corpus
 from uca.report import (
     SCORE_METRICS,
     ReportBundle,
-    SignificanceRow,
     build_report,
     bundle_to_dict,
     render_json,
@@ -91,7 +90,8 @@ class TestBuildReport:
                 store.record_evaluation(default_rules(), [
                     RuleResult("ghost_rule", "solo", 0, True, "x"),
                 ])
-            assert store.stored_rules() is None
+            assert store._conn.execute(
+                "SELECT count(*) FROM custom_rule_results").fetchone() == (0,)
             assert build_report(store).rule_table == []
 
     def test_renderings_are_deterministic(self, corpus_store):
@@ -192,8 +192,7 @@ def _reference_bundle(store) -> ReportBundle:
                 r = stats.pooled_t_test(low, high)
             except DegenerateSampleError:
                 continue
-            significance.append(SignificanceRow(tool.value, r.mean_diff, r.t, r.df,
-                                                r.p_two_tailed, r.d))
+            significance.append((tool.value, r))
     return ReportBundle(
         nodes=nodes,
         score_table={m: {n: mean(m, n) for n in nodes} for m in SCORE_METRICS},
@@ -238,8 +237,8 @@ def _csv_bytes(bundle, out: Path) -> dict[str, bytes]:
 
 # Scores from the whole range, plus values whose two-decimal rounding is close.
 _SCORES = st.one_of(st.floats(0, 100), st.sampled_from([0.0, 0.005, 33.335, 66.665, 100.0]))
-# "e" has rule results but never runs; "ghost" is a rule that is never stored,
-# and a stored rule's weight need not be the weight its results carry.
+# "e" has rule results but never runs; "ghost" is a rule of no rule set, and
+# results of one rule may carry different weights.
 _NODES = ("a", "b", "c", "d")
 _RULE_IDS = ("r1", "r2", "r3")
 _INSERT_RUN = (
@@ -262,14 +261,12 @@ _INSERT_RESULT = (
         st.sampled_from(_NODES), st.integers(0, 3), st.tuples(_SCORES, _SCORES, _SCORES),
         st.one_of(st.none(), st.tuples(_SCORES, _SCORES))),
         unique_by=lambda agg: agg[:2], max_size=12),
-    rules=st.lists(st.tuples(st.sampled_from(_RULE_IDS), st.integers(1, 9)),
-                   unique_by=lambda rule: rule[0], max_size=3),
     results=st.lists(st.tuples(st.sampled_from(_RULE_IDS + ("ghost",)),
                                st.sampled_from(_NODES + ("e",)), st.integers(0, 3),
                                st.booleans(), st.integers(1, 9)),
                      unique_by=lambda result: result[:3], max_size=16),
 )
-def test_plain_row_report_matches_record_reference(runs, aggregates, rules, results):
+def test_plain_row_report_matches_record_reference(runs, aggregates, results):
     """Random stores written with raw SQL give the same bundle, bit for bit,
     and the same bytes in every rendering and export; a second row of a key
     is rejected."""
@@ -285,10 +282,6 @@ def test_plain_row_report_matches_record_reference(runs, aggregates, rules, resu
             if rows:
                 with pytest.raises(sqlite3.IntegrityError, match="UNIQUE"):
                     conn.execute(insert, rows[0])
-        conn.executemany(
-            "INSERT INTO custom_rules (rule_id, name, check_type, weight, params)"
-            " VALUES (?, ?, 'service_active', ?, '{}')",
-            [(rule_id, rule_id, weight) for rule_id, weight in rules])
         with tempfile.TemporaryDirectory() as tmp:
             out = Path(tmp)
             store.export_audit_csv(out / "audit_runs.csv")

@@ -40,7 +40,7 @@ def _aggregate(**kwargs) -> AggregateScore:
 
 
 class TestOpenStore:
-    def test_creates_four_tables(self, tmp_path):
+    def test_creates_three_tables(self, tmp_path):
         store = open_store(tmp_path / "fresh.db")
         names = {
             row[0] for row in store._conn.execute(
@@ -48,8 +48,8 @@ class TestOpenStore:
             )
         }
         store.close()
-        assert {"audit_runs", "aggregate_scores", "custom_rules",
-                "custom_rule_results"} <= names
+        assert names - {"sqlite_sequence"} == {"audit_runs", "aggregate_scores",
+                                               "custom_rule_results"}
 
     def test_reopen_is_idempotent(self, tmp_path):
         path = tmp_path / "again.db"
@@ -155,7 +155,7 @@ class TestSchemaVersion:
         path = tmp_path / "v1.db"
         _v1_store(path, [("r1", 0), ("r2", 1), ("r1", 1)])
         with open_store(path) as store:
-            assert store._conn.execute("PRAGMA user_version").fetchone() == (2,)
+            assert store._conn.execute("PRAGMA user_version").fetchone() == (3,)
             assert [(r.tool, r.normalized_score) for r in store.audit_runs()] == [
                 (Tool.AIDE, 70.0), (Tool.LYNIS, 60.0)]
             assert [a.standard_uca for a in store.aggregates()] == [60.0]
@@ -163,13 +163,16 @@ class TestSchemaVersion:
                 "SELECT rule_id, passed, weight FROM custom_rule_results ORDER BY rule_id"
             ).fetchall() == [("r1", 1, 3), ("r2", 1, 5)]
             assert store.rule_tallies() == [("web", 2, 0, 100.0)]
+            assert "custom_rules" not in {name for _, name, *_ in _schema(store)[1]}
 
-    def test_migrated_schema_equals_new_schema(self, tmp_path):
+    def test_migrated_schema_equals_new_schema(self, tmp_path, v2_store):
         _v1_store(tmp_path / "v1.db", [("r1", 1)])
-        with open_store(tmp_path / "v1.db") as migrated, \
+        with open_store(tmp_path / "v1.db") as migrated, open_store(v2_store) as upgraded, \
                 open_store(tmp_path / "new.db") as new:
             assert _schema(migrated) == _schema(new)
-            assert _schema(new)[0] == (2,)
+            assert _schema(upgraded) == _schema(new)
+            assert _schema(new)[0] == (3,)
+            assert "custom_rules" not in {name for _, name, *_ in _schema(new)[1]}
 
     def test_v1_result_of_unknown_rule_is_corrupt_and_left_as_it_was(self, tmp_path):
         path = tmp_path / "v1.db"
@@ -180,10 +183,10 @@ class TestSchemaVersion:
         assert path.read_bytes() == before
 
     def test_newer_schema_version_is_refused(self, tmp_path):
-        path = tmp_path / "v3.db"
+        path = tmp_path / "v4.db"
         with open_store(path) as store:
-            store._conn.execute("PRAGMA user_version = 3")
-        with pytest.raises(CorruptStoreError, match="schema version 3"):
+            store._conn.execute("PRAGMA user_version = 4")
+        with pytest.raises(CorruptStoreError, match="schema version 4"):
             open_store(path)
 
     def test_key_ordered_reads_use_the_key_indexes(self, tmp_path):
@@ -282,28 +285,6 @@ class TestRecording:
 
         results = evaluate_rules(default_rules(), make_snapshot(Profile.FULL), 99)
         assert corpus_store_copy.record_evaluation(default_rules(), results) == 8
-
-
-    def test_recording_rules_again_writes_only_changed_rows(self, tmp_path):
-        from dataclasses import replace
-
-        from uca.fixtures import CorpusSpec, NodeSpec, Profile, make_corpus
-        from uca.rules import RuleSet
-
-        nodes = tuple(NodeSpec(f"n{i}", list(Profile)[i % 3]) for i in range(4))
-        corpus = make_corpus(CorpusSpec(nodes=nodes, iterations=3), tmp_path / "corpus")
-        with open_store(corpus.store_path) as store:
-            sql = "SELECT count(*), max(rowid) FROM custom_rules"
-            # twelve evaluations recorded the same eight rules
-            assert store._conn.execute(sql).fetchone() == (8, 8)
-            rules = store.stored_rules().rules
-            changed = replace(rules[3], weight=rules[3].weight + 1)
-            store.record_evaluation(RuleSet(rules[:3] + (changed,) + rules[4:]), [])
-            assert store._conn.execute(sql).fetchone() == (8, 8)
-            assert store._conn.execute(
-                "SELECT rowid, weight FROM custom_rules WHERE rule_id = ?", (changed.id,)
-            ).fetchone() == (4, changed.weight)
-            assert store.stored_rules().rules == rules[:3] + (changed,) + rules[4:]
 
 
 class TestCsvExport:
