@@ -206,6 +206,22 @@ class NodeSpec:
     profile: Profile
 
 
+def _node_spec(node: dict) -> NodeSpec:
+    """A spec's node entry, whose keys must be NodeSpec fields."""
+    unknown = set(node) - set(NodeSpec.__dataclass_fields__)
+    if unknown:
+        raise SpecError(f"invalid spec document: unknown node keys {sorted(unknown)}")
+    return NodeSpec(str(node["name"]), Profile(node["profile"]))
+
+
+def _mean_sd(where: str, pair) -> tuple[float, float]:
+    """A spec's (mean, sd) entry, which must be exactly two numbers."""
+    if not (isinstance(pair, (list, tuple)) and len(pair) == 2 and all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair)):
+        raise SpecError(f"invalid spec document: {where} is {pair!r}, not [mean, sd]")
+    return float(pair[0]), float(pair[1])
+
+
 # Score means follow the reference per-tool node averages; sds are
 # back-solved from the reference effect sizes (diff/d), identical across
 # nodes per tool. Runtimes are total/count so 36 runs reproduce the
@@ -289,15 +305,14 @@ class CorpusSpec:
     @classmethod
     def from_dict(cls, data: dict) -> "CorpusSpec":
         """Build a spec from parsed JSON, keeping defaults for absent keys; a key
-        that is no field raises SpecError."""
+        that is no field, at the top or in a node, or a distribution entry that
+        is not two numbers raises SpecError."""
         unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise SpecError(f"invalid spec document: unknown keys {sorted(unknown)}")
         spec = cls()
         if "nodes" in data:
-            spec = replace(spec, nodes=tuple(
-                NodeSpec(str(n["name"]), Profile(n["profile"])) for n in data["nodes"]
-            ))
+            spec = replace(spec, nodes=tuple(_node_spec(n) for n in data["nodes"]))
         if "iterations" in data:
             spec = replace(spec, iterations=int(data["iterations"]))
         if "seed" in data:
@@ -310,13 +325,13 @@ class CorpusSpec:
             parsed: dict[str, dict[Tool, tuple[float, float]]] = {}
             for node_name, per_tool in data["score_distributions"].items():
                 parsed[node_name] = {
-                    Tool(tool): (float(pair[0]), float(pair[1]))
+                    Tool(tool): _mean_sd(f"score_distributions.{node_name}.{tool}", pair)
                     for tool, pair in per_tool.items()
                 }
             spec = replace(spec, score_distributions=parsed)
         if "runtime_distributions" in data:
             spec = replace(spec, runtime_distributions={
-                Tool(tool): (float(pair[0]), float(pair[1]))
+                Tool(tool): _mean_sd(f"runtime_distributions.{tool}", pair)
                 for tool, pair in data["runtime_distributions"].items()
             })
         return spec

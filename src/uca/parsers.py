@@ -14,6 +14,11 @@ Formats:
     pass that builds no tree, so memory does not grow with its size; it can
     be given as chunks of a file (``FileChunks``), and the encoding of bytes
     comes from the XML declaration. Only the last ``TestResult`` is scored.
+    Bytes declared UTF-8 or US-ASCII, with no entity declaration, run no
+    Python callback on the elements before the piece where the bytes
+    ``rule-result`` first occur (the Benchmark's Profile, Group and Rule
+    definitions in ``oscap`` output): no result can start there, so the
+    tally cannot change, and expat still checks every byte.
   - AIDE comparison report: summary block with added/removed/changed counts,
     or a clean-match marker when the database matched the filesystem. Text,
     or bytes in UTF-8.
@@ -151,6 +156,11 @@ def parse_lynis_report(document: str | bytes) -> LynisReport:
 
 
 _CHUNK_BYTES = 64 * 1024
+# the one element name a tally starts at, as bytes, and the encodings whose
+# bytes hold every element name as written
+_RULE_RESULT = b"rule-result"
+_SPLIT = len(_RULE_RESULT) - 1  # the most of the name a piece can end with, not whole
+_ASCII_NAMES = ("utf-8", "us-ascii")
 
 
 class FileChunks:
@@ -201,6 +211,16 @@ def parse_xccdf_results(document: str | bytes | Iterable[bytes]) -> ScapReport:
     XCCDF 1.2), so a document carrying several is scored by its latest.
     ``fixed`` counts as a pass; statuses outside the known set are tallied
     under ``unknown``. The compliance percentage covers pass+fail only.
+
+    Before the first rule-result no result is open and the tally is empty,
+    so an element there changes nothing. When the document is bytes (or byte
+    chunks) whose XML declaration names UTF-8 or US-ASCII, every element
+    name is its own bytes, so the Python start callback runs only from the
+    first piece whose bytes, with the 10 before them, hold ``rule-result``;
+    expat still parses and checks every byte before it. Text, other
+    encodings, no declaration, or any ``<!ENTITY`` declaration (whose
+    replacement text could hold a rule-result the bytes do not spell out)
+    keep the callback on every element.
 
     Raises:
         XmlError: malformed XML, including an undefined or external entity.
@@ -269,14 +289,36 @@ def parse_xccdf_results(document: str | bytes | Iterable[bytes]) -> ScapReport:
                 f"{parser.CurrentLineNumber}, column {parser.CurrentColumnNumber}"
             )
 
+    searching = True  # start may still be skipped until a piece holds a rule-result
+    tail = b""  # the last bytes searched, for a name split across pieces
+
+    def install_start(*_) -> None:
+        # for good: from a piece holding the name, or at an entity declaration
+        nonlocal searching
+        searching = False
+        parser.StartElementHandler = start
+        parser.XmlDeclHandler = parser.EntityDeclHandler = None
+
+    def xml_decl(version: str, encoding: str | None, standalone: int) -> None:
+        if encoding and encoding.lower() in _ASCII_NAMES:
+            parser.StartElementHandler = None
+
     parser.ordered_attributes = True  # a list is cheaper to build; unused
     parser.StartElementHandler = start
+    parser.XmlDeclHandler = xml_decl
+    parser.EntityDeclHandler = install_start
     parser.SkippedEntityHandler = skipped_entity
     # an external entity is refused, never fetched: expat then fails the parse
     parser.ExternalEntityRefHandler = lambda *_: 0
     chunks = (document,) if isinstance(document, (str, bytes)) else document
     try:
         for chunk in chunks:
+            if searching:
+                if (not isinstance(chunk, bytes) or _RULE_RESULT in chunk
+                        or _RULE_RESULT in tail + chunk[:_SPLIT]):
+                    install_start()
+                else:
+                    tail = (tail + chunk[-_SPLIT:])[-_SPLIT:]
             parser.Parse(chunk, False)
         parser.Parse(b"", True)
     except expat.ExpatError as exc:
@@ -286,6 +328,7 @@ def parse_xccdf_results(document: str | bytes | Iterable[bytes]) -> ScapReport:
         parser.StartElementHandler = parser.EndElementHandler = None
         parser.CharacterDataHandler = parser.SkippedEntityHandler = None
         parser.ExternalEntityRefHandler = None
+        parser.XmlDeclHandler = parser.EntityDeclHandler = None
 
     if not counts:
         raise NoResultsError(

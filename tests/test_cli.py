@@ -117,6 +117,57 @@ class TestIngest:
         assert "normalized=75.00" in result.output
 
 
+    def test_rule_definitions_without_results_exit_2(self, runner, tmp_path):
+        path = tmp_path / "scan.xml"
+        path.write_text(_oscap_results(rules=1000), encoding="utf-8")
+        assert path.stat().st_size > 2 * 64 * 1024
+        result = runner.invoke(main, ["--store", str(tmp_path / "s.db"), "ingest",
+                                      "node1", "openscap", str(path)])
+        assert result.exit_code == 2, result.output
+        assert result.output == (f"Error: {path}: no rule-result elements in the document "
+                                 "or after its last TestResult start\n")
+        assert not (tmp_path / "s.db").exists()
+
+    def test_utf16_and_entity_twins_score_the_same(self, runner, tmp_path):
+        document = _oscap_results(*["pass"] * 70, *["fail"] * 30, "notchecked", rules=1000)
+        first = document[document.index("<rule-result"):document.index("</rule-result>") + 14]
+        entity = first.replace("<", "&#60;").replace('"', "'").replace("-result", "-&#114;esult")
+        twins = {
+            "utf8.xml": document.encode("utf-8"),
+            "utf16.xml": document.replace('"UTF-8"', '"UTF-16"').encode("utf-16"),
+            "entity.xml": document.replace(first, "&r0;").replace(
+                "<Benchmark", f'<!DOCTYPE Benchmark [<!ENTITY r0 "{entity}">]>\n<Benchmark'
+            ).encode("utf-8"),
+        }
+        assert twins["entity.xml"].count(b"rule-result") == 2 * 100
+        scores = set()
+        for name, data in twins.items():
+            (tmp_path / name).write_bytes(data)
+            assert len(data) > 2 * 64 * 1024
+            result = runner.invoke(main, ["--store", str(tmp_path / "s.db"), "--format",
+                                          "json", "ingest", name, "openscap",
+                                          str(tmp_path / name)])
+            assert result.exit_code == 0, result.output
+            payload = json.loads(result.output)
+            scores.add((payload["raw_score"], payload["normalized_score"]))
+        assert scores == {(70.0, 70.0)}
+
+
+def _oscap_results(*statuses: str, rules: int) -> str:
+    """Results shaped like ``oscap xccdf eval --results`` output, in UTF-8:
+    the Benchmark's Rule definitions, then one TestResult."""
+    definitions = "".join(
+        f'<Rule id="r{i}" severity="medium">\n<title>Règle {i}</title>\n'
+        f"<description>Set option {i} to yes, or the check fails.</description>\n"
+        f'<check system="oval"><check-content-ref name="oval:{i}:def:1"/></check>\n'
+        "</Rule>\n" for i in range(rules))
+    results = "".join(f'<rule-result idref="r{i}"><result>{status}</result></rule-result>\n'
+                      for i, status in enumerate(statuses))
+    return ('<?xml version="1.0" encoding="UTF-8"?>\n'
+            '<Benchmark xmlns="http://checklists.nist.gov/xccdf/1.2">\n'
+            f"{definitions}<TestResult>\n{results}</TestResult>\n</Benchmark>\n")
+
+
 def test_import_loads_no_tree_parser_or_network_client():
     import uca
 
@@ -511,6 +562,23 @@ class TestFixturesCommand:
         assert result.exit_code == 1
         assert _one_error_line(result), result.output
         assert "'iteration'" in result.output
+        assert not (tmp_path / "s.db").exists() and not (tmp_path / "corpus").exists()
+
+    @pytest.mark.parametrize("spec, named", [
+        ({"nodes": [{"name": "a", "profile": "full", "iterations": 3}]}, "['iterations']"),
+        ({"runtime_distributions": {"lynis": [30, 1, 99]}}, "runtime_distributions.lynis"),
+        ({"score_distributions": {"a": {"aide": [0.5, 0.1, 2]}}},
+         "score_distributions.a.aide"),
+    ], ids=["node-key", "runtime-entry", "score-entry"])
+    def test_nested_spec_error_exits_1_and_writes_nothing(self, runner, tmp_path, spec, named):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        result = runner.invoke(main, ["--store", str(tmp_path / "s.db"), "fixtures",
+                                      "--out-dir", str(tmp_path / "corpus"),
+                                      "--spec", str(spec_path)])
+        assert result.exit_code == 1
+        assert _one_error_line(result), result.output
+        assert named in result.output
         assert not (tmp_path / "s.db").exists() and not (tmp_path / "corpus").exists()
 
     def test_malformed_spec_structure(self, runner, tmp_path):

@@ -130,6 +130,29 @@ class TestCorpusSpec:
         with pytest.raises(SpecError, match=r"unknown keys \['iteration', 'node'\]$"):
             CorpusSpec.from_json('{"iteration": 5, "seed": 1, "node": "a"}')
 
+    def test_from_json_names_unknown_node_keys(self):
+        with pytest.raises(SpecError, match=r"unknown node keys \['iterations'\]$"):
+            CorpusSpec.from_json(
+                '{"nodes": [{"name": "a", "profile": "full", "iterations": 3}]}')
+
+    @pytest.mark.parametrize("document, entry", [
+        ('{"runtime_distributions": {"lynis": [30, 1, 99]}}',
+         "runtime_distributions.lynis is [30, 1, 99]"),
+        ('{"runtime_distributions": {"aide": [90]}}', "runtime_distributions.aide is [90]"),
+        ('{"score_distributions": {"a": {"openscap": [70, 5, 1]}}}',
+         "score_distributions.a.openscap is [70, 5, 1]"),
+        ('{"score_distributions": {"a": {"lynis": ["70", 5]}}}',
+         "score_distributions.a.lynis is ['70', 5]"),
+        ('{"score_distributions": {"a": {"lynis": [true, 5]}}}',
+         "score_distributions.a.lynis is [True, 5]"),
+        ('{"score_distributions": {"a": {"lynis": {"mean": 70, "sd": 5}}}}',
+         "score_distributions.a.lynis is {'mean': 70, 'sd': 5}"),
+    ])
+    def test_from_json_names_distribution_entry_not_two_numbers(self, document, entry):
+        with pytest.raises(SpecError) as caught:
+            CorpusSpec.from_json(document)
+        assert str(caught.value) == f"invalid spec document: {entry}, not [mean, sd]"
+
 
 class TestMakeCorpus:
     def test_default_corpus_shape(self, default_corpus, corpus_store):

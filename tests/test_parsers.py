@@ -1,10 +1,13 @@
 import builtins
+import sys
 import xml.etree.ElementTree as ET
+from xml.parsers import expat
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uca import parsers
 from uca.errors import (
     EncodingError,
     MalformedReportError,
@@ -453,6 +456,181 @@ class TestXccdfStreaming:
     def test_missing_file_is_os_error(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             parse_xccdf_results(FileChunks(tmp_path / "absent.xml"))
+
+
+# --- XCCDF: no start callback before the first rule-result ------------------
+
+_UTF8_DECLARATION = '<?xml version="1.0" encoding="UTF-8"?>\n'
+
+
+def _oscap(*test_results, rules=40, q="", doctype=""):
+    """An ``oscap xccdf eval --results``-shaped document: the Benchmark's
+    Profile and Rule definitions, then one TestResult per list of statuses.
+    Only the rule-results spell ``rule-result``."""
+    ns = f' xmlns{":" + q[:-1] if q else ""}="{_XCCDF_NS}"'
+    selects = "".join(f'<{q}select idref="r{i}" selected="true"/>\n' for i in range(rules))
+    definitions = "".join(
+        f'<{q}Rule id="r{i}" severity="medium">\n<{q}title>Règle {i} €</{q}title>\n'
+        f"<{q}description>Result: <{q}b>fail</{q}b> unless set.</{q}description>\n"
+        f'<{q}check system="oval"><{q}check-content-ref name="oval:{i}:def:1"/></{q}check>\n'
+        f"</{q}Rule>\n" for i in range(rules))
+    results = "".join(
+        f'<{q}TestResult id="t{t}">\n<{q}title>Scan {t}</{q}title>\n' + "".join(
+            f'<{q}rule-result idref="r{i}"><{q}result>{status}</{q}result></{q}rule-result>\n'
+            for i, status in enumerate(statuses)) + f"</{q}TestResult>\n"
+        for t, statuses in enumerate(test_results))
+    return (f"{_UTF8_DECLARATION}{doctype}<{q}Benchmark{ns}>\n<{q}Profile id=\"p\">\n{selects}"
+            f"</{q}Profile>\n{definitions}{results}</{q}Benchmark>\n")
+
+
+def _start_calls(document) -> tuple:
+    """The outcome of parsing ``document`` and the number of calls of the
+    parser's Python ``start`` handler."""
+    calls = []
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and code.co_name == "start" and code.co_filename == parsers.__file__:
+            calls.append(None)
+
+    sys.setprofile(profile)
+    try:
+        outcome = _stream_tally(document)
+    finally:
+        sys.setprofile(None)
+    return outcome, len(calls)
+
+
+def _expat_error(data: bytes) -> str:
+    """The message of a parse of ``data`` in one piece with no handlers."""
+    reference = expat.ParserCreate(namespace_separator="}")
+    try:
+        reference.Parse(data, True)
+    except expat.ExpatError as exc:
+        return f"not well-formed XML: {exc}"
+    raise AssertionError("well-formed")
+
+
+_STATUSES = st.lists(st.sampled_from(["pass", "fail", "fixed", "notapplicable", " FAIL\n"]),
+                     max_size=8)
+
+
+@st.composite
+def oscap_documents(draw):
+    q = draw(st.sampled_from(["", "x:", "a-very-long-results-namespace-prefix-" * 2 + ":"]))
+    test_results = draw(st.lists(_STATUSES, min_size=1, max_size=2))
+    return _oscap(*test_results, rules=draw(st.integers(5, 60)), q=q)
+
+
+class TestSkipBeforeFirstRuleResult:
+    @settings(max_examples=150, deadline=None)
+    @given(document=oscap_documents(), cuts=st.lists(st.integers(0, 10**6), max_size=40))
+    def test_oscap_shaped_pieces_same_as_tree_parser(self, document, cuts):
+        data = document.encode("utf-8")
+        assert _stream_tally(_split(data, cuts)) == _tree_tally(document)
+
+    def test_start_runs_from_the_piece_of_the_first_rule_result(self, tmp_path):
+        data = _oscap(["pass"] * 900 + ["fail"] * 300, rules=1200).encode("utf-8")
+        path = tmp_path / "results.xml"
+        path.write_bytes(data)
+        pieces = list(FileChunks(path))
+        first = data.index(b"rule-result") + len(b"rule-result") - 1
+        holding = first // len(pieces[0])
+        assert len(pieces) >= 4 and 2 <= holding < len(pieces) - 1
+        tag_ends = []
+        reference = expat.ParserCreate(namespace_separator="}")
+        reference.StartElementHandler = lambda name, attrs: tag_ends.append(
+            data.index(b">", reference.CurrentByteIndex))
+        reference.Parse(data, True)
+        expected = sum(end >= holding * len(pieces[0]) for end in tag_ends)
+        report, calls = _start_calls(FileChunks(path))
+        assert (report.pass_count, report.fail_count) == (900, 300)
+        assert calls == expected < len(tag_ends) // 2
+
+    def test_entity_rule_result_in_a_piece_without_the_name(self):
+        element = ("&#60;rule-&#114;esult idref='e'>&#60;result>pass&#60;/result>"
+                   "&#60;/rule-&#114;esult>")
+        doctype = f'<!DOCTYPE Benchmark [<!ENTITY r "{element}">]>\n'
+        for later in ([], ["fail"]):
+            document = _oscap(later, doctype=doctype).replace(
+                '<title>Scan 0</title>\n', '<title>Scan 0</title>\n&r;' + " " * 64)
+            data = document.encode("utf-8")
+            pieces = [data[i:i + 32] for i in range(0, len(data), 32)]
+            at = [n for n, piece in enumerate(pieces) if b"&r;" in piece]
+            assert at and all(b"rule-result" not in pieces[n] + pieces[n + 1] for n in at)
+            report = parse_xccdf_results(pieces)
+            assert report == _tree_tally(document)
+            assert (report.pass_count, report.fail_count) == (1, len(later))
+
+    @pytest.mark.parametrize("encode", [
+        lambda text: text.replace("UTF-8", "UTF-16").encode("utf-16"),
+        lambda text: text.replace("UTF-8", "ISO-8859-1").replace("€", "E").encode("latin-1"),
+        lambda text: text.replace(_UTF8_DECLARATION, "").encode("utf-8"),
+        lambda text: text.replace(_UTF8_DECLARATION, "").encode("utf-16"),
+    ], ids=["utf16-bom", "iso-8859-1", "no-declaration", "utf16-bom-no-declaration"])
+    def test_other_encodings_in_many_pieces(self, encode):
+        document = _oscap(["pass", "fail", "fail"], rules=30)
+        data = encode(document)
+        for size in (7, 64, 1000):
+            outcome = _stream_tally([data[i:i + size] for i in range(0, len(data), size)])
+            assert outcome == _tree_tally(document.replace("€", "E"))
+            assert (outcome.pass_count, outcome.fail_count) == (1, 2)
+
+    @pytest.mark.parametrize("q", ["", "x:", "results-namespace-prefix-longer-than-a-tail:"])
+    def test_rule_result_split_at_every_offset(self, q):
+        document = _oscap(["pass", "fail"], rules=3, q=q)
+        data = document.encode("utf-8")
+        tag = data.index(f"<{q}rule-result".encode())
+        end = data.index(b">", tag) + 1
+        expected = _tree_tally(document)
+        for cut in range(tag, end + 1):
+            pieces = [data[:cut], data[cut:end], data[end:]]
+            assert parse_xccdf_results(pieces) == expected, cut
+
+    def test_second_test_result_starts_in_a_piece_without_the_name(self):
+        document = _oscap(["fail", "fail"], ["pass", "fail", "pass"])
+        data = document.encode("utf-8")
+        first = data.index(b"<rule-result")
+        start = data.index(b'<TestResult id="t1">')
+        end = data.index(b"<rule-result", start)
+        pieces = [data[:first], data[first:start - 2], data[start - 2:end], data[end:]]
+        assert b"rule-result" not in pieces[0] + pieces[2]
+        report = parse_xccdf_results(pieces)
+        assert report == _tree_tally(document)
+        assert (report.pass_count, report.fail_count) == (2, 1)
+
+    @pytest.mark.parametrize("damage", [
+        (b"unless set.", b"unless \xff set."),
+        (b"<title>R\xc3\xa8gle 1200 ", b"<title><y:b/>R\xc3\xa8gle 1200 "),
+        (b"<title>R\xc3\xa8gle 1200 \xe2\x82\xac</title>",
+         b"<title>R\xc3\xa8gle 1200 \xe2\x82\xac</titel>"),
+        (b"<title>R\xc3\xa8gle 1200 ", b"<title>&nope;R\xc3\xa8gle 1200 "),
+    ], ids=["invalid-byte", "unbound-prefix", "mismatched-tag", "undefined-entity"])
+    def test_errors_in_the_rule_definitions_unchanged(self, tmp_path, damage):
+        data = _oscap(["pass"], rules=2000).encode("utf-8")
+        at = data.index(damage[0], 200_000)
+        data = data[:at] + data[at:].replace(damage[0], damage[1], 1)
+        path = tmp_path / "results.xml"
+        path.write_bytes(data)
+        assert data.index(b"rule-result") > 3 * 64 * 1024
+        with pytest.raises(XmlError) as caught:
+            parse_xccdf_results(FileChunks(path))
+        assert str(caught.value) == _expat_error(data)
+        if damage[1].startswith(b"unless \xff"):
+            offset = at + len(b"unless ")
+            line = data.count(b"\n", 0, offset) + 1
+            column = offset - data.rindex(b"\n", 0, offset) - 1
+            assert str(caught.value) == (f"not well-formed XML: not well-formed "
+                                         f"(invalid token): line {line}, column {column}")
+
+    def test_rules_without_rule_results_raise_no_results(self, tmp_path):
+        path = tmp_path / "results.xml"
+        path.write_text(_oscap([], rules=2000), encoding="utf-8")
+        assert len(list(FileChunks(path))) > 3
+        with pytest.raises(NoResultsError) as caught:
+            parse_xccdf_results(FileChunks(path))
+        assert str(caught.value) == (
+            "no rule-result elements in the document or after its last TestResult start")
 
 
 class TestUtf8Documents:
