@@ -16,7 +16,7 @@ from .parsers import (
     parse_lynis_report,
     parse_xccdf_results,
 )
-from .repository import AuditRun, Phase, RuntimeSummary, Store, open_store
+from .repository import AuditRun, Phase, Store, open_store
 from .rules import (
     CheckType,
     FirewallState,
@@ -34,7 +34,6 @@ from .rules import (
 )
 from .scoring import (
     AggregateScore,
-    NormalizedScore,
     Tool,
     WeightConfig,
     compute_extended_uca,
@@ -70,13 +69,13 @@ __all__ = [
     "UcaError",
     "LynisReport", "ScapReport", "AideReport",
     "parse_lynis_report", "parse_xccdf_results", "parse_aide_report",
-    "Tool", "NormalizedScore", "WeightConfig", "AggregateScore",
+    "Tool", "WeightConfig", "AggregateScore",
     "normalize_lynis", "normalize_openscap", "normalize_aide",
     "compute_standard_uca", "compute_extended_uca", "score_tool_document",
     "CheckType", "FirewallState", "Rule", "RuleSet", "RuleResult",
     "NodeSnapshot", "load_rules", "default_rules", "evaluate_rule",
     "evaluate_rules", "score_rules", "save_snapshot", "load_snapshot",
-    "Store", "open_store", "AuditRun", "Phase", "RuntimeSummary",
+    "Store", "open_store", "AuditRun", "Phase",
     "StatSummary", "TestResult", "describe", "pooled_t_test",
     "student_t_two_tailed_p", "pearson_r", "coefficient_of_variation",
     "Profile", "NodeSpec", "CorpusSpec", "make_lynis_fixture",

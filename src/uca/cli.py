@@ -249,11 +249,11 @@ def rules_cmd(app: AppContext, rules_path, snapshot_path, node, iteration, recor
 def stats_cmd(app: AppContext, tool, node_a, node_b, welch):
     """Two-sample t-test of a tool's scores between two nodes (b - a)."""
     with app.read() as store:
-        known_nodes = store.nodes()
+        pairs = store.node_tools()
         for name in (node_a, node_b):
-            if name not in known_nodes:
+            if name not in {node for node, _ in pairs}:
                 raise UnknownNodeError(f"no runs recorded for node {name!r}")
-        if tool not in store.tools():
+        if tool not in {known for _, known in pairs}:
             raise UnknownToolError(f"no runs recorded for tool {tool!r}")
         group_a = store.tool_scores(tool, node_a)
         group_b = store.tool_scores(tool, node_b)

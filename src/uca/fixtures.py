@@ -305,8 +305,8 @@ class CorpusSpec:
     @classmethod
     def from_dict(cls, data: dict) -> "CorpusSpec":
         """Build a spec from parsed JSON, keeping defaults for absent keys; a key
-        that is no field, at the top or in a node, or a distribution entry that
-        is not two numbers raises SpecError."""
+        that is no field, at the top or in a node, a distribution entry that is
+        not two numbers, or one for a node not in the spec raises SpecError."""
         unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise SpecError(f"invalid spec document: unknown keys {sorted(unknown)}")
@@ -328,6 +328,10 @@ class CorpusSpec:
                     Tool(tool): _mean_sd(f"score_distributions.{node_name}.{tool}", pair)
                     for tool, pair in per_tool.items()
                 }
+            unknown = sorted(set(parsed) - {node.name for node in spec.nodes})
+            if unknown:
+                raise SpecError(f"invalid spec document: score_distributions of unknown"
+                                f" nodes {unknown}")
             spec = replace(spec, score_distributions=parsed)
         if "runtime_distributions" in data:
             spec = replace(spec, runtime_distributions={

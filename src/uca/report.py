@@ -7,7 +7,8 @@ output boundary.
 
 It is built from the plain tuples of the store's row queries, with no per-run
 record objects; ``ReportBundle.runs`` holds one ``(node, tool, iteration,
-normalized_score)`` tuple per audit run, in the store's run order.
+normalized_score)`` tuple per audit run, in the store's run order, and
+``ReportBundle.runtime`` one ``(tool, average, total, count)`` per tool.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from pathlib import Path
 
 from . import stats
 from .errors import DegenerateSampleError, EmptyStoreError
-from .repository import RuntimeSummary, Store, write_csv
+from .repository import Store, write_csv
 from .scoring import Tool
 
 __all__ = [
@@ -45,7 +46,9 @@ class ReportBundle:
     # metric -> node -> mean (None when no data)
     score_table: dict[str, dict[str, float | None]]
     rule_table: list[dict]
-    runtime: RuntimeSummary
+    # (tool, average, total, count) of runtime seconds per tool, and their total
+    runtime: list[tuple[str, float, float, int]]
+    runtime_total: float
     node_low: str | None
     node_high: str | None
     # (node, tool, iteration, normalized_score) per audit run, in store order,
@@ -99,11 +102,13 @@ def build_report(store: Store) -> ReportBundle:
             except DegenerateSampleError:
                 continue
 
+    runtime = store.summarize_runtime()
     return ReportBundle(
         nodes=nodes,
         score_table=score_table,
         rule_table=rule_table,
-        runtime=store.summarize_runtime(),
+        runtime=runtime,
+        runtime_total=sum(row[2] for row in runtime),
         node_low=node_low,
         node_high=node_high,
         runs=runs,
@@ -147,12 +152,12 @@ def render_text(bundle: ReportBundle) -> str:
 
     lines.append("Tool runtime overhead")
     lines.append("  " + "tool".ljust(14) + "avg_s".rjust(10) + "total_s".rjust(12) + "runs".rjust(6))
-    for tool, entry in bundle.runtime.per_tool.items():
+    for tool, average, total, count in bundle.runtime:
         lines.append(
-            "  " + tool.ljust(14) + _fmt(entry.average)
-            + _fmt(entry.total, 12) + str(entry.count).rjust(6)
+            "  " + tool.ljust(14) + _fmt(average)
+            + _fmt(total, 12) + str(count).rjust(6)
         )
-    lines.append("  " + "total".ljust(14) + "".rjust(10) + _fmt(bundle.runtime.grand_total, 12))
+    lines.append("  " + "total".ljust(14) + "".rjust(10) + _fmt(bundle.runtime_total, 12))
     lines.append("")
 
     if bundle.significance:
@@ -199,13 +204,13 @@ def bundle_to_dict(bundle: ReportBundle) -> dict:
         "runtime": {
             "per_tool": {
                 tool: {
-                    "average_seconds": _round(entry.average),
-                    "total_seconds": _round(entry.total),
-                    "runs": entry.count,
+                    "average_seconds": _round(average),
+                    "total_seconds": _round(total),
+                    "runs": count,
                 }
-                for tool, entry in bundle.runtime.per_tool.items()
+                for tool, average, total, count in bundle.runtime
             },
-            "grand_total_seconds": _round(bundle.runtime.grand_total),
+            "grand_total_seconds": _round(bundle.runtime_total),
         },
         "significance": {
             "node_low": bundle.node_low,
@@ -250,14 +255,14 @@ def _csv_files(bundle: ReportBundle) -> dict[str, tuple[list[str], Iterable]]:
     rules = [[r["node"], r["passed"], r["failed"], _cell(r["score_pct"])]
              for r in bundle.rule_table]
     runtime_header = ["tool", "avg_runtime_seconds", "total_runtime_seconds", "runs"]
-    runtime = [[tool, f"{entry.average:.2f}", f"{entry.total:.2f}", entry.count]
-               for tool, entry in bundle.runtime.per_tool.items()]
+    runtime = [[tool, f"{average:.2f}", f"{total:.2f}", count]
+               for tool, average, total, count in bundle.runtime]
     return {
         "table_scores.csv": (["metric", *bundle.nodes],
                              [[m, *cells[m]] for m in SCORE_METRICS]),
         "table_custom_rules.csv": (rules_header, rules),
         "table_runtime.csv": (runtime_header, runtime + [
-            ["total", "", f"{bundle.runtime.grand_total:.2f}", ""]]),
+            ["total", "", f"{bundle.runtime_total:.2f}", ""]]),
         "table_significance.csv": (
             ["tool", "node_low", "node_high", "mean_diff", "t", "df", "p_two_tailed",
              "cohens_d"],

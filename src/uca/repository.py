@@ -24,18 +24,20 @@ Concurrency contract: opening a version-3 store takes no write lock, so a
 read-only file opens and reads see the committed state while another process
 writes; an older store must be writable once, to be upgraded. Writes are
 serialized by a lock on the store handle, which may be passed between threads.
-Timestamps are stored as ISO-8601 UTC text.
+Timestamps are stored as ISO-8601 UTC text. Queries return plain rows and
+values, no record objects; only the writes take records.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import math
 import sqlite3
 import threading
 from collections.abc import Callable, Iterable, Iterator
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -51,8 +53,6 @@ from .scoring import AggregateScore, Tool
 __all__ = [
     "Phase",
     "AuditRun",
-    "ToolRuntime",
-    "RuntimeSummary",
     "Store",
     "open_store",
     "write_csv",
@@ -93,20 +93,6 @@ class AuditRun:
     raw_score: float
     normalized_score: float
     runtime_seconds: float
-    id: int | None = None
-
-
-@dataclass(frozen=True)
-class ToolRuntime:
-    average: float
-    total: float
-    count: int
-
-
-@dataclass(frozen=True)
-class RuntimeSummary:
-    per_tool: dict[str, ToolRuntime] = field(default_factory=dict)
-    grand_total: float = 0.0
 
 
 # Schema version 3, the text of every store, new or upgraded.
@@ -181,11 +167,6 @@ DROP TABLE custom_rules
 _UPGRADES = {0: _SCHEMA, 2: "DROP TABLE custom_rules", _VERSION: ""}
 
 
-# Columns in AuditRun field order, id last.
-_RUN_QUERY = (
-    "SELECT node, tool, timestamp, iteration, phase, raw_score, normalized_score,"
-    " runtime_seconds, id FROM audit_runs"
-)
 _RUN_ORDER = " ORDER BY node, tool, iteration"
 
 
@@ -266,7 +247,13 @@ class Store:
                 raise StoreIOError(f"{self.path}: {exc}") from None
 
     def record_audit_run(self, run: AuditRun) -> int:
-        """Record one run, replacing any run of its (node, tool, iteration)."""
+        """Record one run, replacing any run of its (node, tool, iteration); a
+        non-finite runtime raises ConstraintViolationError."""
+        # an infinity would pass the schema's CHECK and reach the report as
+        # Infinity, which is not JSON
+        if not math.isfinite(run.runtime_seconds):
+            raise ConstraintViolationError(
+                f"runtime_seconds must be finite, got {run.runtime_seconds!r}")
         with self.transaction():
             cursor = self._conn.execute(
                 "INSERT OR REPLACE INTO audit_runs (node, tool, timestamp, iteration,"
@@ -275,8 +262,7 @@ class Store:
                 (run.node, run.tool, run.timestamp, run.iteration, run.phase,
                  run.raw_score, run.normalized_score, run.runtime_seconds),
             )
-        run.id = cursor.lastrowid
-        return run.id
+        return cursor.lastrowid
 
     def record_aggregate(self, agg: AggregateScore) -> int:
         """Record one aggregate, replacing any aggregate of its (node, iteration)."""
@@ -311,40 +297,19 @@ class Store:
 
     # --- queries -------------------------------------------------------------
 
-    def nodes(self) -> list[str]:
-        rows = self._conn.execute(
-            "SELECT DISTINCT node FROM audit_runs ORDER BY node"
-        ).fetchall()
-        return [row[0] for row in rows]
-
-    def tools(self) -> list[str]:
-        rows = self._conn.execute(
-            "SELECT DISTINCT tool FROM audit_runs ORDER BY tool"
-        ).fetchall()
-        return [row[0] for row in rows]
-
-    def audit_runs(self) -> list[AuditRun]:
-        return [AuditRun(node, Tool(tool), timestamp, iteration, Phase(phase), *values)
-                for node, tool, timestamp, iteration, phase, *values
-                in self._conn.execute(_RUN_QUERY + _RUN_ORDER)]
+    def node_tools(self) -> set[tuple[str, str]]:
+        """The (node, tool) pairs that have at least one run."""
+        return set(self._conn.execute("SELECT DISTINCT node, tool FROM audit_runs"))
 
     def score_rows(self) -> list[tuple[str, str, int, float]]:
-        """(node, tool, iteration, normalized_score) per run, in audit_runs() order."""
+        """(node, tool, iteration, normalized_score) per run, by (node, tool, iteration)."""
         query = "SELECT node, tool, iteration, normalized_score FROM audit_runs"
         return self._conn.execute(query + _RUN_ORDER).fetchall()
 
     def aggregate_rows(self) -> list[tuple[str, float | None, float, float | None]]:
-        """(node, custom, standard_uca, extended_uca), in aggregates() order."""
+        """(node, custom, standard_uca, extended_uca) per aggregate, by (node, iteration)."""
         return self._conn.execute("SELECT node, custom, standard_uca, extended_uca"
                                   " FROM aggregate_scores ORDER BY node, iteration").fetchall()
-
-    def aggregates(self) -> list[AggregateScore]:
-        # columns in AggregateScore field order
-        rows = self._conn.execute(
-            "SELECT node, iteration, lynis, openscap, aide, standard_uca, custom,"
-            " extended_uca, timestamp, id FROM aggregate_scores ORDER BY node, iteration"
-        )
-        return [AggregateScore(*row) for row in rows]
 
     def runs_for(self, node: str, iteration: int) -> dict[str, float]:
         """{tool: normalized_score} of the runs of (node, iteration)."""
@@ -374,20 +339,15 @@ class Store:
         return [(node, passed, failed, 100.0 * weighted / total)
                 for node, passed, failed, weighted, total in rows]
 
-    def summarize_runtime(self) -> RuntimeSummary:
-        """Per-tool average/total runtime and the grand total."""
+    def summarize_runtime(self) -> list[tuple[str, float, float, int]]:
+        """(tool, average, total, count) of the runtimes of each tool's runs."""
         rows = self._conn.execute(
             "SELECT tool, AVG(runtime_seconds), SUM(runtime_seconds), COUNT(*)"
             " FROM audit_runs GROUP BY tool ORDER BY tool"
         ).fetchall()
         if not rows:
             raise EmptyStoreError("no audit runs recorded")
-        per_tool = {
-            row[0]: ToolRuntime(average=row[1], total=row[2], count=row[3])
-            for row in rows
-        }
-        grand = sum(entry.total for entry in per_tool.values())
-        return RuntimeSummary(per_tool=per_tool, grand_total=grand)
+        return rows
 
     # --- CSV export/import ---------------------------------------------------
 
@@ -395,7 +355,9 @@ class Store:
         """Write audit_runs.csv ordered by (node, tool, iteration); returns rows."""
         return write_csv(path, AUDIT_CSV_HEADER, [
             [*row, f"{raw:.2f}", f"{normalized:.2f}", repr(runtime)]
-            for *row, raw, normalized, runtime, _id in self._conn.execute(_RUN_QUERY + _RUN_ORDER)
+            for *row, raw, normalized, runtime in self._conn.execute(
+                "SELECT node, tool, timestamp, iteration, phase, raw_score, normalized_score,"
+                " runtime_seconds FROM audit_runs" + _RUN_ORDER)
         ])
 
     def export_aggregate_csv(self, path: Path | str) -> int:

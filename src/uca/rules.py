@@ -35,7 +35,6 @@ __all__ = [
     "NodeSnapshot",
     "load_rules",
     "default_rules",
-    "rules_to_json",
     "evaluate_rule",
     "evaluate_rules",
     "score_rules",
@@ -75,7 +74,6 @@ class Rule:
     check_type: CheckType
     weight: int
     params: Mapping[str, object] = field(default_factory=dict)
-    description: str = ""
 
 
 @dataclass(frozen=True)
@@ -157,7 +155,6 @@ def _validate_rule_dict(entry: object, position: int) -> Rule:
         check_type=check_type,
         weight=weight,
         params=dict(params),
-        description=str(entry.get("description", "")),
     )
 
 
@@ -192,22 +189,6 @@ def load_rules(document: str | bytes) -> RuleSet:
     return RuleSet(rules=tuple(rules))
 
 
-def rules_to_json(ruleset: RuleSet) -> str:
-    """Serialize a rule set back to the JSON document format."""
-    entries = [
-        {
-            "id": r.id,
-            "name": r.name,
-            "check_type": r.check_type.value,
-            "weight": r.weight,
-            "description": r.description,
-            "params": dict(r.params),
-        }
-        for r in ruleset.rules
-    ]
-    return json.dumps(entries, indent=2) + "\n"
-
-
 def default_rules() -> RuleSet:
     """The built-in eight-rule baseline policy (total weight 61)."""
     sshd = "/etc/ssh/sshd_config"
@@ -218,7 +199,6 @@ def default_rules() -> RuleSet:
             check_type=CheckType.CONFIG_DIRECTIVE,
             weight=8,
             params={"path": sshd, "key": "PermitRootLogin", "expected": "no"},
-            description="Direct root logins over SSH must be disabled.",
         ),
         Rule(
             id="ssh_empty_passwords",
@@ -226,7 +206,6 @@ def default_rules() -> RuleSet:
             check_type=CheckType.CONFIG_DIRECTIVE,
             weight=8,
             params={"path": sshd, "key": "PermitEmptyPasswords", "expected": "no"},
-            description="Accounts with empty passwords must not authenticate.",
         ),
         Rule(
             id="ssh_max_auth_tries",
@@ -239,7 +218,6 @@ def default_rules() -> RuleSet:
                 "expected": "[1-4]",
                 "expected_is_regex": True,
             },
-            description="At most four authentication attempts per connection.",
         ),
         Rule(
             id="x11_forwarding_disabled",
@@ -247,7 +225,6 @@ def default_rules() -> RuleSet:
             check_type=CheckType.CONFIG_DIRECTIVE,
             weight=7,
             params={"path": sshd, "key": "X11Forwarding", "expected": "no"},
-            description="X11 forwarding widens the attack surface of sshd.",
         ),
         Rule(
             id="firewall_active",
@@ -255,7 +232,6 @@ def default_rules() -> RuleSet:
             check_type=CheckType.FIREWALL_ACTIVE,
             weight=8,
             params={},
-            description="A host-based firewall must be enabled.",
         ),
         Rule(
             id="auditd_active",
@@ -263,7 +239,6 @@ def default_rules() -> RuleSet:
             check_type=CheckType.SERVICE_ACTIVE,
             weight=7,
             params={"service": "auditd"},
-            description="Kernel audit logging must be running.",
         ),
         Rule(
             id="shadow_file_mode",
@@ -271,7 +246,6 @@ def default_rules() -> RuleSet:
             check_type=CheckType.FILE_MODE,
             weight=7,
             params={"path": "/etc/shadow", "max_mode": "0640"},
-            description="The shadow file must not be world readable.",
         ),
         Rule(
             id="password_max_days",
@@ -284,7 +258,6 @@ def default_rules() -> RuleSet:
                 "expected": "([1-9]|[1-8][0-9]|90)",
                 "expected_is_regex": True,
             },
-            description="Passwords must expire within 90 days.",
         ),
     ))
 

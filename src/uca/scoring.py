@@ -3,8 +3,8 @@
 The standard unified score is a weighted sum of the three normalized tool
 scores (defaults 0.4 Lynis, 0.4 OpenSCAP, 0.2 AIDE). The extended score
 blends the standard score with the custom-rule compliance percentage
-(default 0.8/0.2). Scores are carried at full precision; rounding to two
-decimals happens only at report/CSV boundaries.
+(default 0.8/0.2). Normalizers return plain floats, carried at full precision;
+rounding to two decimals happens only at report/CSV boundaries.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .errors import (
 
 __all__ = [
     "Tool",
-    "NormalizedScore",
     "WeightConfig",
     "AggregateScore",
     "DEFAULT_WEIGHTS",
@@ -40,12 +39,6 @@ class Tool(str, Enum):
     LYNIS = "lynis"
     OPENSCAP = "openscap"
     AIDE = "aide"
-
-
-@dataclass(frozen=True)
-class NormalizedScore:
-    tool: Tool
-    value: float
 
 
 @dataclass(frozen=True)
@@ -127,27 +120,26 @@ def _clamp(value: float) -> float:
     return min(100.0, max(0.0, value))
 
 
-def normalize_lynis(raw: float) -> NormalizedScore:
+def normalize_lynis(raw: float) -> float:
     """Clamp a hardening index to [0, 100]; the scale is already 0-100."""
-    return NormalizedScore(Tool.LYNIS, _clamp(_check_finite(raw, "lynis score")))
+    return _clamp(_check_finite(raw, "lynis score"))
 
 
-def normalize_openscap(raw_pct: float) -> NormalizedScore:
+def normalize_openscap(raw_pct: float) -> float:
     """Clamp a compliance percentage to [0, 100]."""
-    return NormalizedScore(Tool.OPENSCAP, _clamp(_check_finite(raw_pct, "openscap score")))
+    return _clamp(_check_finite(raw_pct, "openscap score"))
 
 
 def normalize_aide(
     added: int, removed: int, changed: int, penalty: float = 5.0
-) -> NormalizedScore:
+) -> float:
     """Integrity score: start at 100, subtract ``penalty`` per change, floor 0."""
     counts = (added, removed, changed)
     if any(c < 0 for c in counts):
         raise NegativeCountError(f"change counts must be non-negative, got {counts}")
     if not math.isfinite(penalty) or penalty <= 0:
         raise OutOfRangeError(f"penalty must be positive, got {penalty!r}")
-    value = max(0.0, 100.0 - penalty * sum(counts))
-    return NormalizedScore(Tool.AIDE, value)
+    return max(0.0, 100.0 - penalty * sum(counts))
 
 
 def _check_score(value: float, what: str) -> float:
@@ -198,10 +190,10 @@ def score_tool_document(
     tool = Tool(tool)
     if tool is Tool.LYNIS:
         report = parsers.parse_lynis_report(document)
-        return float(report.hardening_index), normalize_lynis(report.hardening_index).value
+        return float(report.hardening_index), normalize_lynis(report.hardening_index)
     if tool is Tool.OPENSCAP:
         scap = parsers.parse_xccdf_results(document)
-        return scap.compliance_pct, normalize_openscap(scap.compliance_pct).value
+        return scap.compliance_pct, normalize_openscap(scap.compliance_pct)
     aide = parsers.parse_aide_report(document)
     normalized = normalize_aide(aide.added, aide.removed, aide.changed, penalty=penalty)
-    return float(aide.total_changes), normalized.value
+    return float(aide.total_changes), normalized

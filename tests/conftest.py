@@ -107,6 +107,6 @@ def v2_store(default_corpus, tmp_path):
         conn.execute(f"INSERT INTO {table} SELECT * FROM seed.{table}")
     conn.executemany("INSERT INTO custom_rules VALUES (?, ?, ?, ?, ?, ?)", [
         (r.id, r.name, r.check_type.value, r.weight, json.dumps(dict(r.params), sort_keys=True),
-         r.description) for r in default_rules().rules])
+         "") for r in default_rules().rules])
     conn.close()
     return path

@@ -24,6 +24,7 @@ from uca.fixtures import (
     make_xccdf_fixture,
 )
 from uca.parsers import parse_aide_report, parse_lynis_report, parse_xccdf_results
+from uca.report import build_report
 from uca.repository import open_store
 from uca.rules import default_rules, evaluate_rules, score_rules
 from uca.scoring import (
@@ -129,7 +130,7 @@ def test_criterion_5_aide_normalization_exhaustive():
         for added in range(total + 1):
             for removed in range(total - added + 1):
                 changed = total - added - removed
-                assert normalize_aide(added, removed, changed).value == expected
+                assert normalize_aide(added, removed, changed) == expected
                 checked += 1
         if total == 20:
             assert expected == 0
@@ -139,13 +140,13 @@ def test_criterion_5_aide_normalization_exhaustive():
 
 def test_criterion_6_corpus_shape_and_runtime(default_corpus, corpus_store):
     """108 runs, 36 aggregates; runtime totals match the reference table."""
-    assert len(corpus_store.audit_runs()) == 108
-    assert len(corpus_store.aggregates()) == 36
-    summary = corpus_store.summarize_runtime()
-    assert summary.per_tool["aide"].total == pytest.approx(3368.91, abs=0.05)
-    assert summary.per_tool["lynis"].total == pytest.approx(1303.59, abs=0.05)
-    assert summary.per_tool["openscap"].total == pytest.approx(107.91, abs=0.05)
-    assert summary.grand_total == pytest.approx(4780.4, abs=0.1)
+    assert len(corpus_store.score_rows()) == 108
+    assert len(corpus_store.aggregate_rows()) == 36
+    totals = {tool: total for tool, _, total, _ in corpus_store.summarize_runtime()}
+    assert totals["aide"] == pytest.approx(3368.91, abs=0.05)
+    assert totals["lynis"] == pytest.approx(1303.59, abs=0.05)
+    assert totals["openscap"] == pytest.approx(107.91, abs=0.05)
+    assert build_report(corpus_store).runtime_total == pytest.approx(4780.4, abs=0.1)
     print("ACCEPTANCE 6 PASS: corpus 108 runs / 36 aggregates; runtime totals "
           "3368.91/1303.59/107.91 (+-0.05), grand total ~4780.4")
 
@@ -208,9 +209,9 @@ class TestCriterion8InvariantSuite:
     @given(a=st.integers(0, 60), r=st.integers(0, 60), c=st.integers(0, 60),
            bump=st.integers(1, 5))
     def test_aide_monotonicity(self, a, r, c, bump):
-        base = normalize_aide(a, r, c).value
+        base = normalize_aide(a, r, c)
         assert 0.0 <= base <= 100.0
-        assert normalize_aide(a + bump, r, c).value <= base
+        assert normalize_aide(a + bump, r, c) <= base
 
     sample = st.lists(st.floats(0, 100).map(lambda x: round(x, 3)),
                       min_size=2, max_size=20)

@@ -20,7 +20,8 @@ from uca.fixtures import (
     make_xccdf_fixture,
 )
 from uca.repository import AUDIT_CSV_HEADER, open_store
-from uca.rules import default_rules, load_snapshot, rules_to_json, save_snapshot
+from uca.rules import default_rules, load_snapshot, save_snapshot
+from uca.scoring import Tool
 
 
 @pytest.fixture()
@@ -51,9 +52,9 @@ class TestIngest:
         assert result.exit_code == 0
         assert "normalized=64.00" in result.output
         with open_store(store) as handle:
-            runs = handle.audit_runs()
+            runs = handle.score_rows()
             assert len(runs) == 1
-            assert runs[0].normalized_score == 64.0
+            assert runs[0][3] == 64.0
 
     def test_xccdf_normalized_value(self, runner, tmp_path):
         path = tmp_path / "scan.xml"
@@ -204,9 +205,9 @@ class TestScore:
         # 0.8*67.80 + 0.2*83.61 = 70.96
         assert "extended_uca=70.96" in result.output
         with open_store(store) as handle:
-            aggs = handle.aggregates()
+            aggs = handle.aggregate_rows()
             assert len(aggs) == 1
-            assert aggs[0].extended_uca == pytest.approx(70.962, abs=0.001)
+            assert aggs[0][3] == pytest.approx(70.962, abs=0.001)
 
     def test_rules_flag_requires_snapshot(self, runner, tmp_path):
         result = runner.invoke(main, ["--store", str(tmp_path / "s.db"), "score",
@@ -318,6 +319,30 @@ class TestStatsCommand:
                                       "stats", "openscap", "baseline", "mars"])
         assert result.exit_code == 1
         assert "mars" in result.output
+
+    @pytest.mark.parametrize("node_a, node_b, named", [
+        ("nosuch", "alsonot", "no runs recorded for node 'nosuch'"),
+        ("baseline", "nosuch", "no runs recorded for node 'nosuch'"),
+    ])
+    def test_first_unknown_node_is_named(self, runner, default_corpus, node_a, node_b,
+                                         named):
+        result = runner.invoke(main, ["--store", str(default_corpus.store_path),
+                                      "stats", "lynis", node_a, node_b])
+        assert result.exit_code == 1
+        assert _one_error_line(result), result.output
+        assert named in result.output
+
+    def test_tool_without_runs(self, runner, tmp_path):
+        store = tmp_path / "s.db"
+        (tmp_path / "lynis.dat").write_text(make_lynis_fixture(64))
+        for node in ("a", "b"):
+            result = runner.invoke(main, ["--store", str(store), "ingest", node, "lynis",
+                                          str(tmp_path / "lynis.dat")])
+            assert result.exit_code == 0, result.output
+        result = runner.invoke(main, ["--store", str(store), "stats", "aide", "a", "b"])
+        assert result.exit_code == 1
+        assert _one_error_line(result), result.output
+        assert "no runs recorded for tool 'aide'" in result.output
 
     def test_welch_flag(self, runner, default_corpus):
         result = runner.invoke(main, ["--store", str(default_corpus.store_path),
@@ -517,18 +542,20 @@ class TestFixturesCommand:
                                       "--out-dir", str(corpus), "--spec", str(spec_path)])
         assert result.exit_code == 0, result.output
         with open_store(generated) as store:
-            runs = store.audit_runs()
+            runs = store._conn.execute(
+                "SELECT node, tool, iteration, phase, timestamp, runtime_seconds"
+                " FROM audit_runs ORDER BY node, tool, iteration").fetchall()
         assert len(runs) == 18
-        for run in runs:
-            name = TOOL_FILE_NAMES[run.tool]
+        for node, tool, iteration, phase, timestamp, runtime_seconds in runs:
+            name = TOOL_FILE_NAMES[Tool(tool)]
             result = runner.invoke(main, [
-                "--store", str(replayed), "ingest", run.node, run.tool.value,
-                str(corpus / "runs" / run.node / str(run.iteration) / name),
-                "--iteration", str(run.iteration), "--phase", run.phase.value,
-                "--timestamp", run.timestamp, "--runtime", repr(run.runtime_seconds),
+                "--store", str(replayed), "ingest", node, tool,
+                str(corpus / "runs" / node / str(iteration) / name),
+                "--iteration", str(iteration), "--phase", phase,
+                "--timestamp", timestamp, "--runtime", repr(runtime_seconds),
             ])
             assert result.exit_code == 0, result.output
-        for node, iteration in sorted({(run.node, run.iteration) for run in runs}):
+        for node, iteration in sorted({(run[0], run[2]) for run in runs}):
             result = runner.invoke(main, [
                 "--store", str(replayed), "score", node, "--iteration", str(iteration),
                 "--snapshot", str(corpus / "snapshots" / node),
@@ -569,7 +596,9 @@ class TestFixturesCommand:
         ({"runtime_distributions": {"lynis": [30, 1, 99]}}, "runtime_distributions.lynis"),
         ({"score_distributions": {"a": {"aide": [0.5, 0.1, 2]}}},
          "score_distributions.a.aide"),
-    ], ids=["node-key", "runtime-entry", "score-entry"])
+        ({"nodes": [{"name": "a", "profile": "full"}],
+          "score_distributions": {"b": {"lynis": [10, 1]}}}, "unknown nodes ['b']"),
+    ], ids=["node-key", "runtime-entry", "score-entry", "score-node"])
     def test_nested_spec_error_exits_1_and_writes_nothing(self, runner, tmp_path, spec, named):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(spec))
@@ -666,6 +695,15 @@ def _json_report(runner, store) -> str:
     return result.stdout
 
 
+def _unit_weight_rules(path: Path) -> Path:
+    """Write the default rules as a JSON rules document, every weight 1."""
+    path.write_text(json.dumps([
+        {"id": r.id, "name": r.name, "check_type": r.check_type.value, "weight": 1,
+         "params": dict(r.params)}
+        for r in default_rules().rules]))
+    return path
+
+
 def _tree_hash(directory: Path) -> str:
     """sha256 of ``find . -type f | LC_ALL=C sort | xargs sha256sum``."""
     names = sorted("./" + p.relative_to(directory).as_posix()
@@ -689,6 +727,22 @@ class TestRepeatedAndFailedCommands:
         assert result.exit_code == 0, result.output
         assert _json_report(runner, store) == before
 
+    def test_infinite_runtime_exits_1_and_writes_nothing(self, runner, seed_155_copy):
+        store, corpus = seed_155_copy
+        before = _json_report(runner, store)
+        with open_store(store) as handle:
+            count = handle._conn.execute("SELECT count(*) FROM audit_runs").fetchone()
+        result = runner.invoke(main, [
+            "--store", str(store), "ingest", "baseline", "lynis",
+            str(corpus / "runs" / "baseline" / "0" / "lynis.dat"), "--iteration", "12",
+            "--runtime", "inf",
+        ])
+        assert result.exit_code == 1
+        assert _one_error_line(result), result.output
+        with open_store(store) as handle:
+            assert handle._conn.execute("SELECT count(*) FROM audit_runs").fetchone() == count
+        assert _json_report(runner, store) == before
+
     def test_ingest_again_leaves_stats_unchanged(self, runner, seed_155_copy):
         store, corpus = seed_155_copy
         stats_argv = ["--store", str(store), "--format", "json", "stats",
@@ -706,11 +760,7 @@ class TestRepeatedAndFailedCommands:
     def test_reweighted_rules_rescore_only_their_evaluation(self, runner, seed_155_copy,
                                                             tmp_path):
         store, corpus = seed_155_copy
-        reweighted = json.loads(rules_to_json(default_rules()))
-        for entry in reweighted:
-            entry["weight"] = 1
-        rules_path = tmp_path / "r.json"
-        rules_path.write_text(json.dumps(reweighted))
+        rules_path = _unit_weight_rules(tmp_path / "r.json")
         result = runner.invoke(main, [
             "--store", str(store), "rules", "--rules", str(rules_path),
             "--snapshot", str(corpus / "snapshots" / "baseline"),
@@ -724,11 +774,7 @@ class TestRepeatedAndFailedCommands:
 
     def test_failed_rules_record_writes_nothing(self, runner, seed_155_copy, tmp_path):
         store, corpus = seed_155_copy
-        reweighted = json.loads(rules_to_json(default_rules()))
-        for entry in reweighted:
-            entry["weight"] = 1
-        rules_path = tmp_path / "r.json"
-        rules_path.write_text(json.dumps(reweighted))
+        rules_path = _unit_weight_rules(tmp_path / "r.json")
         with open_store(store) as handle:
             results_before = handle._conn.execute("SELECT * FROM custom_rule_results").fetchall()
         report_before = _json_report(runner, store)

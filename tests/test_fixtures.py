@@ -16,6 +16,7 @@ from uca.fixtures import (
     make_xccdf_fixture,
 )
 from uca.parsers import parse_aide_report, parse_lynis_report, parse_xccdf_results
+from uca.report import build_report
 from uca.repository import Phase, open_store
 from uca.rules import default_rules, evaluate_rules, load_snapshot, score_rules
 from uca.scoring import Tool
@@ -130,6 +131,15 @@ class TestCorpusSpec:
         with pytest.raises(SpecError, match=r"unknown keys \['iteration', 'node'\]$"):
             CorpusSpec.from_json('{"iteration": 5, "seed": 1, "node": "a"}')
 
+    def test_from_json_names_score_distributions_of_unknown_nodes(self):
+        with pytest.raises(SpecError, match=r"score_distributions of unknown nodes \['b'\]$"):
+            CorpusSpec.from_json('{"nodes": [{"name": "a", "profile": "full"}],'
+                                 ' "score_distributions": {"b": {"lynis": [10, 1]}}}')
+
+    def test_score_distributions_of_default_node(self):
+        spec = CorpusSpec.from_json('{"score_distributions": {"baseline": {"lynis": [10, 1]}}}')
+        assert spec.distribution(spec.nodes[0], Tool.LYNIS) == (10.0, 1.0)
+
     def test_from_json_names_unknown_node_keys(self):
         with pytest.raises(SpecError, match=r"unknown node keys \['iterations'\]$"):
             CorpusSpec.from_json(
@@ -159,17 +169,18 @@ class TestMakeCorpus:
         assert default_corpus.runs_recorded == 108
         assert default_corpus.aggregates_recorded == 36
         assert default_corpus.rule_results_recorded == 288
-        assert len(corpus_store.audit_runs()) == 108
-        assert len(corpus_store.aggregates()) == 36
+        assert len(corpus_store.score_rows()) == 108
+        assert len(corpus_store.aggregate_rows()) == 36
 
     def test_phases_follow_iteration(self, corpus_store):
-        for run in corpus_store.audit_runs():
-            if run.iteration == 0:
-                assert run.phase is Phase.PRE
-            elif run.iteration == 1:
-                assert run.phase is Phase.POST
+        for iteration, phase in corpus_store._conn.execute(
+                "SELECT iteration, phase FROM audit_runs"):
+            if iteration == 0:
+                assert Phase(phase) is Phase.PRE
+            elif iteration == 1:
+                assert Phase(phase) is Phase.POST
             else:
-                assert run.phase is Phase.ITERATION
+                assert Phase(phase) is Phase.ITERATION
 
     def test_corpus_files_parse_with_real_parsers(self, default_corpus):
         run_dir = default_corpus.corpus_dir / "runs" / "baseline" / "0"
@@ -209,8 +220,8 @@ class TestMakeCorpus:
         first = make_corpus(base, tmp_path / "a")
         second = make_corpus(other, tmp_path / "b")
         with open_store(first.store_path) as s1, open_store(second.store_path) as s2:
-            scores1 = [r.normalized_score for r in s1.audit_runs()]
-            scores2 = [r.normalized_score for r in s2.audit_runs()]
+            scores1 = [row[3] for row in s1.score_rows()]
+            scores2 = [row[3] for row in s2.score_rows()]
         assert scores1 != scores2
 
     def test_sample_means_within_two_standard_errors(self, corpus_store):
@@ -226,16 +237,16 @@ class TestMakeCorpus:
                 )
 
     def test_runtime_totals_match_reference(self, corpus_store):
-        summary = corpus_store.summarize_runtime()
-        assert summary.per_tool["aide"].total == pytest.approx(3368.91, abs=0.05)
-        assert summary.per_tool["lynis"].total == pytest.approx(1303.59, abs=0.05)
-        assert summary.per_tool["openscap"].total == pytest.approx(107.91, abs=0.05)
-        assert summary.grand_total == pytest.approx(4780.41, abs=0.05)
+        totals = {tool: total for tool, _, total, _ in corpus_store.summarize_runtime()}
+        assert totals["aide"] == pytest.approx(3368.91, abs=0.05)
+        assert totals["lynis"] == pytest.approx(1303.59, abs=0.05)
+        assert totals["openscap"] == pytest.approx(107.91, abs=0.05)
+        assert build_report(corpus_store).runtime_total == pytest.approx(4780.41, abs=0.05)
 
     def test_custom_scores_recorded_per_iteration(self, corpus_store):
         by_node = {}
-        for agg in corpus_store.aggregates():
-            by_node.setdefault(agg.node, set()).add(round(agg.custom, 2))
+        for node, custom, *_ in corpus_store.aggregate_rows():
+            by_node.setdefault(node, set()).add(round(custom, 2))
         assert by_node == {
             "baseline": {39.34},
             "partial": {72.13},

@@ -127,8 +127,8 @@ def test_report_and_export_build_no_records(tmp_path, monkeypatch):
     for record in (AuditRun, AggregateScore, RuleResult, RuleSet):
         monkeypatch.setattr(record, "__init__", refuse)
     monkeypatch.setattr(stats, "describe", refuse)
-    with open_store(store_path) as store, pytest.raises(AssertionError):
-        store.audit_runs()  # the patch bites
+    with pytest.raises(AssertionError):
+        _run("n00", "lynis", 0, 50.0)  # the patch bites
     runner = CliRunner()
     for argv in (["report"], ["--format", "json", "report"],
                  ["--format", "csv-dir", "report", "--out-dir", str(tmp_path / "csv")],
@@ -141,25 +141,29 @@ def test_report_and_export_build_no_records(tmp_path, monkeypatch):
 # --- the report as computed before it read plain rows ------------------------
 
 def _reference_bundle(store) -> ReportBundle:
-    """build_report from AuditRun, AggregateScore, RuleResult and RuleSet
-    records, with stats.describe means and rules.score_rules scores."""
-    runs = store.audit_runs()
+    """build_report from raw SQL rows of each table and RuleResult and RuleSet
+    records, with stats.describe means, rules.score_rules scores and a runtime
+    query of its own."""
+    runs = store._conn.execute(
+        "SELECT node, tool, iteration, normalized_score FROM audit_runs"
+        " ORDER BY node, tool, iteration").fetchall()
     if not runs:
         raise EmptyStoreError("no audit runs recorded")
     samples: dict = {}
-    for run in runs:
-        samples.setdefault((run.tool.value, run.node), []).append(run.normalized_score)
-    for agg in store.aggregates():
-        for metric in ("custom", "standard_uca", "extended_uca"):
-            value = getattr(agg, metric)
+    for node, tool, _, score in runs:
+        samples.setdefault((tool, node), []).append(score)
+    for node, *values in store._conn.execute(
+            "SELECT node, custom, standard_uca, extended_uca FROM aggregate_scores"
+            " ORDER BY node, iteration"):
+        for metric, value in zip(("custom", "standard_uca", "extended_uca"), values):
             if value is not None:
-                samples.setdefault((metric, agg.node), []).append(value)
+                samples.setdefault((metric, node), []).append(value)
 
     def mean(metric, node):
         values = samples.get((metric, node), [])
         return describe(values).mean if values else None
 
-    standard = {n: mean("standard_uca", n) for n in {run.node for run in runs}}
+    standard = {n: mean("standard_uca", n) for n in {run[0] for run in runs}}
     nodes = sorted(standard, key=lambda n: (standard[n] is None, standard[n] or 0.0, n))
     evaluations: dict = {}
     for node, iteration, rule_id, passed, weight in store._conn.execute(
@@ -193,32 +197,42 @@ def _reference_bundle(store) -> ReportBundle:
             except DegenerateSampleError:
                 continue
             significance.append((tool.value, r))
+    runtime = store._conn.execute(
+        "SELECT tool, AVG(runtime_seconds), SUM(runtime_seconds), COUNT(*)"
+        " FROM audit_runs GROUP BY tool ORDER BY tool").fetchall()
     return ReportBundle(
         nodes=nodes,
         score_table={m: {n: mean(m, n) for n in nodes} for m in SCORE_METRICS},
         rule_table=rule_table,
-        runtime=store.summarize_runtime(),
+        runtime=runtime,
+        runtime_total=sum(total for _, _, total, _ in runtime),
         node_low=node_low,
         node_high=node_high,
-        runs=[(run.node, run.tool.value, run.iteration, run.normalized_score) for run in runs],
+        runs=runs,
         significance=significance,
     )
 
 
 def _reference_exports(store) -> dict[str, bytes]:
-    """audit_runs.csv and aggregate_scores.csv formatted from records."""
+    """audit_runs.csv and aggregate_scores.csv formatted from raw SQL rows."""
     def cell(value):
         return "" if value is None else f"{value:.2f}"
 
     tables = {
         "audit_runs.csv": (AUDIT_CSV_HEADER, [
-            [run.node, run.tool.value, run.timestamp, run.iteration, run.phase.value,
-             f"{run.raw_score:.2f}", f"{run.normalized_score:.2f}", repr(run.runtime_seconds)]
-            for run in store.audit_runs()]),
+            [node, tool, timestamp, iteration, phase,
+             f"{raw_score:.2f}", f"{normalized_score:.2f}", repr(runtime_seconds)]
+            for node, tool, timestamp, iteration, phase, raw_score, normalized_score,
+            runtime_seconds in store._conn.execute(
+                "SELECT node, tool, timestamp, iteration, phase, raw_score, normalized_score,"
+                " runtime_seconds FROM audit_runs ORDER BY node, tool, iteration")]),
         "aggregate_scores.csv": (AGGREGATE_CSV_HEADER, [
-            [agg.node, agg.iteration, cell(agg.lynis), cell(agg.openscap), cell(agg.aide),
-             cell(agg.custom), cell(agg.standard_uca), cell(agg.extended_uca), agg.timestamp]
-            for agg in store.aggregates()]),
+            [node, iteration, cell(lynis), cell(openscap), cell(aide),
+             cell(custom), cell(standard_uca), cell(extended_uca), timestamp]
+            for node, iteration, lynis, openscap, aide, custom, standard_uca, extended_uca,
+            timestamp in store._conn.execute(
+                "SELECT node, iteration, lynis, openscap, aide, custom, standard_uca,"
+                " extended_uca, timestamp FROM aggregate_scores ORDER BY node, iteration")]),
     }
     files = {}
     for name, (header, rows) in tables.items():

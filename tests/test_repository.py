@@ -16,6 +16,7 @@ from uca.repository import (
     Phase,
     open_store,
 )
+from uca.report import build_report
 from uca.scoring import AggregateScore, Tool, compute_standard_uca
 
 
@@ -56,7 +57,7 @@ class TestOpenStore:
         with open_store(path) as store:
             store.record_audit_run(_run())
         with open_store(path) as store:
-            assert len(store.audit_runs()) == 1
+            assert len(store.score_rows()) == 1
 
     def test_unopenable_path(self, tmp_path):
         with pytest.raises(StoreIOError):
@@ -156,9 +157,9 @@ class TestSchemaVersion:
         _v1_store(path, [("r1", 0), ("r2", 1), ("r1", 1)])
         with open_store(path) as store:
             assert store._conn.execute("PRAGMA user_version").fetchone() == (3,)
-            assert [(r.tool, r.normalized_score) for r in store.audit_runs()] == [
+            assert [(tool, score) for _, tool, _, score in store.score_rows()] == [
                 (Tool.AIDE, 70.0), (Tool.LYNIS, 60.0)]
-            assert [a.standard_uca for a in store.aggregates()] == [60.0]
+            assert [row[2] for row in store.aggregate_rows()] == [60.0]
             assert store._conn.execute(
                 "SELECT rule_id, passed, weight FROM custom_rule_results ORDER BY rule_id"
             ).fetchall() == [("r1", 1, 3), ("r2", 1, 5)]
@@ -206,15 +207,16 @@ class TestRecording:
         with open_store(tmp_path / "s.db") as store:
             run = _run()
             run_id = store.record_audit_run(run)
-            assert run_id == run.id
-            stored = store.audit_runs()
+            stored = store._conn.execute("SELECT id, node, tool, phase, raw_score,"
+                                         " normalized_score FROM audit_runs").fetchall()
             assert len(stored) == 1
-            fetched = stored[0]
-            assert fetched.node == run.node
-            assert fetched.tool is Tool.LYNIS
-            assert fetched.phase is Phase.PRE
-            assert fetched.raw_score == run.raw_score
-            assert fetched.normalized_score == run.normalized_score
+            fetched_id, node, tool, phase, raw_score, normalized_score = stored[0]
+            assert run_id == fetched_id
+            assert node == run.node
+            assert Tool(tool) is Tool.LYNIS
+            assert Phase(phase) is Phase.PRE
+            assert raw_score == run.raw_score
+            assert normalized_score == run.normalized_score
 
     def test_ids_strictly_increase(self, tmp_path):
         with open_store(tmp_path / "s.db") as store:
@@ -231,6 +233,13 @@ class TestRecording:
         with open_store(tmp_path / "s.db") as store:
             with pytest.raises(ConstraintViolationError):
                 store.record_audit_run(_run(runtime_seconds=-1))
+
+    @pytest.mark.parametrize("runtime", [math.inf, -math.inf, math.nan])
+    def test_non_finite_runtime(self, tmp_path, runtime):
+        with open_store(tmp_path / "s.db") as store:
+            with pytest.raises(ConstraintViolationError):
+                store.record_audit_run(_run(runtime_seconds=runtime))
+            assert store.score_rows() == []
 
     def test_aggregate_custom_pairing(self, tmp_path):
         with open_store(tmp_path / "s.db") as store:
@@ -255,9 +264,9 @@ class TestRecording:
                     store.record_evaluation(default_rules(), (
                         evaluate_rules(default_rules(), make_snapshot(profile, "baseline"))
                         + evaluate_rules(default_rules(), make_snapshot(profile, "web"), 1)))
-            assert [(r.tool, r.normalized_score) for r in store.audit_runs()] == [
+            assert [(tool, score) for _, tool, _, score in store.score_rows()] == [
                 (Tool.AIDE, 60.0), (Tool.LYNIS, 60.0)]
-            assert len(store.aggregates()) == 1
+            assert len(store.aggregate_rows()) == 1
             results = store._conn.execute("SELECT node, iteration, passed"
                                           " FROM custom_rule_results ORDER BY node, id").fetchall()
             assert [(node, iteration) for node, iteration, _ in results] == (
@@ -277,7 +286,7 @@ class TestRecording:
                 blocker.close()
             # the failed write left no transaction open
             store.record_audit_run(_run())
-            assert len(store.audit_runs()) == 1
+            assert len(store.score_rows()) == 1
 
     def test_rule_results_count(self, corpus_store_copy):
         from uca.fixtures import Profile, make_snapshot
@@ -349,13 +358,17 @@ class TestCsvExport:
         ("import_audit_csv", AUDIT_CSV_HEADER,
          "web,lynis,2025-03-03T00:00:00+00:00,0,pre,64,64,1",
          "web,aide,2025-03-03T00:00:00+00:00,0,pre,64,140,1"),
+        ("import_audit_csv", AUDIT_CSV_HEADER,
+         "web,lynis,2025-03-03T00:00:00+00:00,0,pre,64,64,1",
+         "web,aide,2025-03-03T00:00:00+00:00,0,pre,0,100,inf"),
         ("import_aggregate_csv", AGGREGATE_CSV_HEADER,
          "web,0,64,40,45,,50.6,,2025-03-03T00:09:00+00:00",
          "web,1,64,40,45,39.34,50.6,,2025-03-03T01:09:00+00:00"),
         ("import_aggregate_csv", AGGREGATE_CSV_HEADER,
          "web,0,64,40,45,,50.6,,2025-03-03T00:09:00+00:00",
          "web,1,64,40,45,,99,,2025-03-03T01:09:00+00:00"),
-    ], ids=["unparsable-run", "run-outside-schema", "aggregate-outside-schema",
+    ], ids=["unparsable-run", "run-outside-schema", "run-infinite-runtime",
+            "aggregate-outside-schema",
             "aggregate-outside-components"])
     def test_bad_row_at_line_3_leaves_no_rows(self, tmp_path, importer, header, good, bad):
         path = tmp_path / "bad.csv"
@@ -363,7 +376,7 @@ class TestCsvExport:
         with open_store(tmp_path / "s.db") as store:
             with pytest.raises(ConstraintViolationError, match="bad.csv:3: "):
                 getattr(store, importer)(path)
-            assert len(store.audit_runs()) == len(store.aggregates()) == 0
+            assert len(store.score_rows()) == len(store.aggregate_rows()) == 0
 
 
     @pytest.mark.parametrize("importer, header, good", [
@@ -379,18 +392,18 @@ class TestCsvExport:
         with open_store(tmp_path / "s.db") as store:
             with pytest.raises(ConstraintViolationError, match="bad.csv:3: 'utf-8' codec"):
                 getattr(store, importer)(path)
-            assert len(store.audit_runs()) == len(store.aggregates()) == 0
+            assert len(store.score_rows()) == len(store.aggregate_rows()) == 0
 
 class TestRuntimeSummary:
     def test_single_run(self, tmp_path):
         with open_store(tmp_path / "s.db") as store:
             store.record_audit_run(_run(runtime_seconds=10.0))
-            summary = store.summarize_runtime()
-            entry = summary.per_tool["lynis"]
-            assert entry.average == pytest.approx(10.0)
-            assert entry.total == pytest.approx(10.0)
-            assert entry.count == 1
-            assert summary.grand_total == pytest.approx(10.0)
+            [(tool, average, total, count)] = store.summarize_runtime()
+            assert tool == "lynis"
+            assert average == pytest.approx(10.0)
+            assert total == pytest.approx(10.0)
+            assert count == 1
+            assert build_report(store).runtime_total == pytest.approx(10.0)
 
     def test_empty_store(self, tmp_path):
         with open_store(tmp_path / "s.db") as store:
@@ -403,30 +416,31 @@ class TestRuntimeSummary:
                 store.record_audit_run(_run(
                     tool=Tool.AIDE, iteration=i, runtime_seconds=93.58,
                 ))
-            total = store.summarize_runtime().per_tool["aide"].total
+            total = {tool: total for tool, _, total, _ in store.summarize_runtime()}["aide"]
             assert total == pytest.approx(3368.88, abs=0.001)
             assert total == pytest.approx(3368.91, abs=0.05)
 
     def test_totals_are_exact_sums(self, corpus_store):
-        summary = corpus_store.summarize_runtime()
-        runs = corpus_store.audit_runs()
-        for tool, entry in summary.per_tool.items():
-            runtimes = [r.runtime_seconds for r in runs if r.tool.value == tool]
-            assert entry.count == len(runtimes)
-            assert entry.total == pytest.approx(math.fsum(runtimes), rel=1e-12)
-            assert entry.average * entry.count == pytest.approx(entry.total, abs=0.05)
-        assert summary.grand_total == pytest.approx(
-            math.fsum(r.runtime_seconds for r in runs), rel=1e-12
+        runs = corpus_store._conn.execute(
+            "SELECT tool, runtime_seconds FROM audit_runs").fetchall()
+        for tool, average, total, count in corpus_store.summarize_runtime():
+            runtimes = [runtime for run_tool, runtime in runs if run_tool == tool]
+            assert count == len(runtimes)
+            assert total == pytest.approx(math.fsum(runtimes), rel=1e-12)
+            assert average * count == pytest.approx(total, abs=0.05)
+        assert build_report(corpus_store).runtime_total == pytest.approx(
+            math.fsum(runtime for _, runtime in runs), rel=1e-12
         )
 
 
 class TestStoredAggregatesRederive:
     def test_standard_uca_rederives_from_components(self, corpus_store):
-        aggregates = corpus_store.aggregates()
+        aggregates = corpus_store._conn.execute(
+            "SELECT lynis, openscap, aide, standard_uca FROM aggregate_scores").fetchall()
         assert aggregates
-        for agg in aggregates:
-            expected = compute_standard_uca(agg.lynis, agg.openscap, agg.aide)
-            assert agg.standard_uca == pytest.approx(expected, abs=1e-9)
+        for lynis, openscap, aide, standard_uca in aggregates:
+            expected = compute_standard_uca(lynis, openscap, aide)
+            assert standard_uca == pytest.approx(expected, abs=1e-9)
 
 
 class TestConcurrency:
@@ -449,4 +463,4 @@ class TestConcurrency:
             for thread in threads:
                 thread.join()
             assert not errors
-            assert len(store.audit_runs()) == 40
+            assert len(store.score_rows()) == 40

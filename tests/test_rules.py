@@ -28,7 +28,6 @@ from uca.rules import (
     evaluate_rules,
     load_rules,
     load_snapshot,
-    rules_to_json,
     save_snapshot,
     score_rules,
 )
@@ -52,7 +51,10 @@ class TestLoadRules:
 
     def test_default_document_round_trip(self):
         default = default_rules()
-        reloaded = load_rules(rules_to_json(default))
+        reloaded = load_rules(json.dumps([
+            {"id": r.id, "name": r.name, "check_type": r.check_type.value,
+             "weight": r.weight, "params": dict(r.params)}
+            for r in default.rules]))
         assert reloaded == default
         assert reloaded.total_weight == 61
 

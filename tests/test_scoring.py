@@ -25,9 +25,9 @@ scores = st.floats(min_value=0.0, max_value=100.0, allow_nan=False)
 
 class TestNormalization:
     def test_lynis_identity_and_clamps(self):
-        assert normalize_lynis(64).value == 64
-        assert normalize_lynis(105).value == 100
-        assert normalize_lynis(-3).value == 0
+        assert normalize_lynis(64) == 64
+        assert normalize_lynis(105) == 100
+        assert normalize_lynis(-3) == 0
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_lynis_non_finite(self, bad):
@@ -35,42 +35,42 @@ class TestNormalization:
             normalize_lynis(bad)
 
     def test_openscap(self):
-        assert normalize_openscap(71.82).value == pytest.approx(71.82)
-        assert normalize_openscap(0).value == 0
-        assert normalize_openscap(100.4).value == 100
+        assert normalize_openscap(71.82) == pytest.approx(71.82)
+        assert normalize_openscap(0) == 0
+        assert normalize_openscap(100.4) == 100
 
     def test_aide_examples(self):
-        assert normalize_aide(0, 0, 0).value == 100
-        assert normalize_aide(2, 1, 4).value == 65  # 100 - 5*7
-        assert normalize_aide(10, 10, 10).value == 0
+        assert normalize_aide(0, 0, 0) == 100
+        assert normalize_aide(2, 1, 4) == 65  # 100 - 5*7
+        assert normalize_aide(10, 10, 10) == 0
 
     def test_aide_negative_count(self):
         with pytest.raises(NegativeCountError):
             normalize_aide(-1, 0, 0)
 
     def test_aide_penalty_param(self):
-        assert normalize_aide(1, 1, 0, penalty=10).value == 80
+        assert normalize_aide(1, 1, 0, penalty=10) == 80
         with pytest.raises(OutOfRangeError):
             normalize_aide(0, 0, 0, penalty=0)
 
     @given(raw=st.floats(allow_nan=False, allow_infinity=False))
     def test_outputs_bounded(self, raw):
-        assert 0 <= normalize_lynis(raw).value <= 100
-        assert 0 <= normalize_openscap(raw).value <= 100
+        assert 0 <= normalize_lynis(raw) <= 100
+        assert 0 <= normalize_openscap(raw) <= 100
 
     @given(
         a=st.integers(0, 50), r=st.integers(0, 50), c=st.integers(0, 50),
         bump=st.integers(1, 10),
     )
     def test_aide_monotone_non_increasing(self, a, r, c, bump):
-        base = normalize_aide(a, r, c).value
-        assert normalize_aide(a + bump, r, c).value <= base
-        assert normalize_aide(a, r + bump, c).value <= base
-        assert normalize_aide(a, r, c + bump).value <= base
+        base = normalize_aide(a, r, c)
+        assert normalize_aide(a + bump, r, c) <= base
+        assert normalize_aide(a, r + bump, c) <= base
+        assert normalize_aide(a, r, c + bump) <= base
 
     @given(a=st.integers(0, 200), r=st.integers(0, 200), c=st.integers(0, 200))
     def test_aide_floor(self, a, r, c):
-        value = normalize_aide(a, r, c).value
+        value = normalize_aide(a, r, c)
         assert 0 <= value <= 100
         if a + r + c >= 20:  # 100 / default penalty
             assert value == 0
