@@ -10,7 +10,7 @@ the individual weight flags.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -255,6 +255,9 @@ def stats_cmd(app: AppContext, tool, node_a, node_b, welch):
                 raise UnknownNodeError(f"no runs recorded for node {name!r}")
         if tool not in {known for _, known in pairs}:
             raise UnknownToolError(f"no runs recorded for tool {tool!r}")
+        for name in (node_a, node_b):
+            if (name, tool) not in pairs:
+                raise UnknownToolError(f"no {tool} runs recorded for node {name!r}")
         group_a = store.tool_scores(tool, node_a)
         group_b = store.tool_scores(tool, node_b)
     result = stats.pooled_t_test(group_a, group_b, welch=welch)
@@ -327,7 +330,7 @@ def fixtures(app: AppContext, out_dir, seed, spec_path):
     spec = (fixtures_mod.CorpusSpec.from_json(Path(spec_path).read_bytes())
             if spec_path is not None else fixtures_mod.CorpusSpec())
     if seed is not None:
-        spec.seed = seed
+        spec = replace(spec, seed=seed)
     result = fixtures_mod.make_corpus(
         spec, out_dir, store_path=app.store_path, weights=app.weights
     )

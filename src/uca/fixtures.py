@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from enum import Enum
 from pathlib import Path
@@ -257,9 +257,28 @@ _DEFAULT_NODES = (
 )
 
 
-@dataclass
+# CorpusSpec.from_dict's parser of each key a spec document may hold, one per field
+_SPEC_PARSERS = {
+    "nodes": lambda nodes: tuple(_node_spec(node) for node in nodes),
+    "iterations": int,
+    "seed": int,
+    "score_distributions": lambda per_node: {
+        name: {Tool(tool): _mean_sd(f"score_distributions.{name}.{tool}", pair)
+               for tool, pair in per_tool.items()}
+        for name, per_tool in per_node.items()},
+    "runtime_distributions": lambda per_tool: {
+        Tool(tool): _mean_sd(f"runtime_distributions.{tool}", pair)
+        for tool, pair in per_tool.items()},
+    "scap_total_rules": int,
+    "start_time": datetime.fromisoformat,
+}
+
+
+@dataclass(frozen=True)
 class CorpusSpec:
-    """Parameters for one synthetic corpus; identical specs yield identical corpora."""
+    """Parameters for one synthetic corpus; identical specs yield identical corpora.
+    Frozen, and checked when made: an invalid value raises OutOfRangeError, and a
+    score distribution of a node the spec does not have SpecError."""
 
     nodes: tuple[NodeSpec, ...] = _DEFAULT_NODES
     iterations: int = 12
@@ -284,7 +303,11 @@ class CorpusSpec:
             return override[tool]
         return _PROFILE_SCORE_DISTRIBUTIONS[node.profile][tool]
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
+        unknown = sorted(set(self.score_distributions) - {node.name for node in self.nodes})
+        if unknown:
+            raise SpecError(f"invalid spec document: score_distributions of unknown"
+                            f" nodes {unknown}")
         if not self.nodes:
             raise OutOfRangeError("corpus needs at least one node")
         if self.iterations < 1:
@@ -307,38 +330,10 @@ class CorpusSpec:
         """Build a spec from parsed JSON, keeping defaults for absent keys; a key
         that is no field, at the top or in a node, a distribution entry that is
         not two numbers, or one for a node not in the spec raises SpecError."""
-        unknown = set(data) - set(cls.__dataclass_fields__)
+        unknown = set(data) - set(_SPEC_PARSERS)
         if unknown:
             raise SpecError(f"invalid spec document: unknown keys {sorted(unknown)}")
-        spec = cls()
-        if "nodes" in data:
-            spec = replace(spec, nodes=tuple(_node_spec(n) for n in data["nodes"]))
-        if "iterations" in data:
-            spec = replace(spec, iterations=int(data["iterations"]))
-        if "seed" in data:
-            spec = replace(spec, seed=int(data["seed"]))
-        if "scap_total_rules" in data:
-            spec = replace(spec, scap_total_rules=int(data["scap_total_rules"]))
-        if "start_time" in data:
-            spec = replace(spec, start_time=datetime.fromisoformat(data["start_time"]))
-        if "score_distributions" in data:
-            parsed: dict[str, dict[Tool, tuple[float, float]]] = {}
-            for node_name, per_tool in data["score_distributions"].items():
-                parsed[node_name] = {
-                    Tool(tool): _mean_sd(f"score_distributions.{node_name}.{tool}", pair)
-                    for tool, pair in per_tool.items()
-                }
-            unknown = sorted(set(parsed) - {node.name for node in spec.nodes})
-            if unknown:
-                raise SpecError(f"invalid spec document: score_distributions of unknown"
-                                f" nodes {unknown}")
-            spec = replace(spec, score_distributions=parsed)
-        if "runtime_distributions" in data:
-            spec = replace(spec, runtime_distributions={
-                Tool(tool): _mean_sd(f"runtime_distributions.{tool}", pair)
-                for tool, pair in data["runtime_distributions"].items()
-            })
-        return spec
+        return cls(**{key: _SPEC_PARSERS[key](value) for key, value in data.items()})
 
     @classmethod
     def from_json(cls, document: str | bytes) -> "CorpusSpec":
@@ -414,8 +409,6 @@ def make_corpus(
     The default spec yields 3 tools x 3 nodes x 12 iterations = 108 runs and
     36 aggregate rows.
     """
-    spec.validate()
-    weights.validate()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     store_path = Path(store_path) if store_path is not None else out_dir / "uca.db"

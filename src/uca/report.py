@@ -23,7 +23,7 @@ from pathlib import Path
 
 from . import stats
 from .errors import DegenerateSampleError, EmptyStoreError
-from .repository import Store, write_csv
+from .repository import Store, csv_score, write_csv
 from .scoring import Tool
 
 __all__ = [
@@ -234,10 +234,6 @@ def render_json(bundle: ReportBundle) -> str:
     return json.dumps(bundle_to_dict(bundle), indent=2) + "\n"
 
 
-def _cell(value: float | None) -> str:
-    return "" if value is None else f"{value:.2f}"
-
-
 def _csv_files(bundle: ReportBundle) -> dict[str, tuple[list[str], Iterable]]:
     """All nine report CSV files: file name -> (header, formatted rows).
 
@@ -245,14 +241,14 @@ def _csv_files(bundle: ReportBundle) -> dict[str, tuple[list[str], Iterable]]:
     repeats or slices them, except the per-run score progression, whose rows
     are a generator so that a call writing only the tables does not format them.
     """
-    cells = {m: [_cell(bundle.score_table[m].get(n)) for n in bundle.nodes]
+    cells = {m: [csv_score(bundle.score_table[m].get(n)) for n in bundle.nodes]
              for m in SCORE_METRICS}
 
     def by_node(*metrics: str) -> list:
         return list(zip(bundle.nodes, *(cells[m] for m in metrics)))
 
     rules_header = list(RULE_COLUMNS)
-    rules = [[r["node"], r["passed"], r["failed"], _cell(r["score_pct"])]
+    rules = [[r["node"], r["passed"], r["failed"], csv_score(r["score_pct"])]
              for r in bundle.rule_table]
     runtime_header = ["tool", "avg_runtime_seconds", "total_runtime_seconds", "runs"]
     runtime = [[tool, f"{average:.2f}", f"{total:.2f}", count]

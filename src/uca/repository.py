@@ -24,8 +24,9 @@ Concurrency contract: opening a version-3 store takes no write lock, so a
 read-only file opens and reads see the committed state while another process
 writes; an older store must be writable once, to be upgraded. Writes are
 serialized by a lock on the store handle, which may be passed between threads.
-Timestamps are stored as ISO-8601 UTC text. Queries return plain rows and
-values, no record objects; only the writes take records.
+Timestamps are stored as ISO-8601 text. Queries return plain rows and values,
+no record objects; only the writes take records, whose fields are the columns
+of one list per table, from which its CSV header, insert, export and import derive.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ import threading
 from collections.abc import Callable, Iterable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
+from datetime import datetime
 from enum import Enum
 from pathlib import Path
 
@@ -58,15 +60,6 @@ __all__ = [
     "write_csv",
     "AUDIT_CSV_HEADER",
     "AGGREGATE_CSV_HEADER",
-]
-
-AUDIT_CSV_HEADER = [
-    "node", "tool", "timestamp", "iteration", "phase",
-    "raw_score", "normalized_score", "runtime_seconds",
-]
-AGGREGATE_CSV_HEADER = [
-    "node", "iteration", "lynis", "openscap", "aide",
-    "custom", "standard_uca", "extended_uca", "timestamp",
 ]
 
 
@@ -93,6 +86,34 @@ class AuditRun:
     raw_score: float
     normalized_score: float
     runtime_seconds: float
+
+
+def _optional_float(text: str) -> float | None:
+    return float(text) if text else None
+
+
+def csv_score(value: float | None) -> str:
+    """A score as CSV text: two decimals, or blank for none."""
+    return "" if value is None else f"{value:.2f}"
+
+
+# The columns of each exported table, in table and CSV order, as (name, parser
+# of its CSV text, formatter of its stored value, or None to write it as it is).
+# A column's name is also its record's field. The CSV headers, the inserts, the
+# exports and the imports are all derived from these.
+_RUN_COLUMNS = (
+    ("node", str, None), ("tool", Tool, None), ("timestamp", str, None),
+    ("iteration", int, None), ("phase", Phase, None), ("raw_score", float, csv_score),
+    ("normalized_score", float, csv_score), ("runtime_seconds", float, repr),
+)
+_AGG_COLUMNS = (
+    ("node", str, None), ("iteration", int, None), ("lynis", float, csv_score),
+    ("openscap", float, csv_score), ("aide", float, csv_score),
+    ("custom", _optional_float, csv_score), ("standard_uca", float, csv_score),
+    ("extended_uca", _optional_float, csv_score), ("timestamp", str, None),
+)
+AUDIT_CSV_HEADER = [name for name, _, _ in _RUN_COLUMNS]
+AGGREGATE_CSV_HEADER = [name for name, _, _ in _AGG_COLUMNS]
 
 
 # Schema version 3, the text of every store, new or upgraded.
@@ -168,6 +189,7 @@ _UPGRADES = {0: _SCHEMA, 2: "DROP TABLE custom_rules", _VERSION: ""}
 
 
 _RUN_ORDER = " ORDER BY node, tool, iteration"
+_AGG_ORDER = " ORDER BY node, iteration"
 
 
 def open_store(path: Path | str, *, create: bool = True) -> "Store":
@@ -247,35 +269,33 @@ class Store:
                 raise StoreIOError(f"{self.path}: {exc}") from None
 
     def record_audit_run(self, run: AuditRun) -> int:
-        """Record one run, replacing any run of its (node, tool, iteration); a
-        non-finite runtime raises ConstraintViolationError."""
-        # an infinity would pass the schema's CHECK and reach the report as
-        # Infinity, which is not JSON
-        if not math.isfinite(run.runtime_seconds):
-            raise ConstraintViolationError(
-                f"runtime_seconds must be finite, got {run.runtime_seconds!r}")
-        with self.transaction():
-            cursor = self._conn.execute(
-                "INSERT OR REPLACE INTO audit_runs (node, tool, timestamp, iteration,"
-                " phase, raw_score, normalized_score, runtime_seconds)"
-                " VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
-                (run.node, run.tool, run.timestamp, run.iteration, run.phase,
-                 run.raw_score, run.normalized_score, run.runtime_seconds),
-            )
-        return cursor.lastrowid
+        """Record one run, replacing any run of its (node, tool, iteration)."""
+        return self._record("audit_runs", AUDIT_CSV_HEADER, run)
 
     def record_aggregate(self, agg: AggregateScore) -> int:
         """Record one aggregate, replacing any aggregate of its (node, iteration)."""
+        agg.id = self._record("aggregate_scores", AGGREGATE_CSV_HEADER, agg)
+        return agg.id
+
+    def _record(self, table: str, columns: list[str], record: object) -> int:
+        """Replace the row of ``record``'s key in ``table``; returns its row id. A
+        non-finite number or a non-ISO-8601 timestamp raises ConstraintViolationError."""
+        values = [getattr(record, name) for name in columns]
+        for name, value in zip(columns, values):
+            # an infinity would pass the schema where no CHECK bounds it, and
+            # reach the report as Infinity, which is not JSON, or the export as inf
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConstraintViolationError(f"{name} must be finite, got {value!r}")
+        try:
+            datetime.fromisoformat(record.timestamp)
+        except (TypeError, ValueError):
+            raise ConstraintViolationError(
+                f"timestamp must be ISO-8601, got {record.timestamp!r}") from None
         with self.transaction():
             cursor = self._conn.execute(
-                "INSERT OR REPLACE INTO aggregate_scores (node, iteration, lynis, openscap,"
-                " aide, custom, standard_uca, extended_uca, timestamp)"
-                " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
-                (agg.node, agg.iteration, agg.lynis, agg.openscap, agg.aide,
-                 agg.custom, agg.standard_uca, agg.extended_uca, agg.timestamp),
-            )
-        agg.id = cursor.lastrowid
-        return agg.id
+                f"INSERT OR REPLACE INTO {table} ({', '.join(columns)})"
+                f" VALUES ({', '.join('?' * len(columns))})", values)
+        return cursor.lastrowid
 
     def record_evaluation(self, ruleset: RuleSet, results: list[RuleResult]) -> int:
         """Record one evaluation of ``ruleset``: replace the results of each (node,
@@ -309,7 +329,7 @@ class Store:
     def aggregate_rows(self) -> list[tuple[str, float | None, float, float | None]]:
         """(node, custom, standard_uca, extended_uca) per aggregate, by (node, iteration)."""
         return self._conn.execute("SELECT node, custom, standard_uca, extended_uca"
-                                  " FROM aggregate_scores ORDER BY node, iteration").fetchall()
+                                  " FROM aggregate_scores" + _AGG_ORDER).fetchall()
 
     def runs_for(self, node: str, iteration: int) -> dict[str, float]:
         """{tool: normalized_score} of the runs of (node, iteration)."""
@@ -353,37 +373,36 @@ class Store:
 
     def export_audit_csv(self, path: Path | str) -> int:
         """Write audit_runs.csv ordered by (node, tool, iteration); returns rows."""
-        return write_csv(path, AUDIT_CSV_HEADER, [
-            [*row, f"{raw:.2f}", f"{normalized:.2f}", repr(runtime)]
-            for *row, raw, normalized, runtime in self._conn.execute(
-                "SELECT node, tool, timestamp, iteration, phase, raw_score, normalized_score,"
-                " runtime_seconds FROM audit_runs" + _RUN_ORDER)
-        ])
+        return self._export_csv(path, "audit_runs", _RUN_COLUMNS, _RUN_ORDER)
 
     def export_aggregate_csv(self, path: Path | str) -> int:
         """Write aggregate_scores.csv ordered by (node, iteration); returns rows."""
-        return write_csv(path, AGGREGATE_CSV_HEADER, [
-            [node, iteration, *("" if v is None else f"{v:.2f}" for v in scores), timestamp]
-            for node, iteration, *scores, timestamp in self._conn.execute(
-                "SELECT node, iteration, lynis, openscap, aide, custom, standard_uca,"
-                " extended_uca, timestamp FROM aggregate_scores ORDER BY node, iteration")
-        ])
+        return self._export_csv(path, "aggregate_scores", _AGG_COLUMNS, _AGG_ORDER)
 
     def import_audit_csv(self, path: Path | str) -> int:
         """Load rows from an audit_runs.csv export; returns rows recorded."""
-        return self._import_csv(path, AUDIT_CSV_HEADER, _run_from_csv, self.record_audit_run)
+        return self._import_csv(path, _RUN_COLUMNS, AuditRun, self.record_audit_run)
 
     def import_aggregate_csv(self, path: Path | str) -> int:
         """Load rows from an aggregate_scores.csv export; returns rows recorded."""
-        return self._import_csv(path, AGGREGATE_CSV_HEADER, _aggregate_from_csv,
-                                self.record_aggregate)
+        return self._import_csv(path, _AGG_COLUMNS, AggregateScore, self.record_aggregate)
 
-    def _import_csv(self, path: Path | str, header: list[str],
-                    parse_row: Callable[[list[str]], object],
+    def _export_csv(self, path: Path | str, table: str, columns: tuple, order: str) -> int:
+        """Write ``table`` in ``order`` as CSV; returns rows written."""
+        header = [name for name, _, _ in columns]
+        formats = [(index, fmt) for index, (_, _, fmt) in enumerate(columns) if fmt]
+        rows = [list(row) for row in self._conn.execute(
+            f"SELECT {', '.join(header)} FROM {table}{order}")]
+        for row in rows:
+            for index, fmt in formats:
+                row[index] = fmt(row[index])
+        return write_csv(path, header, rows)
+
+    def _import_csv(self, path: Path | str, columns: tuple, record_type: type,
                     record: Callable[[object], int]) -> int:
         """Record every row of a UTF-8 CSV export in one transaction, so a bad
         row leaves the store as it was; a line that does not decode, a row that
-        does not parse or one the store rejects raises ConstraintViolationError
+        is short, does not parse or is rejected raises ConstraintViolationError
         naming ``path:line``. Returns rows recorded."""
         data = Path(path).read_bytes()
         try:
@@ -395,12 +414,15 @@ class Store:
         with self.transaction():
             reader = csv.reader(io.StringIO(text, newline=""))
             found = next(reader, None)
-            if found != header:
+            if found != [name for name, _, _ in columns]:
                 raise ConstraintViolationError(f"{path}: unexpected header {found!r}")
             for lineno, row in enumerate(reader, start=2):
                 try:
-                    record(parse_row(row))
-                except (IndexError, ValueError, ConstraintViolationError,
+                    if len(row) < len(columns):
+                        raise ValueError(f"{len(row)} fields, expected {len(columns)}")
+                    record(record_type(**{name: parse(cell) for (name, parse, _), cell
+                                          in zip(columns, row)}))
+                except (ValueError, ConstraintViolationError,
                         sqlite3.IntegrityError) as exc:
                     raise ConstraintViolationError(f"{path}:{lineno}: {exc}") from None
                 count += 1
@@ -417,19 +439,3 @@ def write_csv(path: Path | str, header: list[str], rows: Iterable[Iterable]) -> 
             writer.writerow(row)
     return count
 
-
-def _run_from_csv(row: list[str]) -> AuditRun:
-    return AuditRun(
-        node=row[0], tool=Tool(row[1]), timestamp=row[2], iteration=int(row[3]),
-        phase=Phase(row[4]), raw_score=float(row[5]), normalized_score=float(row[6]),
-        runtime_seconds=float(row[7]),
-    )
-
-
-def _aggregate_from_csv(row: list[str]) -> AggregateScore:
-    return AggregateScore(
-        node=row[0], iteration=int(row[1]), lynis=float(row[2]),
-        openscap=float(row[3]), aide=float(row[4]),
-        custom=float(row[5]) if row[5] else None, standard_uca=float(row[6]),
-        extended_uca=float(row[7]) if row[7] else None, timestamp=row[8],
-    )

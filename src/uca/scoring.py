@@ -43,10 +43,11 @@ class Tool(str, Enum):
 
 @dataclass(frozen=True)
 class WeightConfig:
-    """Blend weights plus the AIDE per-change penalty.
+    """Blend weights plus the AIDE per-change penalty, checked when made.
 
     The three tool weights must be non-negative and sum to 1; the custom
-    blend weight lies in [0, 1]; the penalty is positive.
+    blend weight lies in [0, 1]; the penalty is positive. Constructing a
+    config that breaks any of these raises InvalidWeightsError.
     """
 
     w_lynis: float = 0.4
@@ -55,7 +56,7 @@ class WeightConfig:
     w_custom: float = 0.2
     aide_penalty_per_change: float = 5.0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         weights = (self.w_lynis, self.w_openscap, self.w_aide)
         if any(not math.isfinite(w) for w in weights + (self.w_custom, self.aide_penalty_per_change)):
             raise InvalidWeightsError("weights must be finite")
@@ -73,18 +74,14 @@ class WeightConfig:
     @classmethod
     def from_mapping(cls, mapping: Mapping[str, float]) -> "WeightConfig":
         """Build a config from a flat mapping, keeping defaults for absent keys."""
-        base = cls()
-        known = {f for f in base.__dataclass_fields__}
-        unknown = set(mapping) - known
+        unknown = set(mapping) - set(cls.__dataclass_fields__)
         if unknown:
             raise InvalidWeightsError(f"unknown weight keys: {sorted(unknown)}")
         try:
-            merged = {f: float(mapping.get(f, getattr(base, f))) for f in known}
+            merged = {key: float(value) for key, value in mapping.items()}
         except (TypeError, ValueError) as exc:
             raise InvalidWeightsError(f"weights must be numbers: {exc}") from None
-        config = cls(**merged)
-        config.validate()
-        return config
+        return cls(**merged)
 
 
 DEFAULT_WEIGHTS = WeightConfig()
@@ -156,7 +153,6 @@ def compute_standard_uca(
     weights: WeightConfig = DEFAULT_WEIGHTS,
 ) -> float:
     """Weighted sum of the three normalized tool scores."""
-    weights.validate()
     lynis = _check_score(lynis, "lynis component")
     openscap = _check_score(openscap, "openscap component")
     aide = _check_score(aide, "aide component")
@@ -169,7 +165,6 @@ def compute_extended_uca(
     weights: WeightConfig = DEFAULT_WEIGHTS,
 ) -> float:
     """Blend the standard score with the custom-rule score."""
-    weights.validate()
     standard = _check_score(standard, "standard score")
     custom = _check_score(custom, "custom score")
     return (1.0 - weights.w_custom) * standard + weights.w_custom * custom

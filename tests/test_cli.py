@@ -86,6 +86,18 @@ class TestIngest:
         ])
         assert result.exit_code == 1
 
+    def test_timestamp_not_iso_exits_1_and_writes_no_run(self, runner, tmp_path):
+        path = tmp_path / "lynis.dat"
+        path.write_text(make_lynis_fixture(64))
+        store = tmp_path / "s.db"
+        result = runner.invoke(main, ["--store", str(store), "ingest", "node1", "lynis",
+                                      str(path), "--timestamp", "t"])
+        assert result.exit_code == 1
+        assert _one_error_line(result), result.output
+        assert "ISO-8601" in result.output
+        with open_store(store) as handle:
+            assert handle.score_rows() == []
+
     def test_json_output(self, runner, tmp_path):
         path = tmp_path / "lynis.dat"
         path.write_text(make_lynis_fixture(80))
@@ -343,6 +355,21 @@ class TestStatsCommand:
         assert result.exit_code == 1
         assert _one_error_line(result), result.output
         assert "no runs recorded for tool 'aide'" in result.output
+
+    def test_node_without_runs_of_the_tool(self, runner, tmp_path):
+        store = tmp_path / "s.db"
+        (tmp_path / "lynis.dat").write_text(make_lynis_fixture(64))
+        (tmp_path / "aide.txt").write_text(make_aide_fixture(1, 0, 0))
+        ingests = [(node, "lynis", "lynis.dat", i) for node in ("a", "b") for i in (0, 1)]
+        ingests += [("a", "aide", "aide.txt", i) for i in (0, 1)]
+        for node, tool, name, iteration in ingests:
+            result = runner.invoke(main, ["--store", str(store), "ingest", node, tool,
+                                          str(tmp_path / name), "--iteration", str(iteration)])
+            assert result.exit_code == 0, result.output
+        result = runner.invoke(main, ["--store", str(store), "stats", "aide", "a", "b"])
+        assert result.exit_code == 1
+        assert _one_error_line(result), result.output
+        assert "no aide runs recorded for node 'b'" in result.output
 
     def test_welch_flag(self, runner, default_corpus):
         result = runner.invoke(main, ["--store", str(default_corpus.store_path),

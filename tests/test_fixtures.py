@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from datetime import datetime, timezone
 
 import pytest
@@ -81,18 +81,23 @@ class TestSnapshots:
 
 class TestCorpusSpec:
     def test_defaults_validate(self):
-        CorpusSpec().validate()
+        CorpusSpec()
 
     def test_iterations_must_be_positive(self):
         with pytest.raises(OutOfRangeError):
-            CorpusSpec(iterations=0).validate()
+            CorpusSpec(iterations=0)
 
     def test_negative_sd_rejected(self):
-        spec = CorpusSpec(score_distributions={
-            "baseline": {Tool.LYNIS: (60.0, -1.0)}
-        })
         with pytest.raises(OutOfRangeError):
-            spec.validate()
+            CorpusSpec(score_distributions={
+                "baseline": {Tool.LYNIS: (60.0, -1.0)}
+            })
+
+    def test_fields_are_frozen(self):
+        spec = CorpusSpec()
+        with pytest.raises(FrozenInstanceError):
+            spec.seed = 7
+        assert spec == CorpusSpec()
 
     def test_from_dict(self):
         spec = CorpusSpec.from_dict({

@@ -52,6 +52,19 @@ class TestOpenStore:
         assert names - {"sqlite_sequence"} == {"audit_runs", "aggregate_scores",
                                                "custom_rule_results"}
 
+    @pytest.mark.parametrize("table, header, record", [
+        ("audit_runs", AUDIT_CSV_HEADER, AuditRun),
+        ("aggregate_scores", AGGREGATE_CSV_HEADER, AggregateScore),
+    ])
+    def test_column_list_matches_table_and_record(self, tmp_path, table, header, record):
+        with open_store(tmp_path / "fresh.db") as store:
+            columns = [row[1] for row in store._conn.execute(f"PRAGMA table_info({table})")]
+        assert header == [name for name in columns if name != "id"]
+        # AggregateScore lists its defaulted fields last, so compare names, not order
+        assert set(header) == set(record.__dataclass_fields__) - {"id"}
+        if record is AuditRun:
+            assert header == list(record.__dataclass_fields__)
+
     def test_reopen_is_idempotent(self, tmp_path):
         path = tmp_path / "again.db"
         with open_store(path) as store:
@@ -367,9 +380,22 @@ class TestCsvExport:
         ("import_aggregate_csv", AGGREGATE_CSV_HEADER,
          "web,0,64,40,45,,50.6,,2025-03-03T00:09:00+00:00",
          "web,1,64,40,45,,99,,2025-03-03T01:09:00+00:00"),
+        ("import_audit_csv", AUDIT_CSV_HEADER,
+         "web,lynis,2025-03-03T00:00:00+00:00,0,pre,64,64,1",
+         "web,aide,2025-03-03T00:00:00+00:00,0,pre,inf,64,1"),
+        ("import_audit_csv", AUDIT_CSV_HEADER,
+         "web,lynis,2025-03-03T00:00:00+00:00,0,pre,64,64,1",
+         "web,aide,t,0,pre,0,100,1"),
+        ("import_audit_csv", AUDIT_CSV_HEADER,
+         "web,lynis,2025-03-03T00:00:00+00:00,0,pre,64,64,1",
+         "web,aide,2025-03-03T00:00:00+00:00,0,pre,0,100"),
+        ("import_aggregate_csv", AGGREGATE_CSV_HEADER,
+         "web,0,64,40,45,,50.6,,2025-03-03T00:09:00+00:00",
+         "web,1,64,40,45,,50.6,,t"),
     ], ids=["unparsable-run", "run-outside-schema", "run-infinite-runtime",
             "aggregate-outside-schema",
-            "aggregate-outside-components"])
+            "aggregate-outside-components", "run-infinite-raw", "run-timestamp-not-iso",
+            "run-short-row", "aggregate-timestamp-not-iso"])
     def test_bad_row_at_line_3_leaves_no_rows(self, tmp_path, importer, header, good, bad):
         path = tmp_path / "bad.csv"
         path.write_text(",".join(header) + f"\n{good}\n{bad}\n")

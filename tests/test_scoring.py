@@ -78,19 +78,19 @@ class TestNormalization:
 
 class TestWeightConfig:
     def test_defaults_are_valid(self):
-        WeightConfig().validate()
+        WeightConfig()
 
     def test_sum_must_be_one(self):
         with pytest.raises(InvalidWeightsError):
-            WeightConfig(w_lynis=0.5, w_openscap=0.5, w_aide=0.2).validate()
+            WeightConfig(w_lynis=0.5, w_openscap=0.5, w_aide=0.2)
 
     def test_negative_weight(self):
         with pytest.raises(InvalidWeightsError):
-            WeightConfig(w_lynis=-0.2, w_openscap=1.0, w_aide=0.2).validate()
+            WeightConfig(w_lynis=-0.2, w_openscap=1.0, w_aide=0.2)
 
     def test_custom_weight_range(self):
         with pytest.raises(InvalidWeightsError):
-            WeightConfig(w_custom=1.5).validate()
+            WeightConfig(w_custom=1.5)
 
     def test_from_mapping_overrides(self):
         config = WeightConfig.from_mapping({"w_custom": 0.3})
@@ -122,9 +122,9 @@ class TestStandardUca:
             compute_standard_uca(50, -1, 50)
 
     def test_invalid_weights_rejected(self):
-        bad = WeightConfig(w_lynis=0.9, w_openscap=0.9, w_aide=0.2)
         with pytest.raises(InvalidWeightsError):
-            compute_standard_uca(50, 50, 50, bad)
+            compute_standard_uca(50, 50, 50, WeightConfig(w_lynis=0.9, w_openscap=0.9,
+                                                          w_aide=0.2))
 
     @given(lynis=scores, openscap=scores, aide=scores)
     def test_bounded_by_components(self, lynis, openscap, aide):
