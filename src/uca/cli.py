@@ -97,23 +97,13 @@ class _Main(click.Group):
 @click.option("--w-openscap", type=float, default=None, help="Override OpenSCAP weight.")
 @click.option("--w-aide", type=float, default=None, help="Override AIDE weight.")
 @click.option("--w-custom", type=float, default=None, help="Override custom blend weight.")
-@click.option("--aide-penalty", type=float, default=None,
+@click.option("--aide-penalty", "aide_penalty_per_change", type=float, default=None,
               help="Override integrity points lost per changed entry.")
 @click.pass_context
-def main(ctx, store_path, config_path, fmt, w_lynis, w_openscap, w_aide, w_custom,
-         aide_penalty):
+def main(ctx, store_path, config_path, fmt, **weights):
     """Aggregate Linux security-audit outputs into unified compliance scores."""
-    overrides = {
-        key: value
-        for key, value in {
-            "w_lynis": w_lynis,
-            "w_openscap": w_openscap,
-            "w_aide": w_aide,
-            "w_custom": w_custom,
-            "aide_penalty_per_change": aide_penalty,
-        }.items()
-        if value is not None
-    }
+    # each weight flag's parameter name is its WeightConfig field
+    overrides = {key: value for key, value in weights.items() if value is not None}
     ctx.obj = AppContext(
         store_path=store_path,
         weights=_load_weights(config_path, overrides),
@@ -173,14 +163,9 @@ def score(app: AppContext, node, iteration, rules_path, snapshot_path):
         agg = pipeline.score_iteration(store, node, iteration, weights=app.weights,
                                        timestamp=_now_iso(), ruleset=ruleset,
                                        snapshot=snapshot)
-    payload = {
-        "id": agg.id, "node": node, "iteration": iteration,
-        "lynis": round(agg.lynis, 2), "openscap": round(agg.openscap, 2),
-        "aide": round(agg.aide, 2),
-        "standard_uca": round(agg.standard_uca, 2),
-        "custom": None if agg.custom is None else round(agg.custom, 2),
-        "extended_uca": None if agg.extended_uca is None else round(agg.extended_uca, 2),
-    }
+    payload = {"id": agg.id, "node": node, "iteration": iteration,
+               **{key: report_mod.round_score(getattr(agg, key)) for key in
+                  ("lynis", "openscap", "aide", "standard_uca", "custom", "extended_uca")}}
     text = (f"{node} iteration {iteration}: standard_uca={agg.standard_uca:.2f}"
             + (f" custom={agg.custom:.2f} extended_uca={agg.extended_uca:.2f}"
                if agg.custom is not None else ""))
@@ -264,15 +249,11 @@ def stats_cmd(app: AppContext, tool, node_a, node_b, welch):
     payload = {
         "tool": tool, "node_a": node_a, "node_b": node_b,
         "n_a": len(group_a), "n_b": len(group_b),
-        "mean_diff": round(result.mean_diff, 4),
-        "t": round(result.t, 4), "df": result.df,
-        "p_two_tailed": round(result.p_two_tailed, 6),
-        "cohens_d": round(result.d, 4),
+        **report_mod.round_t_test(result, diff_digits=4),
         "welch": welch,
     }
-    p_text = "<0.001" if result.p_two_tailed < 0.001 else f"{result.p_two_tailed:.3f}"
-    text = (f"{tool}: {node_b} - {node_a}  diff={result.mean_diff:+.2f}"
-            f"  t={result.t:.2f}  df={result.df:g}  p={p_text}  d={result.d:.2f}")
+    text = (f"{tool}: {node_b} - {node_a}  diff={result.mean_diff:+.2f}  t={result.t:.2f}"
+            f"  df={result.df:g}  p={report_mod.format_p(result.p_two_tailed)}  d={result.d:.2f}")
     _emit(app, payload, text)
 
 

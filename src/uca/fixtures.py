@@ -278,7 +278,7 @@ _SPEC_PARSERS = {
 class CorpusSpec:
     """Parameters for one synthetic corpus; identical specs yield identical corpora.
     Frozen, and checked when made: an invalid value raises OutOfRangeError, and a
-    score distribution of a node the spec does not have SpecError."""
+    repeated node name or a score distribution of an unknown node SpecError."""
 
     nodes: tuple[NodeSpec, ...] = _DEFAULT_NODES
     iterations: int = 12
@@ -304,7 +304,11 @@ class CorpusSpec:
         return _PROFILE_SCORE_DISTRIBUTIONS[node.profile][tool]
 
     def __post_init__(self) -> None:
-        unknown = sorted(set(self.score_distributions) - {node.name for node in self.nodes})
+        names = [node.name for node in self.nodes]
+        duplicates = sorted({name for name in names if names.count(name) > 1})
+        if duplicates:
+            raise SpecError(f"invalid spec document: duplicate node names {duplicates}")
+        unknown = sorted(set(self.score_distributions) - set(names))
         if unknown:
             raise SpecError(f"invalid spec document: score_distributions of unknown"
                             f" nodes {unknown}")

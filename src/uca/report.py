@@ -2,8 +2,8 @@
 
 Every number in the bundle is recomputed from raw store rows at build time;
 nothing is cached between invocations, so re-running a report over the same
-store is byte-identical. Rounding to two decimals happens here, at the
-output boundary.
+store is byte-identical. Rounding happens at the output boundary: each rounded
+JSON number goes through ``round_score``, and the four text tables share one layout.
 
 It is built from the plain tuples of the store's row queries, with no per-run
 record objects; ``ReportBundle.runs`` holds one ``(node, tool, iteration,
@@ -32,6 +32,9 @@ __all__ = [
     "render_text",
     "render_json",
     "bundle_to_dict",
+    "format_p",
+    "round_score",
+    "round_t_test",
     "write_csv_tables",
     "write_plot_data",
 ]
@@ -116,116 +119,92 @@ def build_report(store: Store) -> ReportBundle:
     )
 
 
-def _fmt(value: float | None, width: int = 10) -> str:
-    if value is None:
-        return "-".rjust(width)
-    return f"{value:.2f}".rjust(width)
+def _cell(value: float | None) -> str:
+    return "-" if value is None else f"{value:.2f}"
 
 
-def _fmt_p(p: float) -> str:
+def format_p(p: float) -> str:
+    """A p-value as printed: ``<0.001``, or three decimals."""
     return "<0.001" if p < 0.001 else f"{p:.3f}"
 
 
+def round_score(value: float | None, digits: int = 2) -> float | None:
+    """A number as JSON output carries it: None, or rounded to ``digits`` decimals."""
+    return None if value is None else round(value, digits)
+
+
+def round_t_test(result: stats.TestResult, diff_digits: int = 2) -> dict:
+    """A t-test's numbers as JSON output carries them."""
+    return {"mean_diff": round_score(result.mean_diff, diff_digits),
+            "t": round_score(result.t, 4), "df": result.df,
+            "p_two_tailed": round_score(result.p_two_tailed, 6),
+            "cohens_d": round_score(result.d, 4)}
+
+
+def _table(widths: tuple[int, ...], *rows: tuple) -> list[str]:
+    """A text table's lines: a row's first cell left-aligned to the first width
+    (``%-Ns``), each other right-aligned to its own (``%Ns``); a short row stops early."""
+    fields = ["  %%-%ds" % widths[0], *["%%%ds" % width for width in widths[1:]]]
+    return ["".join(fields[:len(row)]) % row for row in rows]
+
+
 def render_text(bundle: ReportBundle) -> str:
-    lines: list[str] = []
-    lines.append("Average security scores by node")
-    header = "  " + "metric".ljust(14) + "".join(n.rjust(12) for n in bundle.nodes)
-    lines.append(header)
-    for metric in SCORE_METRICS:
-        row = "  " + metric.ljust(14)
-        row += "".join(_fmt(bundle.score_table[metric].get(n), 12) for n in bundle.nodes)
-        lines.append(row)
-    lines.append("")
-
-    lines.append("Custom rule results by node")
-    lines.append("  " + "node".ljust(14) + "passed".rjust(8) + "failed".rjust(8) + "score%".rjust(10))
-    if bundle.rule_table:
-        for row in bundle.rule_table:
-            lines.append(
-                "  " + str(row["node"]).ljust(14)
-                + str(row["passed"]).rjust(8) + str(row["failed"]).rjust(8)
-                + _fmt(row["score_pct"])
-            )
-    else:
-        lines.append("  (no rule results recorded)")
-    lines.append("")
-
-    lines.append("Tool runtime overhead")
-    lines.append("  " + "tool".ljust(14) + "avg_s".rjust(10) + "total_s".rjust(12) + "runs".rjust(6))
-    for tool, average, total, count in bundle.runtime:
-        lines.append(
-            "  " + tool.ljust(14) + _fmt(average)
-            + _fmt(total, 12) + str(count).rjust(6)
-        )
-    lines.append("  " + "total".ljust(14) + "".rjust(10) + _fmt(bundle.runtime_total, 12))
-    lines.append("")
-
+    nodes, scores = bundle.nodes, bundle.score_table
+    lines = [
+        "Average security scores by node",
+        *_table((14, *[12] * len(nodes)), ("metric", *nodes),
+                *((m, *map(_cell, map(scores[m].get, nodes))) for m in SCORE_METRICS)),
+        "",
+        "Custom rule results by node",
+        *_table((14, 8, 8, 10), ("node", "passed", "failed", "score%"),
+                *((r["node"], r["passed"], r["failed"], _cell(r["score_pct"]))
+                  for r in bundle.rule_table)),
+        *([] if bundle.rule_table else ["  (no rule results recorded)"]),
+        "",
+        "Tool runtime overhead",
+        *_table((14, 10, 12, 6), ("tool", "avg_s", "total_s", "runs"),
+                *((tool, _cell(average), _cell(total), count)
+                  for tool, average, total, count in bundle.runtime),
+                ("total", "", _cell(bundle.runtime_total))),
+        "",
+    ]
     if bundle.significance:
         lines.append(f"Statistical significance ({bundle.node_low} vs {bundle.node_high})")
-        lines.append(
-            "  " + "tool".ljust(14) + "diff".rjust(8) + "t".rjust(8)
-            + "df".rjust(6) + "p".rjust(8) + "d".rjust(8)
-        )
-        for tool, row in bundle.significance:
-            lines.append(
-                "  " + tool.ljust(14)
-                + f"{row.mean_diff:+.2f}".rjust(8)
-                + f"{row.t:.2f}".rjust(8)
-                + f"{row.df:.0f}".rjust(6)
-                + _fmt_p(row.p_two_tailed).rjust(8)
-                + f"{row.d:.2f}".rjust(8)
-            )
+        lines += _table((14, 8, 8, 6, 8, 8), ("tool", "diff", "t", "df", "p", "d"),
+                        *((tool, f"{r.mean_diff:+.2f}", f"{r.t:.2f}", f"{r.df:.0f}",
+                           format_p(r.p_two_tailed), f"{r.d:.2f}")
+                          for tool, r in bundle.significance))
     else:
         lines.append("Statistical significance: needs two nodes with repeated runs")
     lines.append("")
     return "\n".join(lines)
 
 
-def _round(value: float | None, digits: int = 2) -> float | None:
-    return None if value is None else round(value, digits)
-
-
 def bundle_to_dict(bundle: ReportBundle) -> dict:
     return {
         "nodes": list(bundle.nodes),
         "scores": {
-            metric: {node: _round(v) for node, v in per_node.items()}
+            metric: {node: round_score(v) for node, v in per_node.items()}
             for metric, per_node in bundle.score_table.items()
         },
-        "custom_rules": [
-            {
-                "node": row["node"],
-                "passed": row["passed"],
-                "failed": row["failed"],
-                "score_pct": _round(row["score_pct"]),
-            }
-            for row in bundle.rule_table
-        ],
+        # rule-table rows hold RULE_COLUMNS, in order
+        "custom_rules": [{**row, "score_pct": round_score(row["score_pct"])}
+                         for row in bundle.rule_table],
         "runtime": {
             "per_tool": {
                 tool: {
-                    "average_seconds": _round(average),
-                    "total_seconds": _round(total),
+                    "average_seconds": round_score(average),
+                    "total_seconds": round_score(total),
                     "runs": count,
                 }
                 for tool, average, total, count in bundle.runtime
             },
-            "grand_total_seconds": _round(bundle.runtime_total),
+            "grand_total_seconds": round_score(bundle.runtime_total),
         },
         "significance": {
             "node_low": bundle.node_low,
             "node_high": bundle.node_high,
-            "rows": [
-                {
-                    "tool": tool,
-                    "mean_diff": _round(row.mean_diff),
-                    "t": _round(row.t, 4),
-                    "df": row.df,
-                    "p_two_tailed": _round(row.p_two_tailed, 6),
-                    "cohens_d": _round(row.d, 4),
-                }
-                for tool, row in bundle.significance
-            ],
+            "rows": [{"tool": tool, **round_t_test(row)} for tool, row in bundle.significance],
         },
     }
 

@@ -402,7 +402,7 @@ class Store:
                     record: Callable[[object], int]) -> int:
         """Record every row of a UTF-8 CSV export in one transaction, so a bad
         row leaves the store as it was; a line that does not decode, a row that
-        is short, does not parse or is rejected raises ConstraintViolationError
+        is short or long, does not parse or is rejected raises ConstraintViolationError
         naming ``path:line``. Returns rows recorded."""
         data = Path(path).read_bytes()
         try:
@@ -418,7 +418,7 @@ class Store:
                 raise ConstraintViolationError(f"{path}: unexpected header {found!r}")
             for lineno, row in enumerate(reader, start=2):
                 try:
-                    if len(row) < len(columns):
+                    if len(row) != len(columns):
                         raise ValueError(f"{len(row)} fields, expected {len(columns)}")
                     record(record_type(**{name: parse(cell) for (name, parse, _), cell
                                           in zip(columns, row)}))

@@ -637,6 +637,35 @@ class TestFixturesCommand:
         assert named in result.output
         assert not (tmp_path / "s.db").exists() and not (tmp_path / "corpus").exists()
 
+    def test_duplicate_node_names_exit_1_and_write_nothing(self, runner, tmp_path):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"iterations": 2, "nodes": [
+            {"name": "a", "profile": "full"}, {"name": "a", "profile": "baseline"}]}))
+        result = runner.invoke(main, ["--store", str(tmp_path / "s.db"), "fixtures",
+                                      "--out-dir", str(tmp_path / "corpus"),
+                                      "--spec", str(spec_path)])
+        assert result.exit_code == 1
+        assert result.output == "Error: invalid spec document: duplicate node names ['a']\n"
+        assert not (tmp_path / "s.db").exists() and not (tmp_path / "corpus").exists()
+
+    @pytest.mark.parametrize("spec, message", [
+        ({"nodes": []}, "corpus needs at least one node"),
+        ({"scap_total_rules": 0}, "scap_total_rules must be >= 1"),
+        ({"runtime_distributions": {"aide": [1, 0]}}, "missing runtime distribution for lynis"),
+        ({"runtime_distributions": {"lynis": [1, 0], "openscap": [1, 0], "aide": [1, -1]}},
+         "negative runtime sd for aide"),
+    ], ids=["no-nodes", "no-scap-rules", "missing-runtime", "negative-runtime-sd"])
+    def test_out_of_range_spec_exits_1_and_writes_nothing(self, runner, tmp_path, spec,
+                                                          message):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        result = runner.invoke(main, ["--store", str(tmp_path / "s.db"), "fixtures",
+                                      "--out-dir", str(tmp_path / "corpus"),
+                                      "--spec", str(spec_path)])
+        assert result.exit_code == 1
+        assert result.output == f"Error: {message}\n"
+        assert not (tmp_path / "s.db").exists() and not (tmp_path / "corpus").exists()
+
     def test_malformed_spec_structure(self, runner, tmp_path):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps({"nodes": [{"profile": "baseline"}]}))
@@ -676,6 +705,15 @@ class TestWeightConfiguration:
                                       "--snapshot", str(snap_dir)])
         payload = json.loads(result.output)
         assert payload["extended_uca"] == pytest.approx(payload["standard_uca"], abs=0.01)
+
+    @pytest.mark.parametrize("document", ["[0.4, 0.4, 0.2]", "0.5", '"w_lynis"', "null"])
+    def test_config_not_an_object_exits_1(self, runner, tmp_path, document):
+        config = tmp_path / "weights.json"
+        config.write_text(document)
+        result = runner.invoke(main, ["--store", str(tmp_path / "s.db"),
+                                      "--config", str(config), "rules"])
+        assert result.exit_code == 1
+        assert result.output == f"Error: config {config} must be a JSON object\n"
 
     def test_invalid_config_rejected(self, runner, tmp_path):
         config = tmp_path / "weights.json"
@@ -956,3 +994,109 @@ class TestLocaleIndependentFiles:
         snapshot = load_snapshot(tmp_path / "snap")
         assert (snapshot.node, snapshot.files, snapshot.services) == (
             "n\u00e4", {"/etc/motd": "Gr\u00fc\u00dfe"}, {"d\u00e4mon": "active"})
+
+
+# --- outputs pinned byte for byte ---------------------------------------------
+
+_HELP = (
+    'Usage: main [OPTIONS] COMMAND [ARGS]...\n'
+    '\n'
+    '  Aggregate Linux security-audit outputs into unified compliance scores.\n'
+    '\n'
+    'Options:\n'
+    '  --store PATH                  Path to the SQLite store.  [default: uca.db]\n'
+    '  --config PATH                 JSON file overriding score weights.\n'
+    '  --format [text|json|csv-dir]  Output format.  [default: text]\n'
+    '  --w-lynis FLOAT               Override Lynis weight.\n'
+    '  --w-openscap FLOAT            Override OpenSCAP weight.\n'
+    '  --w-aide FLOAT                Override AIDE weight.\n'
+    '  --w-custom FLOAT              Override custom blend weight.\n'
+    '  --aide-penalty FLOAT          Override integrity points lost per changed\n'
+    '                                entry.\n'
+    '  --help                        Show this message and exit.\n'
+    '\n'
+    'Commands:\n'
+    '  export    Write audit_runs.csv and aggregate_scores.csv.\n'
+    '  fixtures  Generate a synthetic audit corpus and record it into the store.\n'
+    '  ingest    Parse one tool output file and record the run.\n'
+    '  report    Emit the four summary tables plus plot-data CSVs.\n'
+    '  rules     Show the rule set, or evaluate it against a snapshot.\n'
+    '  score     Combine the three recorded tool runs into unified scores.\n'
+    "  stats     Two-sample t-test of a tool's scores between two nodes (b - a).\n"
+)
+
+_SCORE_JSON = (
+    '{\n'
+    '  "id": 1,\n'
+    '  "node": "web",\n'
+    '  "iteration": 0,\n'
+    '  "lynis": 65.0,\n'
+    '  "openscap": 72.0,\n'
+    '  "aide": 65.0,\n'
+    '  "standard_uca": 67.8,\n'
+    '  "custom": null,\n'
+    '  "extended_uca": null\n'
+    '}\n'
+)
+
+_SCORE_SNAPSHOT_JSON = (
+    '{\n'
+    '  "id": 2,\n'
+    '  "node": "web",\n'
+    '  "iteration": 0,\n'
+    '  "lynis": 65.0,\n'
+    '  "openscap": 72.0,\n'
+    '  "aide": 65.0,\n'
+    '  "standard_uca": 67.8,\n'
+    '  "custom": 83.61,\n'
+    '  "extended_uca": 70.96\n'
+    '}\n'
+)
+
+_STATS_OPENSCAP_TEXT = (
+    'openscap: full - baseline  diff=+32.79  t=14.50  df=22  p=<0.001  d=5.92\n')
+
+_STATS_OPENSCAP_JSON = (
+    '{\n'
+    '  "tool": "openscap",\n'
+    '  "node_a": "baseline",\n'
+    '  "node_b": "full",\n'
+    '  "n_a": 12,\n'
+    '  "n_b": 12,\n'
+    '  "mean_diff": 32.7869,\n'
+    '  "t": 14.5027,\n'
+    '  "df": 22.0,\n'
+    '  "p_two_tailed": 0.0,\n'
+    '  "cohens_d": 5.9207,\n'
+    '  "welch": false\n'
+    '}\n'
+)
+
+_STATS_AIDE_WELCH_TEXT = (
+    'aide: full - baseline  diff=-11.67  t=-1.76  df=18.7614  p=0.095  d=-0.72\n')
+
+
+class TestOutputsPinned:
+    def test_help(self, runner):
+        result = runner.invoke(main, ["--help"])
+        assert result.exit_code == 0
+        assert result.output == _HELP
+
+    def test_score_json(self, runner, tmp_path):
+        store = tmp_path / "s.db"
+        _ingest_triple(runner, store, tmp_path)
+        argv = ["--store", str(store), "--format", "json", "score", "web", "--iteration", "0"]
+        result = runner.invoke(main, argv)
+        assert (result.exit_code, result.output) == (0, _SCORE_JSON)
+        save_snapshot(make_snapshot(Profile.FULL, node="web"), tmp_path / "snap")
+        result = runner.invoke(main, [*argv, "--snapshot", str(tmp_path / "snap")])
+        assert (result.exit_code, result.output) == (0, _SCORE_SNAPSHOT_JSON)
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["stats", "openscap", "baseline", "full"], _STATS_OPENSCAP_TEXT),
+        (["--format", "json", "stats", "openscap", "baseline", "full"], _STATS_OPENSCAP_JSON),
+        (["stats", "aide", "baseline", "full", "--welch"], _STATS_AIDE_WELCH_TEXT),
+    ], ids=["openscap-text", "openscap-json", "aide-welch-text"])
+    def test_stats(self, runner, default_corpus, argv, expected):
+        result = runner.invoke(main, ["--store", str(default_corpus.store_path), *argv])
+        assert (result.exit_code, result.output) == (0, expected)

@@ -58,6 +58,11 @@ class TestDocumentGenerators:
         report = parse_aide_report(make_aide_fixture(3, 2, 1))
         assert (report.added, report.removed, report.changed) == (3, 2, 1)
 
+    @pytest.mark.parametrize("counts", [(-1, 0, 0), (0, -1, 0), (0, 0, -1)])
+    def test_aide_negative_counts(self, counts):
+        with pytest.raises(OutOfRangeError, match="^change counts must be non-negative$"):
+            make_aide_fixture(*counts)
+
     def test_aide_bad_wording(self):
         with pytest.raises(OutOfRangeError):
             make_aide_fixture(1, 1, 1, wording="items")
@@ -98,6 +103,27 @@ class TestCorpusSpec:
         with pytest.raises(FrozenInstanceError):
             spec.seed = 7
         assert spec == CorpusSpec()
+
+    def test_duplicate_node_names_rejected(self):
+        nodes = (NodeSpec("a", Profile.FULL), NodeSpec("b", Profile.FULL),
+                 NodeSpec("a", Profile.BASELINE))
+        with pytest.raises(SpecError) as raised:
+            CorpusSpec(nodes=nodes)
+        assert str(raised.value) == "invalid spec document: duplicate node names ['a']"
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"nodes": ()}, "corpus needs at least one node"),
+        ({"scap_total_rules": 0}, "scap_total_rules must be >= 1"),
+        ({"runtime_distributions": {Tool.LYNIS: (1.0, 0.0), Tool.AIDE: (1.0, 0.0)}},
+         "missing runtime distribution for openscap"),
+        ({"runtime_distributions": {Tool.LYNIS: (1.0, 0.0), Tool.OPENSCAP: (1.0, 0.0),
+                                    Tool.AIDE: (1.0, -0.5)}},
+         "negative runtime sd for aide"),
+    ], ids=["no-nodes", "no-scap-rules", "missing-runtime", "negative-runtime-sd"])
+    def test_out_of_range_values_rejected(self, changes, message):
+        with pytest.raises(OutOfRangeError) as raised:
+            CorpusSpec(**changes)
+        assert str(raised.value) == message
 
     def test_from_dict(self):
         spec = CorpusSpec.from_dict({

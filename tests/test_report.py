@@ -1,5 +1,6 @@
 import csv
 import io
+import json
 import sqlite3
 import tempfile
 from pathlib import Path
@@ -14,6 +15,7 @@ from uca.cli import main
 from uca.errors import DegenerateSampleError, EmptyStoreError, UnknownRuleIdError
 from uca.fixtures import CorpusSpec, NodeSpec, Profile, make_corpus
 from uca.report import (
+    RULE_COLUMNS,
     SCORE_METRICS,
     ReportBundle,
     build_report,
@@ -311,3 +313,166 @@ def test_plain_row_report_matches_record_reference(runs, aggregates, results):
             assert render_text(bundle) == render_text(expected)
             assert render_json(bundle) == render_json(expected)
             assert _csv_bytes(bundle, out / "new") == _csv_bytes(expected, out / "reference")
+
+
+# --- the text and JSON renderers as written before they shared one layout ----
+
+def _reference_fmt(value, width=10):
+    if value is None:
+        return "-".rjust(width)
+    return f"{value:.2f}".rjust(width)
+
+
+def _reference_fmt_p(p):
+    return "<0.001" if p < 0.001 else f"{p:.3f}"
+
+
+def _reference_round(value, digits=2):
+    return None if value is None else round(value, digits)
+
+
+def _reference_render_text(bundle):
+    lines = []
+    lines.append("Average security scores by node")
+    header = "  " + "metric".ljust(14) + "".join(n.rjust(12) for n in bundle.nodes)
+    lines.append(header)
+    for metric in SCORE_METRICS:
+        row = "  " + metric.ljust(14)
+        row += "".join(_reference_fmt(bundle.score_table[metric].get(n), 12)
+                       for n in bundle.nodes)
+        lines.append(row)
+    lines.append("")
+
+    lines.append("Custom rule results by node")
+    lines.append("  " + "node".ljust(14) + "passed".rjust(8) + "failed".rjust(8)
+                 + "score%".rjust(10))
+    if bundle.rule_table:
+        for row in bundle.rule_table:
+            lines.append(
+                "  " + str(row["node"]).ljust(14)
+                + str(row["passed"]).rjust(8) + str(row["failed"]).rjust(8)
+                + _reference_fmt(row["score_pct"])
+            )
+    else:
+        lines.append("  (no rule results recorded)")
+    lines.append("")
+
+    lines.append("Tool runtime overhead")
+    lines.append("  " + "tool".ljust(14) + "avg_s".rjust(10) + "total_s".rjust(12)
+                 + "runs".rjust(6))
+    for tool, average, total, count in bundle.runtime:
+        lines.append(
+            "  " + tool.ljust(14) + _reference_fmt(average)
+            + _reference_fmt(total, 12) + str(count).rjust(6)
+        )
+    lines.append("  " + "total".ljust(14) + "".rjust(10)
+                 + _reference_fmt(bundle.runtime_total, 12))
+    lines.append("")
+
+    if bundle.significance:
+        lines.append(f"Statistical significance ({bundle.node_low} vs {bundle.node_high})")
+        lines.append(
+            "  " + "tool".ljust(14) + "diff".rjust(8) + "t".rjust(8)
+            + "df".rjust(6) + "p".rjust(8) + "d".rjust(8)
+        )
+        for tool, row in bundle.significance:
+            lines.append(
+                "  " + tool.ljust(14)
+                + f"{row.mean_diff:+.2f}".rjust(8)
+                + f"{row.t:.2f}".rjust(8)
+                + f"{row.df:.0f}".rjust(6)
+                + _reference_fmt_p(row.p_two_tailed).rjust(8)
+                + f"{row.d:.2f}".rjust(8)
+            )
+    else:
+        lines.append("Statistical significance: needs two nodes with repeated runs")
+    lines.append("")
+    return "\n".join(lines)
+
+
+def _reference_bundle_to_dict(bundle):
+    return {
+        "nodes": list(bundle.nodes),
+        "scores": {
+            metric: {node: _reference_round(v) for node, v in per_node.items()}
+            for metric, per_node in bundle.score_table.items()
+        },
+        "custom_rules": [
+            {
+                "node": row["node"],
+                "passed": row["passed"],
+                "failed": row["failed"],
+                "score_pct": _reference_round(row["score_pct"]),
+            }
+            for row in bundle.rule_table
+        ],
+        "runtime": {
+            "per_tool": {
+                tool: {
+                    "average_seconds": _reference_round(average),
+                    "total_seconds": _reference_round(total),
+                    "runs": count,
+                }
+                for tool, average, total, count in bundle.runtime
+            },
+            "grand_total_seconds": _reference_round(bundle.runtime_total),
+        },
+        "significance": {
+            "node_low": bundle.node_low,
+            "node_high": bundle.node_high,
+            "rows": [
+                {
+                    "tool": tool,
+                    "mean_diff": _reference_round(row.mean_diff),
+                    "t": _reference_round(row.t, 4),
+                    "df": row.df,
+                    "p_two_tailed": _reference_round(row.p_two_tailed, 6),
+                    "cohens_d": _reference_round(row.d, 4),
+                }
+                for tool, row in bundle.significance
+            ],
+        },
+    }
+
+
+# Short and long node names (wider than every column), any printable text.
+_NAMES = st.one_of(st.text(st.characters(blacklist_categories=("Cc", "Cs")), min_size=1,
+                           max_size=6),
+                   st.text("abcdefghijklmnopqrstuvwxyz-_0123456789", min_size=13, max_size=30))
+_CELLS = st.one_of(st.none(), st.floats(-1e6, 1e6), _SCORES)
+_FINITE = st.floats(-1e6, 1e6)
+# p at, just below and around 0.001, as well as anywhere in [0, 1]
+_P_VALUES = st.one_of(st.sampled_from([0.0, 1e-12, 0.000999, 0.0009995, 0.001, 0.0010001,
+                                       0.0015, 0.05, 1.0]), st.floats(0, 1))
+
+
+@st.composite
+def _bundles(draw) -> ReportBundle:
+    nodes = draw(st.lists(_NAMES, unique=True, max_size=6))
+    names = st.sampled_from(nodes) if nodes else _NAMES
+    return ReportBundle(
+        nodes=nodes,
+        score_table={m: {n: draw(_CELLS) for n in nodes} for m in SCORE_METRICS},
+        rule_table=[dict(zip(RULE_COLUMNS, (draw(names), draw(st.integers(0, 10**6)),
+                                             draw(st.integers(0, 10**6)), draw(_CELLS))))
+                    for _ in range(draw(st.integers(0, 4)))],
+        runtime=draw(st.lists(st.tuples(st.sampled_from([t.value for t in Tool]), _FINITE,
+                                        _FINITE, st.integers(0, 10**7)), max_size=3)),
+        runtime_total=draw(_FINITE),
+        node_low=draw(st.one_of(st.none(), names)),
+        node_high=draw(st.one_of(st.none(), names)),
+        runs=[],
+        significance=draw(st.lists(st.tuples(
+            st.sampled_from([t.value for t in Tool]),
+            st.builds(stats.TestResult, t=_FINITE, df=st.floats(0, 1e4), p_two_tailed=_P_VALUES,
+                      d=_FINITE, mean_diff=_FINITE)), max_size=3)),
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(bundle=_bundles())
+def test_renderers_match_the_reference_renderers(bundle):
+    """Random bundles, with empty cells, empty tables, p at and below 0.001 and
+    names wider than their columns, render to the reference's bytes."""
+    assert render_text(bundle) == _reference_render_text(bundle)
+    assert render_json(bundle) == json.dumps(_reference_bundle_to_dict(bundle), indent=2) + "\n"

@@ -392,10 +392,17 @@ class TestCsvExport:
         ("import_aggregate_csv", AGGREGATE_CSV_HEADER,
          "web,0,64,40,45,,50.6,,2025-03-03T00:09:00+00:00",
          "web,1,64,40,45,,50.6,,t"),
+        ("import_audit_csv", AUDIT_CSV_HEADER,
+         "web,lynis,2025-03-03T00:00:00+00:00,0,pre,64,64,1",
+         "web,aide,2025-03-03T00:00:00+00:00,0,pre,64,64,1,surplus,fields"),
+        ("import_aggregate_csv", AGGREGATE_CSV_HEADER,
+         "web,0,64,40,45,,50.6,,2025-03-03T00:09:00+00:00",
+         "web,1,64,40,45,,50.6,,2025-03-03T01:09:00+00:00,surplus"),
     ], ids=["unparsable-run", "run-outside-schema", "run-infinite-runtime",
             "aggregate-outside-schema",
             "aggregate-outside-components", "run-infinite-raw", "run-timestamp-not-iso",
-            "run-short-row", "aggregate-timestamp-not-iso"])
+            "run-short-row", "aggregate-timestamp-not-iso", "run-long-row",
+            "aggregate-long-row"])
     def test_bad_row_at_line_3_leaves_no_rows(self, tmp_path, importer, header, good, bad):
         path = tmp_path / "bad.csv"
         path.write_text(",".join(header) + f"\n{good}\n{bad}\n")

@@ -105,6 +105,22 @@ class TestLoadRules:
         with pytest.raises(SchemaError):
             load_rules(_rule_doc(entry))
 
+    @pytest.mark.parametrize("entry, message", [
+        (["fw"], "rule #0: expected an object, got list"),
+        ({key: value for key, value in _MINIMAL.items() if key != "check_type"},
+         "rule #0: missing required field 'check_type'"),
+        ({**_MINIMAL, "id": ""}, "rule #0: id must be a non-empty string"),
+        ({**_MINIMAL, "params": ["x"]}, "rule 'fw': params must be an object"),
+        ({"id": "fm", "name": "fm", "check_type": "file_mode", "weight": 1,
+          "params": {"path": "/etc/shadow", "max_mode": "17777"}},
+         "rule 'fm' max_mode: '17777' outside [0000, 7777]"),
+    ], ids=["not-an-object", "missing-field", "empty-id", "params-not-an-object",
+            "mode-outside-range"])
+    def test_malformed_entry_named(self, entry, message):
+        with pytest.raises(SchemaError) as raised:
+            load_rules(_rule_doc(entry))
+        assert str(raised.value) == message
+
     def test_not_a_list(self):
         with pytest.raises(SchemaError):
             load_rules('{"id": "x"}')
@@ -345,6 +361,14 @@ class TestSnapshotIO:
         save_snapshot(snapshot, tmp_path / "snap", captured_at="2025-03-03T00:00:00+00:00")
         loaded = load_snapshot(tmp_path / "snap")
         assert loaded == snapshot
+
+    def test_relative_file_path_rejected(self, tmp_path):
+        snapshot = _snapshot(files={"etc/ssh/sshd_config": "PermitRootLogin no\n"})
+        with pytest.raises(SnapshotError) as raised:
+            save_snapshot(snapshot, tmp_path / "snap")
+        assert str(raised.value) == (
+            "snapshot file path must be absolute: 'etc/ssh/sshd_config'")
+        assert not (tmp_path / "snap" / "files").exists()
 
     def test_missing_manifest(self, tmp_path):
         (tmp_path / "empty").mkdir()

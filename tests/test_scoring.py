@@ -92,6 +92,19 @@ class TestWeightConfig:
         with pytest.raises(InvalidWeightsError):
             WeightConfig(w_custom=1.5)
 
+    @pytest.mark.parametrize("field", ["w_lynis", "w_openscap", "w_aide", "w_custom",
+                                       "aide_penalty_per_change"])
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_weight(self, field, value):
+        with pytest.raises(InvalidWeightsError, match="^weights must be finite$"):
+            WeightConfig(**{field: value})
+
+    @pytest.mark.parametrize("penalty", [0.0, -5.0])
+    def test_penalty_must_be_positive(self, penalty):
+        with pytest.raises(InvalidWeightsError,
+                           match="^aide_penalty_per_change must be positive$"):
+            WeightConfig(aide_penalty_per_change=penalty)
+
     def test_from_mapping_overrides(self):
         config = WeightConfig.from_mapping({"w_custom": 0.3})
         assert config.w_custom == 0.3
