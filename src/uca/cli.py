@@ -233,7 +233,7 @@ def rules_cmd(app: AppContext, rules_path, snapshot_path, node, iteration, recor
 @click.pass_obj
 def stats_cmd(app: AppContext, tool, node_a, node_b, welch):
     """Two-sample t-test of a tool's scores between two nodes (b - a)."""
-    with app.read() as store:
+    with app.read() as store, store.read_transaction():
         pairs = store.node_tools()
         for name in (node_a, node_b):
             if name not in {node for node, _ in pairs}:
@@ -265,7 +265,7 @@ def report(app: AppContext, out_dir):
     """Emit the four summary tables plus plot-data CSVs."""
     if app.fmt == "csv-dir" and out_dir is None:
         raise click.UsageError("--out-dir is required with --format csv-dir")
-    with app.read() as store:
+    with app.read() as store, store.read_transaction():
         bundle = report_mod.build_report(store)
     written: list[Path] = []
     if out_dir is not None:
@@ -290,7 +290,7 @@ def export(app: AppContext, out_dir):
     """Write audit_runs.csv and aggregate_scores.csv."""
     audit_path = out_dir / "audit_runs.csv"
     agg_path = out_dir / "aggregate_scores.csv"
-    with app.read() as store:
+    with app.read() as store, store.read_transaction():
         out_dir.mkdir(parents=True, exist_ok=True)
         audit_rows = store.export_audit_csv(audit_path)
         agg_rows = store.export_aggregate_csv(agg_path)

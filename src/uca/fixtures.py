@@ -422,10 +422,10 @@ def make_corpus(
 
     snapshots = {node.name: make_snapshot(node.profile, node=node.name)
                  for node in spec.nodes}
-    for name, snapshot in snapshots.items():
-        save_snapshot(snapshot, out_dir / "snapshots" / name, captured_at=start_iso)
-
+    # open and lock the store first, so a store that cannot be written leaves no file
     with open_store(store_path) as store, store.transaction():
+        for name, snapshot in snapshots.items():
+            save_snapshot(snapshot, out_dir / "snapshots" / name, captured_at=start_iso)
         for iteration in range(spec.iterations):
             phase = _phase_for(iteration)
             for node_index, node in enumerate(spec.nodes):

@@ -14,6 +14,11 @@ table of rule definitions, which is then dropped; a result of no stored rule
 raises CorruptStoreError and leaves the file as it was. A version-2 store drops
 that table, which nothing read.
 
+Error contract: every statement runs under ``Store._errors()``, which raises a
+rejected row or unbindable text as ConstraintViolationError, a store that cannot
+be opened or is locked, read-only, failing or full as StoreIOError, and any other
+database error (not a database, malformed) as CorruptStoreError.
+
 Write contract: every write runs in ``Store.transaction()``, which commits
 once at the end of its outermost block, so a command that wraps its writes in
 one block writes all or nothing. Recording a run or an aggregate replaces the
@@ -22,8 +27,10 @@ iteration) it covers.
 
 Concurrency contract: opening a version-3 store takes no write lock, so a
 read-only file opens and reads see the committed state while another process
-writes; an older store must be writable once, to be upgraded. Writes are
-serialized by a lock on the store handle, which may be passed between threads.
+writes; an older store must be writable once, to be upgraded. A read command
+runs all its queries in one ``Store.read_transaction()``, so it sees one
+committed state. Writes are serialized by a lock on the store handle, which may
+be passed between threads.
 Timestamps are stored as ISO-8601 text. Queries return plain rows and values,
 no record objects; only the writes take records, whose fields are the columns
 of one list per table, from which its CSV header, insert, export and import derive.
@@ -37,7 +44,7 @@ import math
 import sqlite3
 import threading
 from collections.abc import Callable, Iterable, Iterator
-from contextlib import contextmanager
+from contextlib import AbstractContextManager, contextmanager
 from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum
@@ -205,21 +212,18 @@ class Store:
         self._lock = threading.RLock()
         if not create and not self.path.exists():
             raise EmptyStoreError(f"no audit runs recorded: no store at {self.path}")
-        try:
+        with self._errors():
             # autocommit outside transaction(): no implicit BEGIN
             self._conn = sqlite3.connect(str(self.path), check_same_thread=False,
                                          isolation_level=None)
-        except sqlite3.Error as exc:
-            # "unable to open database file": missing parent, no permission
-            raise StoreIOError(f"{self.path}: {exc}") from None
         try:
             # a current store opens under no write lock; an older or new one is
             # checked again under BEGIN IMMEDIATE, so of two processes, one upgrades it
             if self._schema_version() != _VERSION:
                 with self.transaction():
                     version = self._schema_version()
-                    v1 = version == 0 and self._conn.execute(
-                        "SELECT 1 FROM sqlite_master WHERE name = 'audit_runs'").fetchone()
+                    v1 = version == 0 and self._sql(
+                        "SELECT 1 FROM sqlite_master WHERE name = 'audit_runs'")
                     # not executescript, which commits first
                     for statement in (_MIGRATE_V1 if v1 else _UPGRADES[version]).split(";"):
                         self._conn.execute(statement)
@@ -227,13 +231,31 @@ class Store:
         except ConstraintViolationError as exc:
             # a version-1 row the schema rejects, such as a result of no stored rule
             raise CorruptStoreError(f"{self.path}: cannot migrate: {exc}") from None
+
+    @contextmanager
+    def _errors(self) -> Iterator[None]:
+        """Raise SQLite's failures in the block as the store's typed errors."""
+        try:
+            yield
+        except sqlite3.IntegrityError as exc:
+            raise ConstraintViolationError(str(exc)) from None
+        except UnicodeEncodeError as exc:  # a str with a lone surrogate, as from argv
+            raise ConstraintViolationError(f"{exc.object!r} is not UTF-8 text") from None
+        except sqlite3.OperationalError as exc:
+            # cannot open; locked, read-only, I/O error or full
+            raise StoreIOError(f"{self.path}: {exc}") from None
         except sqlite3.DatabaseError as exc:
-            # "file is not a database"
+            # not a database, malformed
             raise CorruptStoreError(f"{self.path}: {exc}") from None
+
+    def _sql(self, query: str, *params: object) -> list:
+        """Every row of one query."""
+        with self._errors():
+            return self._conn.execute(query, params).fetchall()
 
     def _schema_version(self) -> int:
         """The store's user_version; CorruptStoreError if no upgrade is known."""
-        version = self._conn.execute("PRAGMA user_version").fetchone()[0]
+        version = self._sql("PRAGMA user_version")[0][0]
         if version not in _UPGRADES:
             raise CorruptStoreError(f"{self.path}: unknown schema version {version}")
         return version
@@ -249,24 +271,24 @@ class Store:
 
     # --- recording ---------------------------------------------------------
 
+    def transaction(self) -> AbstractContextManager[None]:
+        """One write transaction; its reads see the state its writes replace."""
+        return self._transaction("BEGIN IMMEDIATE")
+
+    def read_transaction(self) -> AbstractContextManager[None]:
+        """One deferred read transaction: one committed state, no write lock."""
+        return self._transaction("BEGIN")
+
     @contextmanager
-    def transaction(self) -> Iterator[None]:
-        """One transaction under the write lock; an inner block joins the outer.
-        Any exception rolls back; a rejected row raises ConstraintViolationError,
-        a locked, read-only or full store StoreIOError."""
-        with self._lock:
+    def _transaction(self, begin: str) -> Iterator[None]:
+        """One transaction under the handle's lock; an inner block joins the outer."""
+        with self._lock, self._errors():
             if self._conn.in_transaction:
                 yield
                 return
-            try:
-                # IMMEDIATE: the block's reads see the state its writes replace
-                self._conn.execute("BEGIN IMMEDIATE")
-                with self._conn:  # commits, or rolls back on any exception
-                    yield
-            except sqlite3.IntegrityError as exc:
-                raise ConstraintViolationError(str(exc)) from None
-            except sqlite3.OperationalError as exc:
-                raise StoreIOError(f"{self.path}: {exc}") from None
+            self._conn.execute(begin)
+            with self._conn:  # commits, or rolls back on any exception
+                yield
 
     def record_audit_run(self, run: AuditRun) -> int:
         """Record one run, replacing any run of its (node, tool, iteration)."""
@@ -319,37 +341,35 @@ class Store:
 
     def node_tools(self) -> set[tuple[str, str]]:
         """The (node, tool) pairs that have at least one run."""
-        return set(self._conn.execute("SELECT DISTINCT node, tool FROM audit_runs"))
+        return set(self._sql("SELECT DISTINCT node, tool FROM audit_runs"))
 
     def score_rows(self) -> list[tuple[str, str, int, float]]:
         """(node, tool, iteration, normalized_score) per run, by (node, tool, iteration)."""
         query = "SELECT node, tool, iteration, normalized_score FROM audit_runs"
-        return self._conn.execute(query + _RUN_ORDER).fetchall()
+        return self._sql(query + _RUN_ORDER)
 
     def aggregate_rows(self) -> list[tuple[str, float | None, float, float | None]]:
         """(node, custom, standard_uca, extended_uca) per aggregate, by (node, iteration)."""
-        return self._conn.execute("SELECT node, custom, standard_uca, extended_uca"
-                                  " FROM aggregate_scores" + _AGG_ORDER).fetchall()
+        return self._sql("SELECT node, custom, standard_uca, extended_uca"
+                         " FROM aggregate_scores" + _AGG_ORDER)
 
     def runs_for(self, node: str, iteration: int) -> dict[str, float]:
         """{tool: normalized_score} of the runs of (node, iteration)."""
-        return dict(self._conn.execute(
+        return dict(self._sql(
             "SELECT tool, normalized_score FROM audit_runs WHERE node = ? AND iteration = ?",
-            (node, iteration)))
+            node, iteration))
 
     def tool_scores(self, tool: str, node: str) -> list[float]:
         """Normalized scores for one tool on one node, ordered by iteration."""
-        rows = self._conn.execute(
-            "SELECT normalized_score FROM audit_runs"
-            " WHERE tool = ? AND node = ? ORDER BY iteration",
-            (Tool(tool).value, node),
-        ).fetchall()
+        rows = self._sql("SELECT normalized_score FROM audit_runs"
+                         " WHERE tool = ? AND node = ? ORDER BY iteration",
+                         Tool(tool).value, node)
         return [row[0] for row in rows]
 
     def rule_tallies(self) -> list[tuple[str, int, int, float]]:
         """(node, passed, failed, score_pct) of each node's latest evaluation,
         scored with the weights its results were recorded with."""
-        rows = self._conn.execute(
+        rows = self._sql(
             "SELECT node, SUM(passed), COUNT(*) - SUM(passed), SUM(passed * weight),"
             " SUM(weight) FROM custom_rule_results WHERE (node, iteration) IN"
             " (SELECT node, MAX(iteration) FROM custom_rule_results GROUP BY node)"
@@ -361,10 +381,8 @@ class Store:
 
     def summarize_runtime(self) -> list[tuple[str, float, float, int]]:
         """(tool, average, total, count) of the runtimes of each tool's runs."""
-        rows = self._conn.execute(
-            "SELECT tool, AVG(runtime_seconds), SUM(runtime_seconds), COUNT(*)"
-            " FROM audit_runs GROUP BY tool ORDER BY tool"
-        ).fetchall()
+        rows = self._sql("SELECT tool, AVG(runtime_seconds), SUM(runtime_seconds), COUNT(*)"
+                         " FROM audit_runs GROUP BY tool ORDER BY tool")
         if not rows:
             raise EmptyStoreError("no audit runs recorded")
         return rows
@@ -391,12 +409,15 @@ class Store:
         """Write ``table`` in ``order`` as CSV; returns rows written."""
         header = [name for name, _, _ in columns]
         formats = [(index, fmt) for index, (_, _, fmt) in enumerate(columns) if fmt]
-        rows = [list(row) for row in self._conn.execute(
-            f"SELECT {', '.join(header)} FROM {table}{order}")]
-        for row in rows:
+
+        def formatted(row: tuple) -> list:
+            row = list(row)
             for index, fmt in formats:
                 row[index] = fmt(row[index])
-        return write_csv(path, header, rows)
+            return row
+        # formatted as written, so no second list of every row is held
+        rows = self._sql(f"SELECT {', '.join(header)} FROM {table}{order}")
+        return write_csv(path, header, map(formatted, rows))
 
     def _import_csv(self, path: Path | str, columns: tuple, record_type: type,
                     record: Callable[[object], int]) -> int:
@@ -422,8 +443,7 @@ class Store:
                         raise ValueError(f"{len(row)} fields, expected {len(columns)}")
                     record(record_type(**{name: parse(cell) for (name, parse, _), cell
                                           in zip(columns, row)}))
-                except (ValueError, ConstraintViolationError,
-                        sqlite3.IntegrityError) as exc:
+                except (ValueError, ConstraintViolationError) as exc:
                     raise ConstraintViolationError(f"{path}:{lineno}: {exc}") from None
                 count += 1
         return count

@@ -129,8 +129,10 @@ def pooled_t_test(
 
 
 # Continued-fraction evaluation of the incomplete beta (Lentz's algorithm,
-# as in Numerical Recipes). Convergence tolerance well below the 1e-10
-# absolute accuracy target.
+# as in Numerical Recipes). The two-tailed p it gives is within 1e-10 absolute
+# of scipy.stats.t.sf for df up to 1e5 (worst 3.8e-11 over t in [0.02, 8]);
+# past that the error grows, to about 9e-10 at df 1e6. The report's df is
+# at most 198 at 100 nodes x 100 iterations.
 _CF_EPS = 1e-15
 _CF_FPMIN = 1e-300
 _CF_MAX_ITER = 500

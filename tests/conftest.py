@@ -110,3 +110,17 @@ def v2_store(default_corpus, tmp_path):
          "") for r in default_rules().rules])
     conn.close()
     return path
+
+
+def damage_key_index(path, table: str) -> None:
+    """Overwrite the root page of ``table``'s key index with 0xFF bytes, so a
+    statement that reads or checks that key finds a malformed page. In the
+    seed-155 store the audit_runs key index is page 3, at offset 8192."""
+    conn = sqlite3.connect(path)
+    (page_size,) = conn.execute("PRAGMA page_size").fetchone()
+    (root,) = conn.execute("SELECT rootpage FROM sqlite_master WHERE name = ?",
+                           (f"sqlite_autoindex_{table}_1",)).fetchone()
+    conn.close()
+    with open(path, "r+b") as handle:
+        handle.seek((root - 1) * page_size)
+        handle.write(b"\xff" * page_size)

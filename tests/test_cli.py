@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from conftest import damage_key_index
 from uca.cli import main
 from uca.fixtures import (
     TOOL_FILE_NAMES,
@@ -19,9 +20,11 @@ from uca.fixtures import (
     make_snapshot,
     make_xccdf_fixture,
 )
-from uca.repository import AUDIT_CSV_HEADER, open_store
+from uca.errors import ConstraintViolationError, CorruptStoreError, StoreIOError
+from uca.pipeline import score_iteration
+from uca.repository import AUDIT_CSV_HEADER, AuditRun, Phase, Store, open_store
 from uca.rules import default_rules, load_snapshot, save_snapshot
-from uca.scoring import Tool
+from uca.scoring import DEFAULT_WEIGHTS, Tool
 
 
 @pytest.fixture()
@@ -1100,3 +1103,165 @@ class TestOutputsPinned:
     def test_stats(self, runner, default_corpus, argv, expected):
         result = runner.invoke(main, ["--store", str(default_corpus.store_path), *argv])
         assert (result.exit_code, result.output) == (0, expected)
+
+
+# One command per way into the store, as argv templates over the seed-155 copy
+# and its corpus, with the table whose key index each one reads or checks.
+_STORE_COMMANDS = {
+    "report": (["report"], "audit_runs"),
+    "stats": (["stats", "lynis", "baseline", "full"], "audit_runs"),
+    "export": (["export", "--out-dir", "{tmp}/ex"], "audit_runs"),
+    "ingest": (["ingest", "baseline", "lynis", "{corpus}/runs/baseline/0/lynis.dat",
+                "--iteration", "11"], "audit_runs"),
+    "score": (["score", "baseline", "--iteration", "0"], "audit_runs"),
+    "rules-record": (["rules", "--snapshot", "{corpus}/snapshots/full", "--node", "baseline",
+                      "--record"], "custom_rule_results"),
+}
+
+
+def _store_failure(runner, store, *argv) -> Exception:
+    """Run a command that must exit 1 with one Error: line, no exception left
+    unhandled (so no traceback), and ``store``'s bytes unchanged; return the
+    typed error behind the line."""
+    before = Path(store).read_bytes()
+    result = runner.invoke(main, ["--store", str(store), *argv])
+    assert result.exit_code == 1, result.output
+    assert _one_error_line(result), result.output
+    assert result.exc_info[0] is SystemExit, result.exc_info
+    assert Path(store).read_bytes() == before
+    # click's exit carries the ClickException, raised from the UcaError
+    return result.exc_info[1].__context__.__cause__
+
+
+def _connect_with(monkeypatch, *pragmas: str) -> None:
+    """Run ``pragmas`` on every connection the command under test opens."""
+    connect = sqlite3.connect
+
+    def configured(path, **kwargs):
+        conn = connect(path, **kwargs)
+        for pragma in pragmas:
+            conn.execute(pragma)
+        return conn
+
+    monkeypatch.setattr(sqlite3, "connect", configured)
+
+
+class TestStoreFailures:
+    """Every failure of a store statement is one typed error: exit 1, one Error:
+    line, no traceback and the store's bytes unchanged."""
+
+    @pytest.mark.parametrize("command", list(_STORE_COMMANDS))
+    def test_damaged_page_is_corrupt_store(self, runner, seed_155_copy, tmp_path, command):
+        store, corpus = seed_155_copy
+        argv, table = _STORE_COMMANDS[command]
+        damage_key_index(store, table)
+        error = _store_failure(runner, store,
+                               *(a.format(tmp=tmp_path, corpus=corpus) for a in argv))
+        assert isinstance(error, CorruptStoreError)
+        assert str(error) == f"{store}: database disk image is malformed"
+
+    @pytest.mark.parametrize("locked_at", ["before-open", "after-open"])
+    @pytest.mark.parametrize("command", list(_STORE_COMMANDS))
+    def test_locked_store_is_store_io_error(self, runner, seed_155_copy, tmp_path,
+                                             monkeypatch, command, locked_at):
+        store, corpus = seed_155_copy
+        blocker = sqlite3.connect(store, isolation_level=None)
+        # the command's own connection waits for no lock
+        _connect_with(monkeypatch, "PRAGMA busy_timeout = 0")
+        if locked_at == "before-open":
+            blocker.execute("BEGIN EXCLUSIVE")
+        else:
+            def open_then_lock(path, **kwargs):
+                handle = open_store(path, **kwargs)
+                blocker.execute("BEGIN EXCLUSIVE")
+                return handle
+            monkeypatch.setattr("uca.cli.open_store", open_then_lock)
+        try:
+            error = _store_failure(runner, store, *(
+                a.format(tmp=tmp_path, corpus=corpus) for a in _STORE_COMMANDS[command][0]))
+        finally:
+            blocker.close()
+        assert isinstance(error, StoreIOError)
+        assert str(error) == f"{store}: database is locked"
+
+    def test_full_store_is_store_io_error(self, runner, seed_155_copy, monkeypatch):
+        store, corpus = seed_155_copy
+        # the store may not grow past its current pages; a 20,000-byte node name
+        # needs overflow pages
+        _connect_with(monkeypatch, "PRAGMA max_page_count = 1")
+        error = _store_failure(runner, store, "ingest", "n" * 20_000, "lynis",
+                               str(corpus / "runs" / "baseline" / "0" / "lynis.dat"))
+        assert isinstance(error, StoreIOError)
+        assert str(error) == f"{store}: database or disk is full"
+
+    @pytest.mark.parametrize("argv", [
+        ["score", "\udcff", "--iteration", "0"],
+        ["rules", "--snapshot", "{corpus}/snapshots/full", "--node", "\udcff", "--record"],
+        ["ingest", "\udcff", "lynis", "{corpus}/runs/baseline/0/lynis.dat"],
+    ], ids=["score", "rules-record", "ingest"])
+    def test_node_not_utf8_is_named_and_records_nothing(self, runner, seed_155_copy, argv):
+        # the node argument $'\xff' reaches Python as the lone surrogate '\udcff'
+        store, corpus = seed_155_copy
+        error = _store_failure(runner, store, *(a.format(corpus=corpus) for a in argv))
+        assert isinstance(error, ConstraintViolationError)
+        assert str(error) == "'\\udcff' is not UTF-8 text"
+
+    def test_stats_names_a_node_not_utf8_as_unknown(self, runner, seed_155_copy):
+        store, _ = seed_155_copy
+        error = _store_failure(runner, store, "stats", "lynis", "\udcff", "baseline")
+        assert str(error) == "no runs recorded for node '\\udcff'"
+
+    def test_report_reads_one_state(self, runner, seed_155_copy, monkeypatch):
+        # another connection ingests and scores baseline iteration 11 between the
+        # report's reads of the runs and of the aggregates
+        store, _ = seed_155_copy
+        before = _json_report(runner, store)
+        aggregate_rows = Store.aggregate_rows
+        written = []
+
+        def write_then_read(handle):
+            if not written:
+                written.append(True)
+                with open_store(store) as other:
+                    try:
+                        with other.transaction():
+                            other.record_audit_run(AuditRun(
+                                "baseline", Tool.LYNIS, "2025-03-03T11:00:00+00:00", 11,
+                                Phase.POST, 99.0, 99.0, 1.0))
+                            score_iteration(other, "baseline", 11, weights=DEFAULT_WEIGHTS,
+                                            timestamp="2025-03-03T11:09:00+00:00")
+                    except StoreIOError:
+                        pass  # the report's read transaction holds off the commit
+            return aggregate_rows(handle)
+
+        monkeypatch.setattr(Store, "aggregate_rows", write_then_read)
+        # the writer waits for no lock
+        _connect_with(monkeypatch, "PRAGMA busy_timeout = 0")
+        bundle = _json_report(runner, store)
+        assert written
+        assert bundle in (before, _json_report(runner, store))
+
+
+class TestFixturesStoreFailures:
+    """fixtures opens its store and begins its transaction before it writes any
+    file, so a store it cannot write leaves nothing under --out-dir."""
+
+    def _assert_no_file(self, runner, store, out):
+        _store_failure(runner, store, "fixtures", "--out-dir", str(out))
+        assert [p for p in out.rglob("*") if p.is_file()] == []
+
+    def test_locked_store(self, runner, tmp_path, monkeypatch):
+        store = tmp_path / "s.db"
+        open_store(store).close()
+        blocker = sqlite3.connect(store, isolation_level=None)
+        blocker.execute("BEGIN IMMEDIATE")
+        _connect_with(monkeypatch, "PRAGMA busy_timeout = 0")
+        try:
+            self._assert_no_file(runner, store, tmp_path / "corp")
+        finally:
+            blocker.close()
+
+    def test_store_not_a_database(self, runner, tmp_path):
+        store = tmp_path / "s.db"
+        store.write_bytes(b"not a database" * 100)
+        self._assert_no_file(runner, store, tmp_path / "corp")

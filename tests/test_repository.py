@@ -1,8 +1,10 @@
 import math
+import shutil
 import sqlite3
 
 import pytest
 
+from conftest import damage_key_index
 from uca.errors import (
     ConstraintViolationError,
     CorruptStoreError,
@@ -81,6 +83,14 @@ class TestOpenStore:
         path.write_bytes(b"\x00not a database at all" * 8)
         with pytest.raises(CorruptStoreError):
             open_store(path)
+
+    def test_query_on_a_damaged_page_is_corrupt(self, default_corpus, tmp_path):
+        path = tmp_path / "s.db"
+        shutil.copy(default_corpus.store_path, path)
+        damage_key_index(path, "audit_runs")
+        with open_store(path) as store:
+            with pytest.raises(CorruptStoreError, match="s.db: database disk image is malformed"):
+                store.score_rows()
 
 
 # The version-1 schema (user_version 0) as its last release created it; releases

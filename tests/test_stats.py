@@ -179,6 +179,16 @@ class TestStudentTP:
             quad_two_tailed_p(t, df), abs=1e-8
         )
 
+    @pytest.mark.parametrize("df", [1, 2, 5, 30, 198, 1e3, 1e5])
+    def test_within_1e_10_of_scipy_up_to_df_1e5(self, df):
+        # the accuracy the comment above stats._betacf states; 198 is the report's
+        # df at 100 nodes x 100 iterations
+        from scipy.stats import t as student_t
+
+        for t in (0.02 + (8 - 0.02) * k / 200 for k in range(201)):
+            assert student_t_two_tailed_p(t, df) == pytest.approx(
+                2.0 * student_t.sf(t, df), abs=1e-10)
+
     @given(df=st.integers(1, 100), t=st.floats(0, 20))
     def test_monotone_decreasing_in_abs_t(self, df, t):
         higher = student_t_two_tailed_p(t + 0.5, df)
