@@ -6,9 +6,13 @@ store is byte-identical. Rounding happens at the output boundary: each rounded
 JSON number goes through ``round_score``, and the four text tables share one layout.
 
 It is built from the plain tuples of the store's row queries, with no per-run
-record objects; ``ReportBundle.runs`` holds one ``(node, tool, iteration,
-normalized_score)`` tuple per audit run, in the store's run order, and
-``ReportBundle.runtime`` one ``(tool, average, total, count)`` per tool.
+record objects, and holds no per-run rows: the runs and aggregates stream
+through it one (node, metric) group at a time, of which only the mean is kept,
+and the two t-test nodes' scores come from one query once the nodes are
+ranked. So its memory follows the node count, not the run count.
+``ReportBundle.runtime`` holds one ``(tool, average, total, count)`` per tool.
+The per-run score progression plot is written from rows its caller passes,
+read from the store as the file is written.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from pathlib import Path
 
 from . import stats
 from .errors import DegenerateSampleError, EmptyStoreError
-from .repository import Store, csv_score, write_csv
+from .repository import Store, csv_score, replace_together, write_csv
 from .scoring import Tool
 
 __all__ = [
@@ -54,38 +58,34 @@ class ReportBundle:
     runtime_total: float
     node_low: str | None
     node_high: str | None
-    # (node, tool, iteration, normalized_score) per audit run, in store order,
-    # for the score progression plot
-    runs: list[tuple[str, str, int, float]]
     # (tool, node_high - node_low test) per tool with a defined t statistic
     significance: list[tuple[str, stats.TestResult]] = field(default_factory=list)
 
 
 def build_report(store: Store) -> ReportBundle:
-    """Recompute the four report tables from one read of each store table."""
-    runs = store.score_rows()
-    if not runs:
+    """Recompute the four report tables from one streamed read of each store
+    table, and the t-tests from one read of the two nodes they compare."""
+    # (metric, node) -> mean: tool scores by iteration, then the aggregate
+    # columns by iteration; fsum rounds once, so input order cannot matter
+    means: dict[tuple[str, str], float] = {}
+    for (node, tool), group in groupby(store.score_rows(), itemgetter(0, 1)):
+        values = [row[3] for row in group]
+        means[tool, node] = math.fsum(values) / len(values)
+    if not means:
         raise EmptyStoreError("no audit runs recorded; ingest or generate a corpus first")
-
-    # (metric, node) -> values in store order: tool scores by iteration, then
-    # the aggregate columns by iteration
-    samples = {(tool, node): [row[3] for row in group]
-               for (node, tool), group in groupby(runs, itemgetter(0, 1))}
-    for node, *values in store.aggregate_rows():
-        for metric, value in zip(("custom", "standard_uca", "extended_uca"), values):
-            if value is not None:
-                samples.setdefault((metric, node), []).append(value)
-
-    def mean(metric: str, node: str) -> float | None:
-        # stats.describe's mean: fsum rounds once, so input order cannot matter
-        values = samples.get((metric, node))
-        return math.fsum(values) / len(values) if values else None
+    run_nodes = {node for _, node in means}
+    for node, group in groupby(store.aggregate_rows(), itemgetter(0)):
+        columns = zip(*(row[1:] for row in group))
+        for metric, column in zip(("custom", "standard_uca", "extended_uca"), columns):
+            values = [value for value in column if value is not None]
+            if values:
+                means[metric, node] = math.fsum(values) / len(values)
 
     # Column order: weakest to strongest by mean standard score, so the
     # significance comparison (first vs last column) reads naturally.
-    standard = {n: mean("standard_uca", n) for n in {row[0] for row in runs}}
+    standard = {n: means.get(("standard_uca", n)) for n in run_nodes}
     nodes = sorted(standard, key=lambda n: (standard[n] is None, standard[n] or 0.0, n))
-    score_table = {m: {n: mean(m, n) for n in nodes} for m in SCORE_METRICS}
+    score_table = {m: {n: means.get((m, n)) for n in nodes} for m in SCORE_METRICS}
 
     tallies = {row[0]: row for row in store.rule_tallies()}
     rule_table = [dict(zip(RULE_COLUMNS, tallies[n])) for n in nodes if n in tallies]
@@ -95,9 +95,11 @@ def build_report(store: Store) -> ReportBundle:
     ranked = [n for n in nodes if standard[n] is not None]
     if len(ranked) >= 2:
         node_low, node_high = ranked[0], ranked[-1]
+        samples = {key: [row[3] for row in group] for key, group
+                   in groupby(store.score_rows(node_low, node_high), itemgetter(0, 1))}
         for tool in Tool:
-            low_scores = samples.get((tool.value, node_low), [])
-            high_scores = samples.get((tool.value, node_high), [])
+            low_scores = samples.get((node_low, tool.value), [])
+            high_scores = samples.get((node_high, tool.value), [])
             if len(low_scores) < 2 or len(high_scores) < 2:
                 continue
             try:
@@ -114,7 +116,6 @@ def build_report(store: Store) -> ReportBundle:
         runtime_total=sum(row[2] for row in runtime),
         node_low=node_low,
         node_high=node_high,
-        runs=runs,
         significance=significance,
     )
 
@@ -214,11 +215,12 @@ def render_json(bundle: ReportBundle) -> str:
 
 
 def _csv_files(bundle: ReportBundle) -> dict[str, tuple[list[str], Iterable]]:
-    """All nine report CSV files: file name -> (header, formatted rows).
+    """The report CSV files built from the bundle: file name -> (header,
+    formatted rows).
 
     The ``table_`` files are the four report tables; each ``plot_`` file
-    repeats or slices them, except the per-run score progression, whose rows
-    are a generator so that a call writing only the tables does not format them.
+    repeats or slices them. The per-run score progression is not among them:
+    ``write_plot_data`` writes it from the rows it is passed.
     """
     cells = {m: [csv_score(bundle.score_table[m].get(n)) for n in bundle.nodes]
              for m in SCORE_METRICS}
@@ -247,11 +249,6 @@ def _csv_files(bundle: ReportBundle) -> dict[str, tuple[list[str], Iterable]]:
         ),
         "plot_scores_by_node.csv": (["node", "lynis", "openscap", "aide"],
                                     by_node("lynis", "openscap", "aide")),
-        "plot_score_progression.csv": (
-            ["node", "tool", "iteration", "normalized_score"],
-            ([node, tool, iteration, f"{score:.2f}"]
-             for node, tool, iteration, score in bundle.runs),
-        ),
         "plot_uca_comparison.csv": (["node", "standard_uca", "extended_uca"],
                                     by_node("standard_uca", "extended_uca")),
         "plot_custom_rules.csv": (rules_header, rules),
@@ -275,6 +272,20 @@ def write_csv_tables(bundle: ReportBundle, out_dir: Path) -> list[Path]:
     return _write_csv_files(bundle, out_dir, "table_")
 
 
-def write_plot_data(bundle: ReportBundle, out_dir: Path) -> list[Path]:
-    """Plot-data CSVs, one per report figure."""
-    return _write_csv_files(bundle, out_dir, "plot_")
+def write_plot_data(bundle: ReportBundle, out_dir: Path,
+                    runs: Iterable[tuple[str, str, int, float]]) -> list[Path]:
+    """Plot-data CSVs, one per report figure; the score progression's rows are
+    ``runs``, (node, tool, iteration, normalized_score) per audit run in store
+    order, as ``Store.score_rows`` yields them.
+
+    As a read of ``runs`` can fail halfway, the progression is written first,
+    under a temporary name that replaces its path only once it is complete, so
+    a failed read leaves every file under ``out_dir`` as it was.
+    """
+    progression = Path(out_dir) / "plot_score_progression.csv"
+    progression.parent.mkdir(parents=True, exist_ok=True)
+    with replace_together() as stage:
+        write_csv(stage(progression), ["node", "tool", "iteration", "normalized_score"],
+                  ([node, tool, iteration, f"{score:.2f}"]
+                   for node, tool, iteration, score in runs))
+    return [progression, *_write_csv_files(bundle, out_dir, "plot_")]

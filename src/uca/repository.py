@@ -15,9 +15,11 @@ raises CorruptStoreError and leaves the file as it was. A version-2 store drops
 that table, which nothing read.
 
 Error contract: every statement runs under ``Store._errors()``, which raises a
-rejected row or unbindable text as ConstraintViolationError, a store that cannot
-be opened or is locked, read-only, failing or full as StoreIOError, and any other
-database error (not a database, malformed) as CorruptStoreError.
+rejected row, unbindable text or an integer past 64 bits as
+ConstraintViolationError, a store that cannot be opened or is locked,
+read-only, failing or full as StoreIOError, and any other database error (not a
+database, malformed) as CorruptStoreError. A streamed query maps a failure at
+any of its rows the same way.
 
 Write contract: every write runs in ``Store.transaction()``, which commits
 once at the end of its outermost block, so a command that wraps its writes in
@@ -34,6 +36,13 @@ be passed between threads.
 Timestamps are stored as ISO-8601 text. Queries return plain rows and values,
 no record objects; only the writes take records, whose fields are the columns
 of one list per table, from which its CSV header, insert, export and import derive.
+The reads of every run or aggregate (``score_rows``, ``aggregate_rows``) yield
+rows as the cursor does, and the exports write each row as it is read, so a
+reader that keeps no per-run rows holds memory by node count, not run count.
+A file whose rows are read from the store as it is written can be written
+under the temporary name that ``replace_together``'s ``stage`` gives it; the
+block moves it into place with a command's other staged files only when
+every one is complete, so a read that fails halfway leaves no file changed.
 """
 
 from __future__ import annotations
@@ -41,13 +50,15 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
 import sqlite3
 import threading
 from collections.abc import Callable, Iterable, Iterator
-from contextlib import AbstractContextManager, contextmanager
+from contextlib import AbstractContextManager, contextmanager, suppress
 from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum
+from itertools import chain
 from pathlib import Path
 
 from .errors import (
@@ -65,6 +76,7 @@ __all__ = [
     "Store",
     "open_store",
     "write_csv",
+    "replace_together",
     "AUDIT_CSV_HEADER",
     "AGGREGATE_CSV_HEADER",
 ]
@@ -241,6 +253,8 @@ class Store:
             raise ConstraintViolationError(str(exc)) from None
         except UnicodeEncodeError as exc:  # a str with a lone surrogate, as from argv
             raise ConstraintViolationError(f"{exc.object!r} is not UTF-8 text") from None
+        except OverflowError as exc:  # an int outside SQLite's 64-bit INTEGER
+            raise ConstraintViolationError(str(exc)) from None
         except sqlite3.OperationalError as exc:
             # cannot open; locked, read-only, I/O error or full
             raise StoreIOError(f"{self.path}: {exc}") from None
@@ -252,6 +266,20 @@ class Store:
         """Every row of one query."""
         with self._errors():
             return self._conn.execute(query, params).fetchall()
+
+    def _stream(self, query: str, *params: object) -> Iterator[tuple]:
+        """The rows of one query, run at the call and read in batches of 64,
+        so that no list of every row is held; a failure at the call or at any
+        later row maps as in ``_sql``."""
+        with self._errors():
+            cursor = self._conn.execute(query, params)
+
+        def batches() -> Iterator[list]:
+            with self._errors():
+                while batch := cursor.fetchmany(64):
+                    yield batch
+        # rows pass through C iterators, not one generator step each
+        return chain.from_iterable(batches())
 
     def _schema_version(self) -> int:
         """The store's user_version; CorruptStoreError if no upgrade is known."""
@@ -343,15 +371,18 @@ class Store:
         """The (node, tool) pairs that have at least one run."""
         return set(self._sql("SELECT DISTINCT node, tool FROM audit_runs"))
 
-    def score_rows(self) -> list[tuple[str, str, int, float]]:
-        """(node, tool, iteration, normalized_score) per run, by (node, tool, iteration)."""
-        query = "SELECT node, tool, iteration, normalized_score FROM audit_runs"
-        return self._sql(query + _RUN_ORDER)
+    def score_rows(self, *nodes: str) -> Iterator[tuple[str, str, int, float]]:
+        """(node, tool, iteration, normalized_score) per run of ``nodes``, or of
+        every node, by (node, tool, iteration), as the cursor yields them."""
+        where = f" WHERE node IN ({', '.join('?' * len(nodes))})" if nodes else ""
+        return self._stream("SELECT node, tool, iteration, normalized_score FROM audit_runs"
+                            + where + _RUN_ORDER, *nodes)
 
-    def aggregate_rows(self) -> list[tuple[str, float | None, float, float | None]]:
-        """(node, custom, standard_uca, extended_uca) per aggregate, by (node, iteration)."""
-        return self._sql("SELECT node, custom, standard_uca, extended_uca"
-                         " FROM aggregate_scores" + _AGG_ORDER)
+    def aggregate_rows(self) -> Iterator[tuple[str, float | None, float, float | None]]:
+        """(node, custom, standard_uca, extended_uca) per aggregate, by (node,
+        iteration), as the cursor yields them."""
+        return self._stream("SELECT node, custom, standard_uca, extended_uca"
+                            " FROM aggregate_scores" + _AGG_ORDER)
 
     def runs_for(self, node: str, iteration: int) -> dict[str, float]:
         """{tool: normalized_score} of the runs of (node, iteration)."""
@@ -378,6 +409,11 @@ class Store:
         # score_rules' arithmetic: integer weights, one float division
         return [(node, passed, failed, 100.0 * weighted / total)
                 for node, passed, failed, weighted, total in rows]
+
+    def release_memory(self) -> None:
+        """Free the pages that earlier reads left in the connection's cache;
+        a later read fetches the pages it needs again."""
+        self._sql("PRAGMA shrink_memory")
 
     def summarize_runtime(self) -> list[tuple[str, float, float, int]]:
         """(tool, average, total, count) of the runtimes of each tool's runs."""
@@ -415,8 +451,8 @@ class Store:
             for index, fmt in formats:
                 row[index] = fmt(row[index])
             return row
-        # formatted as written, so no second list of every row is held
-        rows = self._sql(f"SELECT {', '.join(header)} FROM {table}{order}")
+        # each row formatted and written as the cursor yields it
+        rows = self._stream(f"SELECT {', '.join(header)} FROM {table}{order}")
         return write_csv(path, header, map(formatted, rows))
 
     def _import_csv(self, path: Path | str, columns: tuple, record_type: type,
@@ -459,3 +495,30 @@ def write_csv(path: Path | str, header: list[str], rows: Iterable[Iterable]) -> 
             writer.writerow(row)
     return count
 
+
+@contextmanager
+def replace_together() -> Iterator[Callable[[Path | str], str]]:
+    """Yield ``stage(path)``, which names a temporary file beside ``path`` to
+    write in its place. When the block ends without error, each staged file
+    replaces its path with ``os.replace``; on any error, each one not yet moved
+    is removed, a partly written one too. So a block that fails leaves the
+    files already at those paths as they were. A replaced path gets a new
+    file: one there before loses its mode and links, and a symlink there is
+    replaced, not written through."""
+    staged: list[tuple[str, Path | str]] = []
+
+    def stage(path: Path | str) -> str:
+        # a str, not a Path, whose parse would intern each new name
+        head, tail = os.path.split(path)
+        temporary = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
+        staged.append((temporary, path))
+        return temporary
+    try:
+        yield stage
+        while staged:
+            os.replace(*staged[0])
+            del staged[0]
+    finally:
+        for temporary, _ in staged:
+            with suppress(FileNotFoundError):  # the block failed before writing it
+                os.unlink(temporary)

@@ -11,6 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 from conftest import damage_key_index
+from uca import report as report_mod
 from uca.cli import main
 from uca.fixtures import (
     TOOL_FILE_NAMES,
@@ -22,7 +23,7 @@ from uca.fixtures import (
 )
 from uca.errors import ConstraintViolationError, CorruptStoreError, StoreIOError
 from uca.pipeline import score_iteration
-from uca.repository import AUDIT_CSV_HEADER, AuditRun, Phase, Store, open_store
+from uca.repository import AUDIT_CSV_HEADER, AuditRun, Phase, Store, open_store, write_csv
 from uca.rules import default_rules, load_snapshot, save_snapshot
 from uca.scoring import DEFAULT_WEIGHTS, Tool
 
@@ -55,7 +56,7 @@ class TestIngest:
         assert result.exit_code == 0
         assert "normalized=64.00" in result.output
         with open_store(store) as handle:
-            runs = handle.score_rows()
+            runs = list(handle.score_rows())
             assert len(runs) == 1
             assert runs[0][3] == 64.0
 
@@ -99,7 +100,7 @@ class TestIngest:
         assert _one_error_line(result), result.output
         assert "ISO-8601" in result.output
         with open_store(store) as handle:
-            assert handle.score_rows() == []
+            assert list(handle.score_rows()) == []
 
     def test_json_output(self, runner, tmp_path):
         path = tmp_path / "lynis.dat"
@@ -220,7 +221,7 @@ class TestScore:
         # 0.8*67.80 + 0.2*83.61 = 70.96
         assert "extended_uca=70.96" in result.output
         with open_store(store) as handle:
-            aggs = handle.aggregate_rows()
+            aggs = list(handle.aggregate_rows())
             assert len(aggs) == 1
             assert aggs[0][3] == pytest.approx(70.962, abs=0.001)
 
@@ -1119,6 +1120,33 @@ _STORE_COMMANDS = {
 }
 
 
+# Each command that writes files, as an argv template over its out dir, with a
+# file whose rows it reads from the store as it writes them: export's second,
+# once its first is complete, and the report's score progression.
+_FILE_COMMANDS = {
+    "export": (["export", "--out-dir", "{out}"], "aggregate_scores.csv"),
+    "report-csv-dir": (["--format", "csv-dir", "report", "--out-dir", "{out}"],
+                       "plot_score_progression.csv"),
+    "report-out-dir": (["report", "--out-dir", "{out}"], "plot_score_progression.csv"),
+}
+
+
+def _tree(out: Path) -> dict:
+    """Every file's bytes and every directory (None) under ``out``."""
+    return {str(p.relative_to(out)): p.read_bytes() if p.is_file() else None
+            for p in out.rglob("*")}
+
+
+def _earlier_files(runner, store, out: Path, argv: list[str]) -> dict:
+    """Run ``argv`` once, then mark each file it wrote, so a later run that
+    replaces one shows; returns ``_tree(out)``."""
+    result = runner.invoke(main, ["--store", str(store), *argv])
+    assert result.exit_code == 0, result.output
+    for path in out.iterdir():
+        path.write_bytes(b"earlier " + path.name.encode())
+    return _tree(out)
+
+
 def _store_failure(runner, store, *argv) -> Exception:
     """Run a command that must exit 1 with one Error: line, no exception left
     unhandled (so no traceback), and ``store``'s bytes unchanged; return the
@@ -1211,35 +1239,102 @@ class TestStoreFailures:
         error = _store_failure(runner, store, "stats", "lynis", "\udcff", "baseline")
         assert str(error) == "no runs recorded for node '\\udcff'"
 
-    def test_report_reads_one_state(self, runner, seed_155_copy, monkeypatch):
-        # another connection ingests and scores baseline iteration 11 between the
-        # report's reads of the runs and of the aggregates
+    @pytest.mark.parametrize("argv", [
+        ["ingest", "baseline", "lynis", "{corpus}/runs/baseline/0/lynis.dat"],
+        ["score", "baseline"],
+        ["rules", "--snapshot", "{corpus}/snapshots/full", "--node", "baseline", "--record"],
+    ], ids=["ingest", "score", "rules-record"])
+    def test_iteration_past_64_bits_is_constraint_violation(self, runner, seed_155_copy,
+                                                             argv):
+        # 2**63 is one past SQLite's largest INTEGER
+        store, corpus = seed_155_copy
+        error = _store_failure(runner, store, *(a.format(corpus=corpus) for a in argv),
+                               "--iteration", str(2**63))
+        assert isinstance(error, ConstraintViolationError)
+        assert str(error) == "Python int too large to convert to SQLite INTEGER"
+
+    @pytest.mark.parametrize("command", list(_FILE_COMMANDS))
+    def test_damaged_page_leaves_out_dir_as_it_was(self, runner, seed_155_copy, tmp_path,
+                                                   command):
         store, _ = seed_155_copy
-        before = _json_report(runner, store)
-        aggregate_rows = Store.aggregate_rows
-        written = []
+        argv = [a.format(out=tmp_path / "out") for a in _FILE_COMMANDS[command][0]]
+        before = _earlier_files(runner, store, tmp_path / "out", argv)
+        damage_key_index(store, "audit_runs")
+        assert isinstance(_store_failure(runner, store, *argv), CorruptStoreError)
+        assert _tree(tmp_path / "out") == before
 
-        def write_then_read(handle):
-            if not written:
-                written.append(True)
-                with open_store(store) as other:
-                    try:
-                        with other.transaction():
-                            other.record_audit_run(AuditRun(
-                                "baseline", Tool.LYNIS, "2025-03-03T11:00:00+00:00", 11,
-                                Phase.POST, 99.0, 99.0, 1.0))
-                            score_iteration(other, "baseline", 11, weights=DEFAULT_WEIGHTS,
-                                            timestamp="2025-03-03T11:09:00+00:00")
-                    except StoreIOError:
-                        pass  # the report's read transaction holds off the commit
-            return aggregate_rows(handle)
+    @pytest.mark.parametrize("command", list(_FILE_COMMANDS))
+    def test_read_failing_midway_through_a_file_leaves_out_dir_as_it_was(
+            self, runner, seed_155_copy, tmp_path, monkeypatch, command):
+        store, _ = seed_155_copy
+        template, failing = _FILE_COMMANDS[command]
+        argv = [a.format(out=tmp_path / "out") for a in template]
+        before = _earlier_files(runner, store, tmp_path / "out", argv)
 
-        monkeypatch.setattr(Store, "aggregate_rows", write_then_read)
-        # the writer waits for no lock
-        _connect_with(monkeypatch, "PRAGMA busy_timeout = 0")
-        bundle = _json_report(runner, store)
-        assert written
-        assert bundle in (before, _json_report(runner, store))
+        def fail_after_two(rows):
+            for count, row in enumerate(rows):
+                if count == 2:
+                    raise CorruptStoreError("failed after 2 rows")
+                yield row
+
+        def write_failing(path, header, rows):
+            # a staged file is written under a temporary name that holds its own
+            if failing in Path(path).name:
+                rows = fail_after_two(rows)
+            return write_csv(path, header, rows)
+
+        for module in ("uca.repository", "uca.report"):
+            monkeypatch.setattr(f"{module}.write_csv", write_failing)
+        assert str(_store_failure(runner, store, *argv)) == "failed after 2 rows"
+        assert _tree(tmp_path / "out") == before
+
+    def test_report_reads_one_state(self, runner, seed_155_copy, tmp_path, monkeypatch):
+        # between the report's reads of the runs and of the aggregates
+        _assert_one_state(runner, seed_155_copy[0], tmp_path / "out", monkeypatch, "json",
+                          Store, "aggregate_rows")
+
+    def test_report_csvs_read_one_state(self, runner, seed_155_copy, tmp_path, monkeypatch):
+        # between the build and the CSV files, whose progression plot reads the
+        # runs again
+        _assert_one_state(runner, seed_155_copy[0], tmp_path / "out", monkeypatch, "csv-dir",
+                          report_mod, "write_plot_data")
+
+
+def _assert_one_state(runner, store, out, monkeypatch, fmt, target, name) -> None:
+    """Another connection ingests and scores baseline iteration 11 when the
+    report calls ``target.name``; the report's output and its CSV files under
+    ``out`` must equal those of a report before or after that write."""
+    def report():
+        result = runner.invoke(main, ["--store", str(store), "--format", fmt, "report",
+                                      "--out-dir", str(out)])
+        assert result.exit_code == 0, result.output
+        return result.output, {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    before = report()
+    original = getattr(target, name)
+    written = []
+
+    def write_first(*args):
+        if not written:
+            written.append(True)
+            with open_store(store) as other:
+                try:
+                    with other.transaction():
+                        other.record_audit_run(AuditRun(
+                            "baseline", Tool.LYNIS, "2025-03-03T11:00:00+00:00", 11,
+                            Phase.POST, 99.0, 99.0, 1.0))
+                        score_iteration(other, "baseline", 11, weights=DEFAULT_WEIGHTS,
+                                        timestamp="2025-03-03T11:09:00+00:00")
+                except StoreIOError:
+                    pass  # the report's read transaction holds off the commit
+        return original(*args)
+
+    monkeypatch.setattr(target, name, write_first)
+    # the writer waits for no lock
+    _connect_with(monkeypatch, "PRAGMA busy_timeout = 0")
+    outputs = report()
+    assert written
+    assert outputs in (before, report())
 
 
 class TestFixturesStoreFailures:

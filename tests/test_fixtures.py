@@ -200,8 +200,8 @@ class TestMakeCorpus:
         assert default_corpus.runs_recorded == 108
         assert default_corpus.aggregates_recorded == 36
         assert default_corpus.rule_results_recorded == 288
-        assert len(corpus_store.score_rows()) == 108
-        assert len(corpus_store.aggregate_rows()) == 36
+        assert len(list(corpus_store.score_rows())) == 108
+        assert len(list(corpus_store.aggregate_rows())) == 36
 
     def test_phases_follow_iteration(self, corpus_store):
         for iteration, phase in corpus_store._conn.execute(

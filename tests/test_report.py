@@ -3,6 +3,7 @@ import io
 import json
 import sqlite3
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -112,12 +113,30 @@ class TestBuildReport:
         assert len(statements) <= 6, statements
         assert len(bundle.nodes) == 24
         assert len(bundle.rule_table) == 24
-        assert len(bundle.runs) == 24 * 2 * 3
 
 
-def _corpus_24(out: Path):
+def _corpus_24(out: Path, iterations: int = 2):
     nodes = tuple(NodeSpec(f"n{i:02d}", list(Profile)[i % 3]) for i in range(24))
-    return make_corpus(CorpusSpec(nodes=nodes, iterations=2), out)
+    return make_corpus(CorpusSpec(nodes=nodes, iterations=iterations), out)
+
+
+def test_read_memory_does_not_grow_with_runs(tmp_path):
+    """The report and the export stream the runs: the traced peak of a build,
+    its plot files and the runs' export on 24 nodes at 40 iterations (2,880
+    runs) is within 64 KiB of that at 2 (144 runs). A build and an export that
+    hold every run row peak about 1.2 MB higher at 40."""
+    peaks = []
+    for iterations in (2, 40):
+        out = tmp_path / str(iterations)
+        with open_store(_corpus_24(out / "corpus", iterations).store_path) as store:
+            tracemalloc.start()
+            try:
+                write_plot_data(build_report(store), out / "plots", store.score_rows())
+                store.export_audit_csv(out / "audit_runs.csv")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 64 * 1024, peaks
 
 
 def test_report_and_export_build_no_records(tmp_path, monkeypatch):
@@ -142,10 +161,10 @@ def test_report_and_export_build_no_records(tmp_path, monkeypatch):
 
 # --- the report as computed before it read plain rows ------------------------
 
-def _reference_bundle(store) -> ReportBundle:
+def _reference_bundle(store) -> tuple[ReportBundle, list]:
     """build_report from raw SQL rows of each table and RuleResult and RuleSet
     records, with stats.describe means, rules.score_rules scores and a runtime
-    query of its own."""
+    query of its own; and the runs, which the score progression plot shows."""
     runs = store._conn.execute(
         "SELECT node, tool, iteration, normalized_score FROM audit_runs"
         " ORDER BY node, tool, iteration").fetchall()
@@ -210,9 +229,8 @@ def _reference_bundle(store) -> ReportBundle:
         runtime_total=sum(total for _, _, total, _ in runtime),
         node_low=node_low,
         node_high=node_high,
-        runs=runs,
         significance=significance,
-    )
+    ), runs
 
 
 def _reference_exports(store) -> dict[str, bytes]:
@@ -246,8 +264,8 @@ def _reference_exports(store) -> dict[str, bytes]:
     return files
 
 
-def _csv_bytes(bundle, out: Path) -> dict[str, bytes]:
-    paths = write_csv_tables(bundle, out) + write_plot_data(bundle, out)
+def _csv_bytes(bundle, out: Path, runs) -> dict[str, bytes]:
+    paths = write_csv_tables(bundle, out) + write_plot_data(bundle, out, runs)
     return {path.name: path.read_bytes() for path in paths}
 
 
@@ -308,11 +326,12 @@ def test_plain_row_report_matches_record_reference(runs, aggregates, results):
                 with pytest.raises(EmptyStoreError):
                     build_report(store)
                 return
-            bundle, expected = build_report(store), _reference_bundle(store)
+            bundle, (expected, expected_runs) = build_report(store), _reference_bundle(store)
             assert bundle == expected
             assert render_text(bundle) == render_text(expected)
             assert render_json(bundle) == render_json(expected)
-            assert _csv_bytes(bundle, out / "new") == _csv_bytes(expected, out / "reference")
+            assert (_csv_bytes(bundle, out / "new", store.score_rows())
+                    == _csv_bytes(expected, out / "reference", expected_runs))
 
 
 # --- the text and JSON renderers as written before they shared one layout ----
@@ -461,7 +480,6 @@ def _bundles(draw) -> ReportBundle:
         runtime_total=draw(_FINITE),
         node_low=draw(st.one_of(st.none(), names)),
         node_high=draw(st.one_of(st.none(), names)),
-        runs=[],
         significance=draw(st.lists(st.tuples(
             st.sampled_from([t.value for t in Tool]),
             st.builds(stats.TestResult, t=_FINITE, df=st.floats(0, 1e4), p_two_tailed=_P_VALUES,

@@ -17,6 +17,8 @@ from uca.repository import (
     AuditRun,
     Phase,
     open_store,
+    replace_together,
+    write_csv,
 )
 from uca.report import build_report
 from uca.scoring import AggregateScore, Tool, compute_standard_uca
@@ -72,7 +74,7 @@ class TestOpenStore:
         with open_store(path) as store:
             store.record_audit_run(_run())
         with open_store(path) as store:
-            assert len(store.score_rows()) == 1
+            assert len(list(store.score_rows())) == 1
 
     def test_unopenable_path(self, tmp_path):
         with pytest.raises(StoreIOError):
@@ -262,7 +264,7 @@ class TestRecording:
         with open_store(tmp_path / "s.db") as store:
             with pytest.raises(ConstraintViolationError):
                 store.record_audit_run(_run(runtime_seconds=runtime))
-            assert store.score_rows() == []
+            assert list(store.score_rows()) == []
 
     def test_aggregate_custom_pairing(self, tmp_path):
         with open_store(tmp_path / "s.db") as store:
@@ -289,7 +291,7 @@ class TestRecording:
                         + evaluate_rules(default_rules(), make_snapshot(profile, "web"), 1)))
             assert [(tool, score) for _, tool, _, score in store.score_rows()] == [
                 (Tool.AIDE, 60.0), (Tool.LYNIS, 60.0)]
-            assert len(store.aggregate_rows()) == 1
+            assert len(list(store.aggregate_rows())) == 1
             results = store._conn.execute("SELECT node, iteration, passed"
                                           " FROM custom_rule_results ORDER BY node, id").fetchall()
             assert [(node, iteration) for node, iteration, _ in results] == (
@@ -309,7 +311,7 @@ class TestRecording:
                 blocker.close()
             # the failed write left no transaction open
             store.record_audit_run(_run())
-            assert len(store.score_rows()) == 1
+            assert len(list(store.score_rows())) == 1
 
     def test_rule_results_count(self, corpus_store_copy):
         from uca.fixtures import Profile, make_snapshot
@@ -329,6 +331,47 @@ class TestCsvExport:
             agg_path = tmp_path / "aggregate_scores.csv"
             assert store.export_aggregate_csv(agg_path) == 0
             assert agg_path.read_text().splitlines() == [",".join(AGGREGATE_CSV_HEADER)]
+
+    def test_staged_write_failing_midway_leaves_the_earlier_files(self, tmp_path):
+        for name in ("t.csv", "u.csv"):
+            (tmp_path / name).write_bytes(b"earlier")
+
+        def rows():
+            yield ["a", 1]
+            yield ["b", 2]
+            raise OSError("failed after 2 rows")
+
+        with pytest.raises(OSError, match="after 2 rows"):
+            with replace_together() as stage:
+                write_csv(stage(tmp_path / "u.csv"), ["key"], [["complete"]])
+                write_csv(stage(tmp_path / "t.csv"), ["key", "value"], rows())
+                stage(tmp_path / "never_written.csv")
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == {
+            "t.csv": b"earlier", "u.csv": b"earlier"}
+
+    def test_staged_new_file_has_the_mode_of_a_plain_open(self, tmp_path):
+        with replace_together() as stage:
+            write_csv(stage(tmp_path / "t.csv"), ["key"], [])
+            assert (tmp_path / "t.csv").exists() is False
+        open(tmp_path / "plain.csv", "w").close()
+        assert (tmp_path / "t.csv").read_text() == "key\n"
+        assert (tmp_path / "t.csv").stat().st_mode == (tmp_path / "plain.csv").stat().st_mode
+
+    def test_staged_file_replaces_what_was_at_its_path(self, tmp_path):
+        # a new file takes the path: an earlier file's mode is not kept, and a
+        # symlink is replaced, its target left as it was
+        (tmp_path / "t.csv").write_bytes(b"earlier")
+        (tmp_path / "t.csv").chmod(0o600)
+        (tmp_path / "target.csv").write_bytes(b"target")
+        (tmp_path / "u.csv").symlink_to(tmp_path / "target.csv")
+        open(tmp_path / "plain.csv", "w").close()
+        with replace_together() as stage:
+            for name in ("t.csv", "u.csv"):
+                write_csv(stage(tmp_path / name), ["key"], [])
+        assert (tmp_path / "t.csv").stat().st_mode == (tmp_path / "plain.csv").stat().st_mode
+        assert (tmp_path / "u.csv").is_symlink() is False
+        assert (tmp_path / "u.csv").read_text() == "key\n"
+        assert (tmp_path / "target.csv").read_bytes() == b"target"
 
     def test_rows_ordered_by_node_tool_iteration(self, corpus_store, tmp_path):
         path = tmp_path / "audit_runs.csv"
@@ -419,7 +462,7 @@ class TestCsvExport:
         with open_store(tmp_path / "s.db") as store:
             with pytest.raises(ConstraintViolationError, match="bad.csv:3: "):
                 getattr(store, importer)(path)
-            assert len(store.score_rows()) == len(store.aggregate_rows()) == 0
+            assert len(list(store.score_rows())) == len(list(store.aggregate_rows())) == 0
 
 
     @pytest.mark.parametrize("importer, header, good", [
@@ -435,7 +478,7 @@ class TestCsvExport:
         with open_store(tmp_path / "s.db") as store:
             with pytest.raises(ConstraintViolationError, match="bad.csv:3: 'utf-8' codec"):
                 getattr(store, importer)(path)
-            assert len(store.score_rows()) == len(store.aggregate_rows()) == 0
+            assert len(list(store.score_rows())) == len(list(store.aggregate_rows())) == 0
 
 class TestRuntimeSummary:
     def test_single_run(self, tmp_path):
@@ -506,4 +549,4 @@ class TestConcurrency:
             for thread in threads:
                 thread.join()
             assert not errors
-            assert len(store.score_rows()) == 40
+            assert len(list(store.score_rows())) == 40
