@@ -26,6 +26,7 @@ from .errors import (
     UnknownNodeError,
     UnknownToolError,
 )
+from .jsondoc import load
 from .parsers import FileChunks
 from .repository import Phase, Store, open_store, replace_together
 from .rules import default_rules, load_rules, load_snapshot
@@ -50,14 +51,8 @@ class AppContext:
 
 
 def _load_weights(config_path: Path | None, overrides: dict[str, float]) -> WeightConfig:
-    mapping: dict[str, float] = {}
-    if config_path is not None:
-        try:
-            mapping = json.loads(Path(config_path).read_bytes())
-        except (ValueError, RecursionError) as exc:  # malformed, too deep or undecodable
-            raise InvalidWeightsError(f"config {config_path}: {exc}") from None
-        if not isinstance(mapping, dict):
-            raise InvalidWeightsError(f"config {config_path} must be a JSON object")
+    mapping = {} if config_path is None else load(
+        Path(config_path).read_bytes(), dict, InvalidWeightsError, f"config {config_path}")
     return WeightConfig.from_mapping({**mapping, **overrides})
 
 
@@ -249,7 +244,7 @@ def stats_cmd(app: AppContext, tool, node_a, node_b, welch):
     payload = {
         "tool": tool, "node_a": node_a, "node_b": node_b,
         "n_a": len(group_a), "n_b": len(group_b),
-        **report_mod.round_t_test(result, diff_digits=4),
+        **report_mod.round_t_test(result),
         "welch": welch,
     }
     text = (f"{tool}: {node_b} - {node_a}  diff={result.mean_diff:+.2f}  t={result.t:.2f}"

@@ -19,15 +19,16 @@ runtime totals reproduce exactly.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from enum import Enum
+from functools import partial
 from pathlib import Path
 
 from . import pipeline, scoring
 from .errors import OutOfRangeError, SpecError
+from .jsondoc import load, typed
 from .repository import Phase, open_store
 from .rules import FirewallState, NodeSnapshot, default_rules, save_snapshot
 from .scoring import Tool, WeightConfig
@@ -206,20 +207,37 @@ class NodeSpec:
     profile: Profile
 
 
-def _node_spec(node: dict) -> NodeSpec:
-    """A spec's node entry, whose keys must be NodeSpec fields."""
-    unknown = set(node) - set(NodeSpec.__dataclass_fields__)
+def _typed(kind, value: object, where: str):
+    """A spec value read as ``kind`` (``jsondoc.typed``), at ``where`` in the document."""
+    return typed(value, kind, SpecError, f"invalid spec document: {where}")
+
+
+def _known_keys(mapping: dict, fields: dict, where: str) -> None:
+    unknown = set(mapping) - set(fields)
     if unknown:
-        raise SpecError(f"invalid spec document: unknown node keys {sorted(unknown)}")
-    return NodeSpec(str(node["name"]), Profile(node["profile"]))
+        raise SpecError(f"{where}: unknown keys {sorted(unknown)}")
 
 
-def _mean_sd(where: str, pair) -> tuple[float, float]:
+def _node(node: object, where: str) -> NodeSpec:
+    """A spec's node entry, whose missing fields read as null."""
+    node = _typed(dict, node, where)
+    _known_keys(node, NodeSpec.__dataclass_fields__, f"invalid spec document: {where}")
+    return NodeSpec(_typed(str, node.get("name"), f"{where}.name"),
+                    _typed(Profile, node.get("profile"), f"{where}.profile"))
+
+
+def _mean_sd(pair: object, where: str) -> tuple[float, float]:
     """A spec's (mean, sd) entry, which must be exactly two numbers."""
-    if not (isinstance(pair, (list, tuple)) and len(pair) == 2 and all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair)):
-        raise SpecError(f"invalid spec document: {where} is {pair!r}, not [mean, sd]")
-    return float(pair[0]), float(pair[1])
+    try:
+        mean, sd = (_typed(float, value, where) for value in _typed(list, pair, where))
+        return mean, sd
+    except (SpecError, ValueError):  # ValueError: not two values to unpack
+        raise SpecError(f"invalid spec document: {where} is {pair!r}, not [mean, sd]") from None
+
+
+def _per_tool(per_tool: object, where: str) -> dict[Tool, tuple[float, float]]:
+    return {_typed(Tool, tool, f"{where}.{tool}"): _mean_sd(pair, f"{where}.{tool}")
+            for tool, pair in _typed(dict, per_tool, where).items()}
 
 
 # Score means follow the reference per-tool node averages; sds are
@@ -259,18 +277,16 @@ _DEFAULT_NODES = (
 
 # CorpusSpec.from_dict's parser of each key a spec document may hold, one per field
 _SPEC_PARSERS = {
-    "nodes": lambda nodes: tuple(_node_spec(node) for node in nodes),
-    "iterations": int,
-    "seed": int,
-    "score_distributions": lambda per_node: {
-        name: {Tool(tool): _mean_sd(f"score_distributions.{name}.{tool}", pair)
-               for tool, pair in per_tool.items()}
-        for name, per_tool in per_node.items()},
-    "runtime_distributions": lambda per_tool: {
-        Tool(tool): _mean_sd(f"runtime_distributions.{tool}", pair)
-        for tool, pair in per_tool.items()},
-    "scap_total_rules": int,
-    "start_time": datetime.fromisoformat,
+    "nodes": lambda nodes, where: tuple(
+        _node(node, f"{where}[{index}]") for index, node in enumerate(_typed(list, nodes, where))),
+    "iterations": partial(_typed, int),
+    "seed": partial(_typed, int),
+    "score_distributions": lambda per_node, where: {
+        name: _per_tool(per_tool, f"{where}.{name}")
+        for name, per_tool in _typed(dict, per_node, where).items()},
+    "runtime_distributions": _per_tool,
+    "scap_total_rules": partial(_typed, int),
+    "start_time": partial(_typed, datetime.fromisoformat),
 }
 
 
@@ -332,23 +348,15 @@ class CorpusSpec:
     @classmethod
     def from_dict(cls, data: dict) -> "CorpusSpec":
         """Build a spec from parsed JSON, keeping defaults for absent keys; a key
-        that is no field, at the top or in a node, a distribution entry that is
-        not two numbers, or one for a node not in the spec raises SpecError."""
-        unknown = set(data) - set(_SPEC_PARSERS)
-        if unknown:
-            raise SpecError(f"invalid spec document: unknown keys {sorted(unknown)}")
-        return cls(**{key: _SPEC_PARSERS[key](value) for key, value in data.items()})
+        that is no field, a value not of its field's JSON type, a distribution entry
+        that is not two numbers, or one for a node not in the spec raises SpecError."""
+        _known_keys(data, _SPEC_PARSERS, "invalid spec document")
+        return cls(**{key: _SPEC_PARSERS[key](value, key) for key, value in data.items()})
 
     @classmethod
     def from_json(cls, document: str | bytes) -> "CorpusSpec":
         """Build a spec from JSON text or bytes; a malformed one raises SpecError."""
-        try:
-            data = json.loads(document)
-            if not isinstance(data, dict):
-                raise TypeError(f"top level is a {type(data).__name__}, not an object")
-            return cls.from_dict(data)
-        except (AttributeError, KeyError, RecursionError, TypeError, ValueError) as exc:
-            raise SpecError(f"invalid spec document: {exc!r}") from None
+        return cls.from_dict(load(document, dict, SpecError, "invalid spec document"))
 
 
 @dataclass(frozen=True)
@@ -432,29 +440,22 @@ def make_corpus(
                 run_dir = out_dir / "runs" / node.name / str(iteration)
                 run_dir.mkdir(parents=True, exist_ok=True)
                 for tool_index, tool in enumerate(Tool):
-                    document = _draw_documents(
-                        rng, spec, node, tool, weights.aide_penalty_per_change
-                    )
-                    (run_dir / TOOL_FILE_NAMES[tool]).write_text(document)
+                    # the bytes written are the bytes parsed, as ``uca ingest`` reads them
+                    document = _draw_documents(rng, spec, node, tool,
+                                               weights.aide_penalty_per_change).encode()
+                    (run_dir / TOOL_FILE_NAMES[tool]).write_bytes(document)
                     runtime_mean, runtime_sd = spec.runtime_distributions[tool]
                     runtime = max(0.0, rng.gauss(runtime_mean, runtime_sd))
-                    timestamp = (
-                        spec.start_time
-                        + timedelta(
-                            hours=iteration,
-                            minutes=10 * node_index,
-                            seconds=120 * tool_index,
-                        )
+                    timestamp = (spec.start_time + timedelta(
+                        hours=iteration, minutes=10 * node_index, seconds=120 * tool_index)
                     ).isoformat()
                     store.record_audit_run(pipeline.parse_run(
                         node.name, tool, document, iteration=iteration, phase=phase,
                         runtime_seconds=runtime, timestamp=timestamp, weights=weights,
                     ))
 
-                agg_timestamp = (
-                    spec.start_time
-                    + timedelta(hours=iteration, minutes=10 * node_index + 9)
-                ).isoformat()
+                agg_timestamp = (spec.start_time + timedelta(
+                    hours=iteration, minutes=10 * node_index + 9)).isoformat()
                 pipeline.score_iteration(
                     store, node.name, iteration, weights=weights,
                     timestamp=agg_timestamp, ruleset=ruleset,

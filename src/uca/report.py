@@ -21,6 +21,7 @@ import json
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import groupby
 from operator import itemgetter
 from pathlib import Path
@@ -60,6 +61,48 @@ class ReportBundle:
     node_high: str | None
     # (tool, node_high - node_low test) per tool with a defined t statistic
     significance: list[tuple[str, stats.TestResult]] = field(default_factory=list)
+
+    @cached_property
+    def csv_files(self) -> dict[str, tuple[list[str], list]]:
+        """The report CSV files built from the bundle, once for both of their
+        writers: file name -> (header, formatted rows).
+
+        The ``table_`` files are the four report tables; each ``plot_`` file
+        repeats or slices them. The per-run score progression is not among them:
+        ``write_plot_data`` writes it from the rows it is passed.
+        """
+        cells = {m: [csv_score(self.score_table[m].get(n)) for n in self.nodes]
+                 for m in SCORE_METRICS}
+
+        def by_node(*metrics: str) -> list:
+            return list(zip(self.nodes, *(cells[m] for m in metrics)))
+
+        rules_header = list(RULE_COLUMNS)
+        rules = [[r["node"], r["passed"], r["failed"], csv_score(r["score_pct"])]
+                 for r in self.rule_table]
+        runtime_header = ["tool", "avg_runtime_seconds", "total_runtime_seconds", "runs"]
+        runtime = [[tool, f"{average:.2f}", f"{total:.2f}", count]
+                   for tool, average, total, count in self.runtime]
+        return {
+            "table_scores.csv": (["metric", *self.nodes],
+                                 [[m, *cells[m]] for m in SCORE_METRICS]),
+            "table_custom_rules.csv": (rules_header, rules),
+            "table_runtime.csv": (runtime_header, runtime + [
+                ["total", "", f"{self.runtime_total:.2f}", ""]]),
+            "table_significance.csv": (
+                ["tool", "node_low", "node_high", "mean_diff", "t", "df", "p_two_tailed",
+                 "cohens_d"],
+                [[tool, self.node_low, self.node_high, f"{row.mean_diff:.2f}",
+                  f"{row.t:.4f}", f"{row.df:g}", f"{row.p_two_tailed:.6f}", f"{row.d:.4f}"]
+                 for tool, row in self.significance],
+            ),
+            "plot_scores_by_node.csv": (["node", "lynis", "openscap", "aide"],
+                                        by_node("lynis", "openscap", "aide")),
+            "plot_uca_comparison.csv": (["node", "standard_uca", "extended_uca"],
+                                        by_node("standard_uca", "extended_uca")),
+            "plot_custom_rules.csv": (rules_header, rules),
+            "plot_runtime.csv": (runtime_header, runtime),
+        }
 
 
 def build_report(store: Store) -> ReportBundle:
@@ -134,9 +177,9 @@ def round_score(value: float | None, digits: int = 2) -> float | None:
     return None if value is None else round(value, digits)
 
 
-def round_t_test(result: stats.TestResult, diff_digits: int = 2) -> dict:
+def round_t_test(result: stats.TestResult) -> dict:
     """A t-test's numbers as JSON output carries them."""
-    return {"mean_diff": round_score(result.mean_diff, diff_digits),
+    return {"mean_diff": round_score(result.mean_diff),
             "t": round_score(result.t, 4), "df": result.df,
             "p_two_tailed": round_score(result.p_two_tailed, 6),
             "cohens_d": round_score(result.d, 4)}
@@ -214,57 +257,13 @@ def render_json(bundle: ReportBundle) -> str:
     return json.dumps(bundle_to_dict(bundle), indent=2) + "\n"
 
 
-def _csv_files(bundle: ReportBundle) -> dict[str, tuple[list[str], Iterable]]:
-    """The report CSV files built from the bundle: file name -> (header,
-    formatted rows).
-
-    The ``table_`` files are the four report tables; each ``plot_`` file
-    repeats or slices them. The per-run score progression is not among them:
-    ``write_plot_data`` writes it from the rows it is passed.
-    """
-    cells = {m: [csv_score(bundle.score_table[m].get(n)) for n in bundle.nodes]
-             for m in SCORE_METRICS}
-
-    def by_node(*metrics: str) -> list:
-        return list(zip(bundle.nodes, *(cells[m] for m in metrics)))
-
-    rules_header = list(RULE_COLUMNS)
-    rules = [[r["node"], r["passed"], r["failed"], csv_score(r["score_pct"])]
-             for r in bundle.rule_table]
-    runtime_header = ["tool", "avg_runtime_seconds", "total_runtime_seconds", "runs"]
-    runtime = [[tool, f"{average:.2f}", f"{total:.2f}", count]
-               for tool, average, total, count in bundle.runtime]
-    return {
-        "table_scores.csv": (["metric", *bundle.nodes],
-                             [[m, *cells[m]] for m in SCORE_METRICS]),
-        "table_custom_rules.csv": (rules_header, rules),
-        "table_runtime.csv": (runtime_header, runtime + [
-            ["total", "", f"{bundle.runtime_total:.2f}", ""]]),
-        "table_significance.csv": (
-            ["tool", "node_low", "node_high", "mean_diff", "t", "df", "p_two_tailed",
-             "cohens_d"],
-            [[tool, bundle.node_low, bundle.node_high, f"{row.mean_diff:.2f}",
-              f"{row.t:.4f}", f"{row.df:g}", f"{row.p_two_tailed:.6f}", f"{row.d:.4f}"]
-             for tool, row in bundle.significance],
-        ),
-        "plot_scores_by_node.csv": (["node", "lynis", "openscap", "aide"],
-                                    by_node("lynis", "openscap", "aide")),
-        "plot_uca_comparison.csv": (["node", "standard_uca", "extended_uca"],
-                                    by_node("standard_uca", "extended_uca")),
-        "plot_custom_rules.csv": (rules_header, rules),
-        "plot_runtime.csv": (runtime_header, runtime),
-    }
-
-
 def _write_csv_files(bundle: ReportBundle, out_dir: Path, prefix: str) -> list[Path]:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    for name, (header, rows) in _csv_files(bundle).items():
-        if name.startswith(prefix):
-            write_csv(out_dir / name, header, rows)
-            written.append(out_dir / name)
-    return written
+    names = [name for name in bundle.csv_files if name.startswith(prefix)]
+    for name in names:
+        write_csv(out_dir / name, *bundle.csv_files[name])
+    return [out_dir / name for name in names]
 
 
 def write_csv_tables(bundle: ReportBundle, out_dir: Path) -> list[Path]:

@@ -23,9 +23,9 @@ any of its rows the same way.
 
 Write contract: every write runs in ``Store.transaction()``, which commits
 once at the end of its outermost block, so a command that wraps its writes in
-one block writes all or nothing. Recording a run or an aggregate replaces the
-row of its key; recording an evaluation replaces the results of every (node,
-iteration) it covers.
+one block writes all or nothing. Recording a run or an aggregate updates the
+row of its key in place, so the row keeps its id; recording an evaluation
+replaces the results of every (node, iteration) it covers.
 
 Concurrency contract: opening a version-3 store takes no write lock, so a
 read-only file opens and reads see the committed state while another process
@@ -133,6 +133,9 @@ _AGG_COLUMNS = (
 )
 AUDIT_CSV_HEADER = [name for name, _, _ in _RUN_COLUMNS]
 AGGREGATE_CSV_HEADER = [name for name, _, _ in _AGG_COLUMNS]
+# The columns of each table's UNIQUE key, whose row a record updates in place
+_RUN_KEY = ("node", "tool", "iteration")
+_AGG_KEY = ("node", "iteration")
 
 
 # Schema version 3, the text of every store, new or upgraded.
@@ -320,15 +323,15 @@ class Store:
 
     def record_audit_run(self, run: AuditRun) -> int:
         """Record one run, replacing any run of its (node, tool, iteration)."""
-        return self._record("audit_runs", AUDIT_CSV_HEADER, run)
+        return self._record("audit_runs", AUDIT_CSV_HEADER, _RUN_KEY, run)
 
     def record_aggregate(self, agg: AggregateScore) -> int:
         """Record one aggregate, replacing any aggregate of its (node, iteration)."""
-        agg.id = self._record("aggregate_scores", AGGREGATE_CSV_HEADER, agg)
+        agg.id = self._record("aggregate_scores", AGGREGATE_CSV_HEADER, _AGG_KEY, agg)
         return agg.id
 
-    def _record(self, table: str, columns: list[str], record: object) -> int:
-        """Replace the row of ``record``'s key in ``table``; returns its row id. A
+    def _record(self, table: str, columns: list[str], key: tuple, record: object) -> int:
+        """Insert ``record`` or update its ``key``'s row in place; returns the row id. A
         non-finite number or a non-ISO-8601 timestamp raises ConstraintViolationError."""
         values = [getattr(record, name) for name in columns]
         for name, value in zip(columns, values):
@@ -341,11 +344,13 @@ class Store:
         except (TypeError, ValueError):
             raise ConstraintViolationError(
                 f"timestamp must be ISO-8601, got {record.timestamp!r}") from None
+        # not the key's columns: setting them would update the key's index too
+        updates = ", ".join(f"{name} = excluded.{name}" for name in columns if name not in key)
         with self.transaction():
-            cursor = self._conn.execute(
-                f"INSERT OR REPLACE INTO {table} ({', '.join(columns)})"
-                f" VALUES ({', '.join('?' * len(columns))})", values)
-        return cursor.lastrowid
+            return self._conn.execute(
+                f"INSERT INTO {table} ({', '.join(columns)})"
+                f" VALUES ({', '.join('?' * len(columns))}) ON CONFLICT ({', '.join(key)})"
+                f" DO UPDATE SET {updates} RETURNING id", values).fetchall()[0][0]
 
     def record_evaluation(self, ruleset: RuleSet, results: list[RuleResult]) -> int:
         """Record one evaluation of ``ruleset``: replace the results of each (node,

@@ -25,6 +25,7 @@ from .errors import (
     SnapshotError,
     UnknownRuleIdError,
 )
+from .jsondoc import load, typed
 
 __all__ = [
     "CheckType",
@@ -117,45 +118,31 @@ class NodeSnapshot:
 
 
 def _validate_rule_dict(entry: object, position: int) -> Rule:
-    if not isinstance(entry, dict):
-        raise SchemaError(f"rule #{position}: expected an object, got {type(entry).__name__}")
+    entry = typed(entry, dict, SchemaError, f"rule #{position}")
     for name in ("id", "name", "check_type", "weight"):
         if name not in entry:
             raise SchemaError(f"rule #{position}: missing required field {name!r}")
-    rule_id = entry["id"]
-    if not isinstance(rule_id, str) or not rule_id:
+    rule_id = typed(entry["id"], str, SchemaError, f"rule #{position}: id")
+    if not rule_id:
         raise SchemaError(f"rule #{position}: id must be a non-empty string")
-    try:
-        check_type = CheckType(entry["check_type"])
-    except ValueError:
-        raise SchemaError(
-            f"rule {rule_id!r}: unknown check_type {entry['check_type']!r}"
-        ) from None
-    weight = entry["weight"]
-    if isinstance(weight, bool) or not isinstance(weight, int):
-        raise SchemaError(f"rule {rule_id!r}: weight must be an integer")
+    where = f"rule {rule_id!r}"
+    name = typed(entry["name"], str, SchemaError, f"{where}: name")
+    check_type = typed(entry["check_type"], CheckType, SchemaError, f"{where}: check_type")
+    weight = typed(entry["weight"], int, SchemaError, f"{where}: weight")
     if weight < 1:
-        raise NonPositiveWeightError(f"rule {rule_id!r}: weight must be >= 1, got {weight}")
-    params = entry.get("params", {})
-    if not isinstance(params, dict):
-        raise SchemaError(f"rule {rule_id!r}: params must be an object")
+        raise NonPositiveWeightError(f"{where}: weight must be >= 1, got {weight}")
+    params = typed(entry.get("params", {}), dict, SchemaError, f"{where}: params")
     for key in _REQUIRED_PARAMS[check_type]:
         if key not in params:
-            raise SchemaError(f"rule {rule_id!r}: params missing {key!r} for {check_type.value}")
+            raise SchemaError(f"{where}: params missing {key!r} for {check_type.value}")
     if check_type is CheckType.CONFIG_DIRECTIVE and params.get("expected_is_regex"):
         try:
             re.compile(str(params["expected"]))
         except re.error as exc:
-            raise SchemaError(f"rule {rule_id!r}: bad expected regex: {exc}") from None
+            raise SchemaError(f"{where}: bad expected regex: {exc}") from None
     if check_type is CheckType.FILE_MODE:
-        _parse_mode(str(params["max_mode"]), f"rule {rule_id!r} max_mode")
-    return Rule(
-        id=rule_id,
-        name=str(entry["name"]),
-        check_type=check_type,
-        weight=weight,
-        params=dict(params),
-    )
+        _parse_mode(str(params["max_mode"]), f"{where} max_mode")
+    return Rule(rule_id, name, check_type, weight, dict(params))
 
 
 def _parse_mode(text: str, what: str) -> int:
@@ -170,12 +157,7 @@ def _parse_mode(text: str, what: str) -> int:
 
 def load_rules(document: str | bytes) -> RuleSet:
     """Parse and validate a JSON rules document (top-level list of rules)."""
-    try:
-        data = json.loads(document)
-    except (ValueError, RecursionError) as exc:  # malformed, too deep or undecodable
-        raise SchemaError(f"rules document is not valid JSON: {exc}") from None
-    if not isinstance(data, list):
-        raise SchemaError("rules document must be a top-level list")
+    data = load(document, list, SchemaError, "rules document")
     if not data:
         raise SchemaError("rules document must list at least one rule")
     rules = []
@@ -427,14 +409,9 @@ def load_snapshot(directory: Path | str) -> NodeSnapshot:
     manifest_path = directory / "manifest.json"
     if not manifest_path.is_file():
         raise SnapshotError(f"{directory}: missing manifest.json")
-    try:
-        manifest = json.loads(_read_snapshot_file(manifest_path))
-    except (ValueError, RecursionError) as exc:
-        raise SnapshotError(f"{manifest_path}: invalid JSON: {exc}") from None
-    if not isinstance(manifest, dict):
-        raise SnapshotError(f"{manifest_path}: expected a JSON object")
-    node = manifest.get("node")
-    if not isinstance(node, str) or not node:
+    manifest = load(_read_snapshot_file(manifest_path), dict, SnapshotError, str(manifest_path))
+    node = typed(manifest.get("node", ""), str, SnapshotError, f"{manifest_path}: node")
+    if not node:
         raise SnapshotError(f"{manifest_path}: missing node id")
 
     files: dict[str, str] = {}

@@ -20,6 +20,7 @@ from .errors import (
     NonFiniteError,
     OutOfRangeError,
 )
+from .jsondoc import typed
 
 __all__ = [
     "Tool",
@@ -72,16 +73,14 @@ class WeightConfig:
             raise InvalidWeightsError("aide_penalty_per_change must be positive")
 
     @classmethod
-    def from_mapping(cls, mapping: Mapping[str, float]) -> "WeightConfig":
-        """Build a config from a flat mapping, keeping defaults for absent keys."""
+    def from_mapping(cls, mapping: Mapping[str, object]) -> "WeightConfig":
+        """Build a config from a flat mapping, keeping defaults for absent keys;
+        each value must be a JSON number (``jsondoc.typed``)."""
         unknown = set(mapping) - set(cls.__dataclass_fields__)
         if unknown:
             raise InvalidWeightsError(f"unknown weight keys: {sorted(unknown)}")
-        try:
-            merged = {key: float(value) for key, value in mapping.items()}
-        except (TypeError, ValueError) as exc:
-            raise InvalidWeightsError(f"weights must be numbers: {exc}") from None
-        return cls(**merged)
+        return cls(**{key: typed(value, float, InvalidWeightsError, key)
+                      for key, value in mapping.items()})
 
 
 DEFAULT_WEIGHTS = WeightConfig()

@@ -316,7 +316,7 @@ class TestRulesCommand:
         result = runner.invoke(main, ["--store", str(tmp_path / "s.db"), "rules",
                                       "--rules", str(rules_path)])
         assert result.exit_code == 1
-        assert "top-level list" in result.output
+        assert result.output == "Error: rules document: expected a JSON array, got object\n"
 
 
 class TestStatsCommand:
@@ -670,6 +670,29 @@ class TestFixturesCommand:
         assert result.output == f"Error: {message}\n"
         assert not (tmp_path / "s.db").exists() and not (tmp_path / "corpus").exists()
 
+    @pytest.mark.parametrize("spec, message", [
+        ('{"iterations": 2.5}', "iterations: expected a JSON integer, got number"),
+        ('{"iterations": true}', "iterations: expected a JSON integer, got boolean"),
+        ('{"iterations": "3"}', "iterations: expected a JSON integer, got string"),
+        ('{"seed": 1.9}', "seed: expected a JSON integer, got number"),
+        ('{"nodes": [{"name": 5, "profile": "full"}]}',
+         "nodes[0].name: expected a JSON string, got integer"),
+        ('{"scap_total_rules": 1e2}', "scap_total_rules: expected a JSON integer, got number"),
+        ('{"runtime_distributions": {"aide": [1%s, 0]}}' % ("0" * 400),
+         "runtime_distributions.aide is [1%s, 0], not [mean, sd]" % ("0" * 400)),
+    ], ids=["iterations-float", "iterations-bool", "iterations-string", "seed-float",
+            "node-name-integer", "scap-rules-exponent", "runtime-past-a-float"])
+    def test_value_of_wrong_json_type_exits_1_and_writes_nothing(self, runner, tmp_path, spec,
+                                                                message):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(spec)
+        result = runner.invoke(main, ["--store", str(tmp_path / "s.db"), "fixtures",
+                                      "--out-dir", str(tmp_path / "corpus"),
+                                      "--spec", str(spec_path)])
+        assert (result.exit_code, result.output) == (
+            1, f"Error: invalid spec document: {message}\n")
+        assert not (tmp_path / "s.db").exists() and not (tmp_path / "corpus").exists()
+
     def test_malformed_spec_structure(self, runner, tmp_path):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps({"nodes": [{"profile": "baseline"}]}))
@@ -716,8 +739,23 @@ class TestWeightConfiguration:
         config.write_text(document)
         result = runner.invoke(main, ["--store", str(tmp_path / "s.db"),
                                       "--config", str(config), "rules"])
+        got = {list: "array", float: "number", str: "string"}.get(type(json.loads(document)),
+                                                                  "null")
         assert result.exit_code == 1
-        assert result.output == f"Error: config {config} must be a JSON object\n"
+        assert result.output == f"Error: config {config}: expected a JSON object, got {got}\n"
+
+    @pytest.mark.parametrize("config, message", [
+        ('{"w_lynis": "0.4", "w_openscap": 0.4, "w_aide": 0.2}',
+         "w_lynis: expected a JSON number, got string"),
+        ('{"w_custom": true}', "w_custom: expected a JSON number, got boolean"),
+        ('{"w_custom": 1%s}' % ("0" * 400), "w_custom: int too large to convert to float"),
+    ], ids=["string", "bool", "integer-past-a-float"])
+    def test_config_value_of_wrong_json_type_exits_1(self, runner, tmp_path, config, message):
+        path = tmp_path / "weights.json"
+        path.write_text(config)
+        result = runner.invoke(main, ["--store", str(tmp_path / "s.db"),
+                                      "--config", str(path), "rules"])
+        assert (result.exit_code, result.output) == (1, f"Error: {message}\n")
 
     def test_invalid_config_rejected(self, runner, tmp_path):
         config = tmp_path / "weights.json"
@@ -1045,7 +1083,7 @@ _SCORE_JSON = (
 
 _SCORE_SNAPSHOT_JSON = (
     '{\n'
-    '  "id": 2,\n'
+    '  "id": 1,\n'
     '  "node": "web",\n'
     '  "iteration": 0,\n'
     '  "lynis": 65.0,\n'
@@ -1067,7 +1105,7 @@ _STATS_OPENSCAP_JSON = (
     '  "node_b": "full",\n'
     '  "n_a": 12,\n'
     '  "n_b": 12,\n'
-    '  "mean_diff": 32.7869,\n'
+    '  "mean_diff": 32.79,\n'
     '  "t": 14.5027,\n'
     '  "df": 22.0,\n'
     '  "p_two_tailed": 0.0,\n'

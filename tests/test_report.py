@@ -11,6 +11,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uca import report as report_mod
 from uca import stats
 from uca.cli import main
 from uca.errors import DegenerateSampleError, EmptyStoreError, UnknownRuleIdError
@@ -157,6 +158,20 @@ def test_report_and_export_build_no_records(tmp_path, monkeypatch):
                  ["export", "--out-dir", str(tmp_path / "export")]):
         result = runner.invoke(main, ["--store", store_path, *argv])
         assert result.exit_code == 0, (argv, result.output, result.exception)
+
+
+def test_csv_dir_report_formats_each_cell_once(tmp_path, monkeypatch):
+    """``write_plot_data`` and ``write_csv_tables`` share one build of the CSV
+    cells: a csv-dir report formats each score cell and rule row once."""
+    store_path = _corpus_24(tmp_path / "corpus").store_path
+    with open_store(store_path) as store:
+        bundle = build_report(store)
+    calls = []
+    monkeypatch.setattr(report_mod, "csv_score", lambda value: calls.append(value) or "")
+    result = CliRunner().invoke(main, ["--store", str(store_path), "--format", "csv-dir",
+                                       "report", "--out-dir", str(tmp_path / "csv")])
+    assert result.exit_code == 0, result.output
+    assert len(calls) == len(SCORE_METRICS) * len(bundle.nodes) + len(bundle.rule_table)
 
 
 # --- the report as computed before it read plain rows ------------------------

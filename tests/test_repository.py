@@ -298,6 +298,20 @@ class TestRecording:
                 [("baseline", 0)] * 8 + [("web", 1)] * 8)
             assert sum(passed for *_, passed in results) == 2 * 7
 
+    def test_recording_a_key_again_keeps_its_row_id(self, tmp_path):
+        with open_store(tmp_path / "s.db") as store:
+            first = (store.record_audit_run(_run()), store.record_aggregate(_aggregate()))
+            store.record_audit_run(_run(tool=Tool.AIDE))
+            again = (store.record_audit_run(_run(normalized_score=70.0)),
+                     store.record_aggregate(_aggregate(timestamp="2025-03-04T00:00:00+00:00")))
+            assert again == first
+            assert store._conn.execute(
+                "SELECT id, normalized_score FROM audit_runs WHERE tool = 'lynis'").fetchall() == [
+                (first[0], 70.0)]
+            assert store._conn.execute(
+                "SELECT id, timestamp FROM aggregate_scores").fetchall() == [
+                (first[1], "2025-03-04T00:00:00+00:00")]
+
     def test_write_blocked_by_another_connection(self, tmp_path):
         path = tmp_path / "s.db"
         with open_store(path) as store:

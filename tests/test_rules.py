@@ -106,11 +106,11 @@ class TestLoadRules:
             load_rules(_rule_doc(entry))
 
     @pytest.mark.parametrize("entry, message", [
-        (["fw"], "rule #0: expected an object, got list"),
+        (["fw"], "rule #0: expected a JSON object, got array"),
         ({key: value for key, value in _MINIMAL.items() if key != "check_type"},
          "rule #0: missing required field 'check_type'"),
         ({**_MINIMAL, "id": ""}, "rule #0: id must be a non-empty string"),
-        ({**_MINIMAL, "params": ["x"]}, "rule 'fw': params must be an object"),
+        ({**_MINIMAL, "params": ["x"]}, "rule 'fw': params: expected a JSON object, got array"),
         ({"id": "fm", "name": "fm", "check_type": "file_mode", "weight": 1,
           "params": {"path": "/etc/shadow", "max_mode": "17777"}},
          "rule 'fm' max_mode: '17777' outside [0000, 7777]"),
