@@ -29,7 +29,7 @@ from .errors import (
 from .jsondoc import load
 from .parsers import FileChunks
 from .repository import Phase, Store, open_store, replace_together
-from .rules import default_rules, load_rules, load_snapshot
+from .rules import default_rules, evaluate_rules, load_rules, load_snapshot, score_rules
 from .scoring import Tool, WeightConfig
 
 TOOL_CHOICES = [tool.value for tool in Tool]
@@ -194,11 +194,11 @@ def rules_cmd(app: AppContext, rules_path, snapshot_path, node, iteration, recor
         return
     snapshot = load_snapshot(snapshot_path)
     node = snapshot.node if node is None else node
-    results, pct = pipeline.evaluate_snapshot(ruleset, snapshot, node=node,
-                                              iteration=iteration)
+    results = evaluate_rules(ruleset, snapshot)
+    pct = score_rules(results)
     if record:
         with app.open() as store:
-            store.record_evaluation(ruleset, results)
+            store.record_evaluation(results, node, iteration)
     passed = sum(1 for r in results if r.passed)
     payload = {
         "node": node,
@@ -238,8 +238,8 @@ def stats_cmd(app: AppContext, tool, node_a, node_b, welch):
         for name in (node_a, node_b):
             if (name, tool) not in pairs:
                 raise UnknownToolError(f"no {tool} runs recorded for node {name!r}")
-        group_a = store.tool_scores(tool, node_a)
-        group_b = store.tool_scores(tool, node_b)
+        samples = report_mod.tool_samples(store, node_a, node_b)
+    group_a, group_b = samples[node_a, tool], samples[node_b, tool]
     result = stats.pooled_t_test(group_a, group_b, welch=welch)
     payload = {
         "tool": tool, "node_a": node_a, "node_b": node_b,

@@ -75,10 +75,6 @@ class NonPositiveWeightError(SchemaError):
     """A rule weight is zero or negative."""
 
 
-class UnknownRuleIdError(UcaError):
-    """A rule result references a rule id not present in the rule set."""
-
-
 class SnapshotError(UcaError):
     """A snapshot directory is missing required pieces or is malformed."""
 

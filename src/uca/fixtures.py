@@ -294,7 +294,9 @@ _SPEC_PARSERS = {
 class CorpusSpec:
     """Parameters for one synthetic corpus; identical specs yield identical corpora.
     Frozen, and checked when made: an invalid value raises OutOfRangeError, and a
-    repeated node name or a score distribution of an unknown node SpecError."""
+    node name that is no single directory name (empty, ``.``, ``..``, or holding
+    ``/`` or NUL), a repeated one or a score distribution of an unknown node
+    SpecError."""
 
     nodes: tuple[NodeSpec, ...] = _DEFAULT_NODES
     iterations: int = 12
@@ -321,6 +323,11 @@ class CorpusSpec:
 
     def __post_init__(self) -> None:
         names = [node.name for node in self.nodes]
+        for index, name in enumerate(names):
+            # a name is a directory of the corpus, which must stay under --out-dir
+            if name in ("", ".", "..") or "/" in name or "\0" in name:
+                raise SpecError(f"invalid spec document: nodes[{index}].name: {name!r}"
+                                f" is not a directory name")
         duplicates = sorted({name for name in names if names.count(name) > 1})
         if duplicates:
             raise SpecError(f"invalid spec document: duplicate node names {duplicates}")

@@ -22,15 +22,16 @@ def load(document: str | bytes, kind: type, error: type[Exception], where: str):
 
 
 def typed(value: object, kind: type | Callable, error: type[Exception], where: str):
-    """``value`` if it is a JSON ``kind``: a bool is no ``int`` and no ``float``,
-    and a ``float`` is any other number, returned as a float. Any other ``kind``,
-    such as an Enum, reads a JSON string; a ValueError of it raises ``error``."""
+    """``value`` if it is a JSON ``kind``: a boolean is only a ``bool``, no ``int``
+    and no ``float``, and a ``float`` is any other number, returned as a float. Any
+    other ``kind``, such as an Enum, reads a JSON string; a ValueError of it raises
+    ``error``."""
     json_kind = kind if kind in _NAMES else str
-    if isinstance(value, bool) or not isinstance(
+    if isinstance(value, bool) is not (kind is bool) or not isinstance(
             value, (int, float) if kind is float else json_kind):
         raise error(f"{where}: expected a JSON {_NAMES[json_kind]},"
                     f" got {_NAMES.get(type(value), type(value).__name__)}")
     try:
-        return value if kind in (str, int, list, dict) else kind(value)
+        return value if kind in (str, int, bool, list, dict) else kind(value)
     except (OverflowError, ValueError) as exc:  # an int past a float, or unreadable text
         raise error(f"{where}: {exc}") from None

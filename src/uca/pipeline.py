@@ -1,22 +1,23 @@
 """The steps every writer shares: parse a tool document into a run, and score
-one node's iteration from its recorded runs. ``uca ingest``, ``uca score``,
-``uca rules`` and ``fixtures.make_corpus`` call these and nothing below them,
-so a generated corpus is parsed, blended and recorded the way a user's is.
+one node's iteration from its recorded runs. ``uca ingest``, ``uca score`` and
+``fixtures.make_corpus`` call these and nothing below them, so a generated
+corpus is parsed, blended and recorded the way a user's is. A rule evaluation
+is a function of the rules and the snapshot alone: ``score_iteration`` and
+``uca rules`` both score it with ``rules.score_rules`` and record it under the
+node and iteration they name.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Iterable
 
 from . import scoring
 from .errors import MissingRunsError
 from .repository import AuditRun, Phase, Store
-from .rules import (NodeSnapshot, RuleResult, RuleSet, default_rules, evaluate_rules,
-                    score_rules)
+from .rules import NodeSnapshot, RuleSet, default_rules, evaluate_rules, score_rules
 from .scoring import AggregateScore, Tool, WeightConfig
 
-__all__ = ["parse_run", "evaluate_snapshot", "score_iteration"]
+__all__ = ["parse_run", "score_iteration"]
 
 
 def parse_run(node: str, tool: Tool | str, document: str | bytes | Iterable[bytes], *,
@@ -27,15 +28,6 @@ def parse_run(node: str, tool: Tool | str, document: str | bytes | Iterable[byte
         tool, document, weights.aide_penalty_per_change)
     return AuditRun(node, Tool(tool), timestamp, iteration, Phase(phase), raw,
                     normalized, runtime_seconds)
-
-
-def evaluate_snapshot(ruleset: RuleSet, snapshot: NodeSnapshot, *, node: str,
-                      iteration: int) -> tuple[list[RuleResult], float]:
-    """The rule results, named ``node`` whatever the snapshot's manifest says,
-    and their weighted score."""
-    results = [dataclasses.replace(r, node=node)
-               for r in evaluate_rules(ruleset, snapshot, iteration=iteration)]
-    return results, score_rules(results, ruleset)
 
 
 def score_iteration(store: Store, node: str, iteration: int, *, weights: WeightConfig,
@@ -55,9 +47,9 @@ def score_iteration(store: Store, node: str, iteration: int, *, weights: WeightC
         custom = extended = None
         if snapshot is not None:
             ruleset = default_rules() if ruleset is None else ruleset
-            results, custom = evaluate_snapshot(ruleset, snapshot, node=node,
-                                                iteration=iteration)
-            store.record_evaluation(ruleset, results)
+            results = evaluate_rules(ruleset, snapshot)
+            store.record_evaluation(results, node, iteration)
+            custom = score_rules(results)
             extended = scoring.compute_extended_uca(standard, custom, weights)
         agg = AggregateScore(node, iteration, lynis, openscap, aide, standard, custom,
                              extended, timestamp)

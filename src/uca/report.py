@@ -40,6 +40,7 @@ __all__ = [
     "format_p",
     "round_score",
     "round_t_test",
+    "tool_samples",
     "write_csv_tables",
     "write_plot_data",
 ]
@@ -105,6 +106,13 @@ class ReportBundle:
         }
 
 
+def tool_samples(store: Store, *nodes: str) -> dict[tuple[str, str], list[float]]:
+    """(node, tool) -> the normalized scores of its runs by iteration, for
+    ``nodes``, from one query: the samples of a t-test."""
+    return {key: [row[3] for row in group]
+            for key, group in groupby(store.score_rows(*nodes), itemgetter(0, 1))}
+
+
 def build_report(store: Store) -> ReportBundle:
     """Recompute the four report tables from one streamed read of each store
     table, and the t-tests from one read of the two nodes they compare."""
@@ -138,8 +146,7 @@ def build_report(store: Store) -> ReportBundle:
     ranked = [n for n in nodes if standard[n] is not None]
     if len(ranked) >= 2:
         node_low, node_high = ranked[0], ranked[-1]
-        samples = {key: [row[3] for row in group] for key, group
-                   in groupby(store.score_rows(node_low, node_high), itemgetter(0, 1))}
+        samples = tool_samples(store, node_low, node_high)
         for tool in Tool:
             low_scores = samples.get((node_low, tool.value), [])
             high_scores = samples.get((node_high, tool.value), [])

@@ -25,7 +25,8 @@ Write contract: every write runs in ``Store.transaction()``, which commits
 once at the end of its outermost block, so a command that wraps its writes in
 one block writes all or nothing. Recording a run or an aggregate updates the
 row of its key in place, so the row keeps its id; recording an evaluation
-replaces the results of every (node, iteration) it covers.
+replaces the results of its one (node, iteration), each with the weight it
+carries, so a rule score read back is ``rules.score_rules`` of the results.
 
 Concurrency contract: opening a version-3 store takes no write lock, so a
 read-only file opens and reads see the committed state while another process
@@ -67,7 +68,7 @@ from .errors import (
     EmptyStoreError,
     StoreIOError,
 )
-from .rules import RuleResult, RuleSet
+from .rules import RuleResult
 from .scoring import AggregateScore, Tool
 
 __all__ = [
@@ -352,23 +353,19 @@ class Store:
                 f" VALUES ({', '.join('?' * len(columns))}) ON CONFLICT ({', '.join(key)})"
                 f" DO UPDATE SET {updates} RETURNING id", values).fetchall()[0][0]
 
-    def record_evaluation(self, ruleset: RuleSet, results: list[RuleResult]) -> int:
-        """Record one evaluation of ``ruleset``: replace the results of each (node,
-        iteration) covered, each with its rule's weight (UnknownRuleIdError if
-        none). Returns results recorded."""
-        rows = [(r.rule_id, r.node, r.iteration, int(r.passed), r.evidence,
-                 ruleset.get(r.rule_id).weight) for r in results]
+    def record_evaluation(self, results: list[RuleResult], node: str, iteration: int) -> int:
+        """Replace the results of (node, iteration) with ``results``, each with its
+        weight. Returns results recorded."""
         with self.transaction():
-            self._conn.executemany(
-                "DELETE FROM custom_rule_results WHERE node = ? AND iteration = ?",
-                dict.fromkeys((r.node, r.iteration) for r in results),
-            )
+            self._conn.execute("DELETE FROM custom_rule_results WHERE node = ? AND iteration = ?",
+                               (node, iteration))
             self._conn.executemany(
                 "INSERT INTO custom_rule_results"
                 " (rule_id, node, iteration, passed, evidence, weight)"
-                " VALUES (?, ?, ?, ?, ?, ?)", rows,
+                " VALUES (?, ?, ?, ?, ?, ?)",
+                [(r.rule_id, node, iteration, r.passed, r.evidence, r.weight) for r in results],
             )
-        return len(rows)
+        return len(results)
 
     # --- queries -------------------------------------------------------------
 
@@ -394,13 +391,6 @@ class Store:
         return dict(self._sql(
             "SELECT tool, normalized_score FROM audit_runs WHERE node = ? AND iteration = ?",
             node, iteration))
-
-    def tool_scores(self, tool: str, node: str) -> list[float]:
-        """Normalized scores for one tool on one node, ordered by iteration."""
-        rows = self._sql("SELECT normalized_score FROM audit_runs"
-                         " WHERE tool = ? AND node = ? ORDER BY iteration",
-                         Tool(tool).value, node)
-        return [row[0] for row in rows]
 
     def rule_tallies(self) -> list[tuple[str, int, int, float]]:
         """(node, passed, failed, score_pct) of each node's latest evaluation,

@@ -16,14 +16,13 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path, PurePosixPath
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping, Sequence
 
 from .errors import (
     DuplicateIdError,
     NonPositiveWeightError,
     SchemaError,
     SnapshotError,
-    UnknownRuleIdError,
 )
 from .jsondoc import load, typed
 
@@ -85,20 +84,15 @@ class RuleSet:
     def total_weight(self) -> int:
         return sum(rule.weight for rule in self.rules)
 
-    def get(self, rule_id: str) -> Rule:
-        for rule in self.rules:
-            if rule.id == rule_id:
-                return rule
-        raise UnknownRuleIdError(f"no rule with id {rule_id!r}")
-
 
 @dataclass(frozen=True)
 class RuleResult:
+    """One rule's outcome on a snapshot, with the weight of the rule that made it."""
+
     rule_id: str
-    node: str
-    iteration: int
     passed: bool
     evidence: str
+    weight: int
 
 
 @dataclass
@@ -135,7 +129,9 @@ def _validate_rule_dict(entry: object, position: int) -> Rule:
     for key in _REQUIRED_PARAMS[check_type]:
         if key not in params:
             raise SchemaError(f"{where}: params missing {key!r} for {check_type.value}")
-    if check_type is CheckType.CONFIG_DIRECTIVE and params.get("expected_is_regex"):
+    regex = typed(params.get("expected_is_regex", False), bool, SchemaError,
+                  f"{where}: params.expected_is_regex")
+    if check_type is CheckType.CONFIG_DIRECTIVE and regex:
         try:
             re.compile(str(params["expected"]))
         except re.error as exc:
@@ -314,34 +310,22 @@ _CHECKS = {
 }
 
 
-def evaluate_rule(rule: Rule, snapshot: NodeSnapshot, iteration: int = 0) -> RuleResult:
+def evaluate_rule(rule: Rule, snapshot: NodeSnapshot) -> RuleResult:
     """Evaluate one rule against a snapshot; absence fails, never raises."""
     passed, evidence = _CHECKS[rule.check_type](rule, snapshot)
-    return RuleResult(
-        rule_id=rule.id,
-        node=snapshot.node,
-        iteration=iteration,
-        passed=passed,
-        evidence=evidence,
-    )
+    return RuleResult(rule.id, passed, evidence, rule.weight)
 
 
-def evaluate_rules(
-    ruleset: RuleSet, snapshot: NodeSnapshot, iteration: int = 0
-) -> list[RuleResult]:
+def evaluate_rules(ruleset: RuleSet, snapshot: NodeSnapshot) -> list[RuleResult]:
     """Evaluate every rule in order; deterministic over a fixed snapshot."""
-    return [evaluate_rule(rule, snapshot, iteration) for rule in ruleset.rules]
+    return [evaluate_rule(rule, snapshot) for rule in ruleset.rules]
 
 
-def score_rules(results: Iterable[RuleResult], ruleset: RuleSet) -> float:
-    """Weighted compliance percentage for one evaluation pass."""
-    total = ruleset.total_weight
-    passed_weight = 0
-    for result in results:
-        rule = ruleset.get(result.rule_id)
-        if result.passed:
-            passed_weight += rule.weight
-    return 100.0 * passed_weight / total
+def score_rules(results: Sequence[RuleResult]) -> float:
+    """Weighted compliance percentage of one evaluation, from its results' own
+    weights: integer sums and one float division, as ``Store.rule_tallies``."""
+    passed = sum(result.weight for result in results if result.passed)
+    return 100.0 * passed / sum(result.weight for result in results)
 
 
 # --- snapshot directory format ----------------------------------------------

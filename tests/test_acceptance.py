@@ -53,7 +53,7 @@ def test_criterion_1_custom_rule_scoring():
     for profile, (passes, score) in expected.items():
         results = evaluate_rules(ruleset, make_snapshot(profile))
         assert sum(r.passed for r in results) == passes
-        assert score_rules(results, ruleset) == pytest.approx(score, abs=0.01)
+        assert score_rules(results) == pytest.approx(score, abs=0.01)
     print("ACCEPTANCE 1 PASS: custom rule scores 39.34/72.13/83.61 "
           "(+-0.01), pass counts 3/6/7 exact")
 

@@ -318,6 +318,29 @@ class TestRulesCommand:
         assert result.exit_code == 1
         assert result.output == "Error: rules document: expected a JSON array, got object\n"
 
+    @pytest.mark.parametrize("flag, exit_code, output", [
+        ('"false"', 1, "Error: rule 'tries': params.expected_is_regex:"
+                       " expected a JSON boolean, got string\n"),
+        ("0", 1, "Error: rule 'tries': params.expected_is_regex:"
+                 " expected a JSON boolean, got integer\n"),
+        ("false", 0, "FAIL  tries                      MaxAuthTries 3\n"
+                     "full: 0 passed, 1 failed, score 0.00%\n"),
+        ("true", 0, "PASS  tries                      MaxAuthTries 3\n"
+                    "full: 1 passed, 0 failed, score 100.00%\n"),
+    ], ids=["string", "integer", "false", "true"])
+    def test_expected_is_regex_is_a_json_boolean(self, runner, tmp_path, flag, exit_code,
+                                                 output):
+        rules_path = tmp_path / "rules.json"
+        rules_path.write_text(
+            '[{"id": "tries", "name": "tries", "check_type": "config_directive", "weight": 2,'
+            ' "params": {"path": "/etc/ssh/sshd_config", "key": "MaxAuthTries",'
+            f' "expected": "[1-4]", "expected_is_regex": {flag}}}}}]')
+        snap_dir = tmp_path / "snap"
+        save_snapshot(make_snapshot(Profile.FULL), snap_dir)
+        result = runner.invoke(main, ["--store", str(tmp_path / "s.db"), "rules",
+                                      "--rules", str(rules_path), "--snapshot", str(snap_dir)])
+        assert (result.exit_code, result.output) == (exit_code, output)
+
 
 class TestStatsCommand:
     def test_openscap_baseline_vs_full(self, runner, default_corpus):
@@ -409,7 +432,7 @@ class TestReport:
         with open_store(default_corpus.store_path) as store:
             from uca.stats import describe
 
-            expected = round(describe(store.tool_scores("lynis", "full")).mean, 2)
+            expected = round(describe(report_mod.tool_samples(store, "full")["full", "lynis"]).mean, 2)
         assert payload["scores"]["lynis"]["full"] == expected
         assert payload["runtime"]["grand_total_seconds"] == pytest.approx(4780.41)
         assert payload["significance"]["node_low"] == "baseline"
@@ -692,6 +715,21 @@ class TestFixturesCommand:
         assert (result.exit_code, result.output) == (
             1, f"Error: invalid spec document: {message}\n")
         assert not (tmp_path / "s.db").exists() and not (tmp_path / "corpus").exists()
+
+    @pytest.mark.parametrize("name", ["../../escaped", "", ".", "..", "a/b", "a\u0000b"],
+                             ids=["escapes", "empty", "dot", "dot-dot", "slash", "nul"])
+    def test_node_name_that_is_no_directory_name_exits_1_and_writes_nothing(
+            self, runner, tmp_path, name):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"iterations": 1,
+                                         "nodes": [{"name": name, "profile": "full"}]}))
+        result = runner.invoke(main, ["--store", str(tmp_path / "s.db"), "fixtures",
+                                      "--out-dir", str(tmp_path / "out" / "corpus"),
+                                      "--spec", str(spec_path)])
+        assert (result.exit_code, result.output) == (
+            1, f"Error: invalid spec document: nodes[0].name: {name!r}"
+               " is not a directory name\n")
+        assert [path.name for path in tmp_path.iterdir()] == ["spec.json"]
 
     def test_malformed_spec_structure(self, runner, tmp_path):
         spec_path = tmp_path / "spec.json"

@@ -18,7 +18,7 @@ from uca.fixtures import (
     make_xccdf_fixture,
 )
 from uca.parsers import parse_aide_report, parse_lynis_report, parse_xccdf_results
-from uca.report import build_report
+from uca.report import build_report, tool_samples
 from uca.repository import Phase, open_store
 from uca.rules import default_rules, evaluate_rules, load_snapshot, score_rules
 from uca.scoring import Tool
@@ -80,7 +80,7 @@ class TestSnapshots:
         ruleset = default_rules()
         results = evaluate_rules(ruleset, make_snapshot(profile))
         assert sum(r.passed for r in results) == passes
-        assert score_rules(results, ruleset) == pytest.approx(score, abs=0.01)
+        assert score_rules(results) == pytest.approx(score, abs=0.01)
 
     def test_node_name_override(self):
         assert make_snapshot(Profile.FULL, node="web-3").node == "web-3"
@@ -278,7 +278,7 @@ class TestMakeCorpus:
         spec = CorpusSpec()
         for node_spec in spec.nodes:
             for tool in Tool:
-                samples = corpus_store.tool_scores(tool.value, node_spec.name)
+                samples = tool_samples(corpus_store, node_spec.name)[node_spec.name, tool.value]
                 assert len(samples) == spec.iterations
                 mean, sd = spec.distribution(node_spec, tool)
                 standard_error = sd / math.sqrt(len(samples))

@@ -25,7 +25,7 @@ _NAMES = {dict: "object", list: "array", str: "string", int: "integer", float: "
 class TestTyped:
     @pytest.mark.parametrize("value, kind", [
         (3, int), (-7, int), (3, float), (2.5, float), (1e2, float), ("x", str),
-        ([], list), ({}, dict),
+        ([], list), ({}, dict), (True, bool), (False, bool),
     ])
     def test_value_of_its_kind_passes(self, value, kind):
         assert typed(value, kind, SchemaError, "f") == value
@@ -37,7 +37,8 @@ class TestTyped:
         (2.5, int, "number"), (1e2, int, "number"), (True, int, "boolean"),
         ("3", int, "string"), (False, float, "boolean"), ("0.4", float, "string"),
         (5, str, "integer"), (None, str, "null"), ({}, list, "object"),
-        ([1], dict, "array"),
+        ([1], dict, "array"), (1, bool, "integer"), ("false", bool, "string"),
+        (None, bool, "null"),
     ])
     def test_value_of_another_kind_raises_one_wording(self, value, kind, got):
         with pytest.raises(SchemaError) as raised:
@@ -101,6 +102,7 @@ _RULES_FIELDS = [
     ((), list, "rules document"), ((0,), dict, "rule #0"), ((0, "id"), str, "rule #0: id"),
     ((0, "name"), str, "rule 'fw': name"), ((0, "check_type"), str, "rule 'fw': check_type"),
     ((0, "weight"), int, "rule 'fw': weight"), ((0, "params"), dict, "rule 'fw': params"),
+    ((0, "params", "expected_is_regex"), bool, "rule 'fw': params.expected_is_regex"),
 ]
 _SPEC_FIELDS = [
     ((), dict, ""), (("nodes",), list, "nodes"), (("nodes", 0), dict, "nodes[0]"),

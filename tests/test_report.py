@@ -4,6 +4,7 @@ import json
 import sqlite3
 import tempfile
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -14,8 +15,8 @@ from hypothesis import strategies as st
 from uca import report as report_mod
 from uca import stats
 from uca.cli import main
-from uca.errors import DegenerateSampleError, EmptyStoreError, UnknownRuleIdError
-from uca.fixtures import CorpusSpec, NodeSpec, Profile, make_corpus
+from uca.errors import ConstraintViolationError, DegenerateSampleError, EmptyStoreError
+from uca.fixtures import CorpusSpec, NodeSpec, Profile, make_corpus, make_snapshot
 from uca.report import (
     RULE_COLUMNS,
     SCORE_METRICS,
@@ -24,11 +25,12 @@ from uca.report import (
     bundle_to_dict,
     render_json,
     render_text,
+    tool_samples,
     write_csv_tables,
     write_plot_data,
 )
 from uca.repository import AGGREGATE_CSV_HEADER, AUDIT_CSV_HEADER, AuditRun, Phase, open_store
-from uca.rules import CheckType, Rule, RuleResult, RuleSet, default_rules, score_rules
+from uca.rules import RuleResult, RuleSet, default_rules, evaluate_rules, score_rules
 from uca.scoring import AggregateScore, Tool
 from uca.stats import describe
 
@@ -57,7 +59,7 @@ class TestBuildReport:
         bundle = build_report(corpus_store)
         for tool in Tool:
             for node in bundle.nodes:
-                expected = describe(corpus_store.tool_scores(tool.value, node)).mean
+                expected = describe(tool_samples(corpus_store, node)[node, tool.value]).mean
                 assert bundle.score_table[tool.value][node] == expected
 
     def test_rule_table_matches_reference(self, corpus_store):
@@ -87,16 +89,21 @@ class TestBuildReport:
             assert (bundle.node_low, bundle.node_high) == ("low", "high")
             assert bundle.significance == []
 
-    def test_unknown_rule_id_writes_nothing(self, tmp_path):
+    def test_rejected_reevaluation_keeps_earlier_results(self, tmp_path):
+        results = evaluate_rules(default_rules(), make_snapshot(Profile.FULL))
+        rejected = [*results[:-1], replace(results[-1], weight=0)]
         with open_store(tmp_path / "s.db") as store:
             store.record_audit_run(_run("solo", "lynis", 0, 50.0))
-            with pytest.raises(UnknownRuleIdError):
-                store.record_evaluation(default_rules(), [
-                    RuleResult("ghost_rule", "solo", 0, True, "x"),
-                ])
+            store.record_evaluation(results, "solo", 0)
+            # weight 0 fails the weight >= 1 CHECK, and the key's DELETE rolls back
+            with pytest.raises(ConstraintViolationError, match="CHECK"):
+                store.record_evaluation(rejected, "solo", 0)
             assert store._conn.execute(
-                "SELECT count(*) FROM custom_rule_results").fetchone() == (0,)
-            assert build_report(store).rule_table == []
+                "SELECT rule_id, passed, evidence, weight FROM custom_rule_results"
+                " ORDER BY id").fetchall() == [
+                (r.rule_id, r.passed, r.evidence, r.weight) for r in results]
+            assert build_report(store).rule_table == [
+                {"node": "solo", "passed": 7, "failed": 1, "score_pct": score_rules(results)}]
 
     def test_renderings_are_deterministic(self, corpus_store):
         first = build_report(corpus_store)
@@ -177,8 +184,7 @@ def test_csv_dir_report_formats_each_cell_once(tmp_path, monkeypatch):
 # --- the report as computed before it read plain rows ------------------------
 
 def _reference_bundle(store) -> tuple[ReportBundle, list]:
-    """build_report from raw SQL rows of each table and RuleResult and RuleSet
-    records, with stats.describe means, rules.score_rules scores and a runtime
+    """build_report from raw SQL rows of each table and RuleResult records, with stats.describe means, rules.score_rules scores and a runtime
     query of its own; and the runs, which the score progression plot shows."""
     runs = store._conn.execute(
         "SELECT node, tool, iteration, normalized_score FROM audit_runs"
@@ -205,18 +211,16 @@ def _reference_bundle(store) -> tuple[ReportBundle, list]:
     for node, iteration, rule_id, passed, weight in store._conn.execute(
             "SELECT node, iteration, rule_id, passed, weight FROM custom_rule_results"):
         evaluations.setdefault((node, iteration), []).append(
-            (RuleResult(rule_id, node, iteration, bool(passed), ""),
-             Rule(rule_id, rule_id, CheckType.SERVICE_ACTIVE, weight)))
+            RuleResult(rule_id, bool(passed), "", weight))
     rule_table = []
     for node in nodes:
         iterations = [i for n, i in evaluations if n == node]
         if not iterations:
             continue
-        latest = evaluations[node, max(iterations)]
-        results = [result for result, _ in latest]
+        results = evaluations[node, max(iterations)]
         passed = sum(1 for r in results if r.passed)
-        score_pct = score_rules(results, RuleSet(tuple(rule for _, rule in latest)))
-        rule_table.append({"node": node, "passed": passed, "failed": len(latest) - passed,
+        score_pct = score_rules(results)
+        rule_table.append({"node": node, "passed": passed, "failed": len(results) - passed,
                            "score_pct": score_pct})
     node_low = node_high = None
     significance = []

@@ -3,6 +3,8 @@ import shutil
 import sqlite3
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import damage_key_index
 from uca.errors import (
@@ -21,6 +23,7 @@ from uca.repository import (
     write_csv,
 )
 from uca.report import build_report
+from uca.rules import RuleResult, score_rules
 from uca.scoring import AggregateScore, Tool, compute_standard_uca
 
 
@@ -286,9 +289,9 @@ class TestRecording:
                 store.record_audit_run(_run(tool=Tool.AIDE, normalized_score=score))
                 store.record_aggregate(_aggregate())
                 for profile in (Profile.BASELINE, Profile.FULL):
-                    store.record_evaluation(default_rules(), (
-                        evaluate_rules(default_rules(), make_snapshot(profile, "baseline"))
-                        + evaluate_rules(default_rules(), make_snapshot(profile, "web"), 1)))
+                    results = evaluate_rules(default_rules(), make_snapshot(profile))
+                    store.record_evaluation(results, "baseline", 0)
+                    store.record_evaluation(results, "web", 1)
             assert [(tool, score) for _, tool, _, score in store.score_rows()] == [
                 (Tool.AIDE, 60.0), (Tool.LYNIS, 60.0)]
             assert len(list(store.aggregate_rows())) == 1
@@ -327,12 +330,26 @@ class TestRecording:
             store.record_audit_run(_run())
             assert len(list(store.score_rows())) == 1
 
+    @settings(max_examples=80, deadline=None)
+    @given(outcomes=st.lists(st.tuples(st.integers(1, 100), st.booleans()),
+                             min_size=1, max_size=12))
+    def test_stored_tally_is_score_rules(self, outcomes):
+        """An evaluation's score from its results and the one rule_tallies reads
+        back from the rows they were recorded as are the same float."""
+        results = [RuleResult(f"r{index}", passed, "e", weight)
+                   for index, (weight, passed) in enumerate(outcomes)]
+        passed = sum(result.passed for result in results)
+        with open_store(":memory:") as store:
+            store.record_evaluation(results, "n", 0)
+            assert store.rule_tallies() == [
+                ("n", passed, len(results) - passed, score_rules(results))]
+
     def test_rule_results_count(self, corpus_store_copy):
         from uca.fixtures import Profile, make_snapshot
         from uca.rules import default_rules, evaluate_rules
 
-        results = evaluate_rules(default_rules(), make_snapshot(Profile.FULL), 99)
-        assert corpus_store_copy.record_evaluation(default_rules(), results) == 8
+        results = evaluate_rules(default_rules(), make_snapshot(Profile.FULL))
+        assert corpus_store_copy.record_evaluation(results, "full", 99) == 8
 
 
 class TestCsvExport:

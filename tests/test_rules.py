@@ -13,7 +13,6 @@ from uca.errors import (
     SchemaError,
     SnapshotError,
     UcaError,
-    UnknownRuleIdError,
 )
 from uca.fixtures import Profile, make_snapshot
 from uca.rules import (
@@ -137,9 +136,14 @@ def _snapshot(**kwargs) -> NodeSnapshot:
     return NodeSnapshot(**defaults)
 
 
+def _rule(rule_id):
+    """The default rule set's rule ``rule_id``."""
+    return next(rule for rule in default_rules().rules if rule.id == rule_id)
+
+
 class TestEvaluateRule:
     def test_config_directive_pass_with_line_evidence(self):
-        rule = default_rules().get("ssh_root_login")
+        rule = _rule("ssh_root_login")
         snapshot = _snapshot(files={
             "/etc/ssh/sshd_config": "Port 22\nPermitRootLogin no\n",
         })
@@ -151,7 +155,7 @@ class TestEvaluateRule:
     def test_config_directive_sshd_first_value_wins(self, first, second):
         # sshd keeps the first value of a keyword; leading blanks do not
         # matter, comments do not count
-        rule = default_rules().get("ssh_root_login")
+        rule = _rule("ssh_root_login")
         content = (
             f"# PermitRootLogin {second}\n"
             f"  PermitRootLogin {first}\n"
@@ -164,7 +168,7 @@ class TestEvaluateRule:
     @pytest.mark.parametrize("first, second", [("30", "99999"), ("99999", "30")])
     def test_config_directive_login_defs_last_value_wins(self, first, second):
         # shadow-utils' getdef overwrites a repeated key
-        rule = default_rules().get("password_max_days")
+        rule = _rule("password_max_days")
         content = (
             f"PASS_MAX_DAYS\t{first}\n"
             f"  PASS_MAX_DAYS\t{second}\n"
@@ -182,25 +186,25 @@ class TestEvaluateRule:
     ])
     def test_config_directive_sshd_match_block_is_conditional(self, content, passed,
                                                               evidence):
-        rule = default_rules().get("ssh_root_login")
+        rule = _rule("ssh_root_login")
         result = evaluate_rule(rule, _snapshot(files={"/etc/ssh/sshd_config": content}))
         assert (result.passed, result.evidence) == (passed, evidence)
 
     def test_config_directive_key_case_insensitive(self):
-        rule = default_rules().get("ssh_root_login")
+        rule = _rule("ssh_root_login")
         result = evaluate_rule(
             rule, _snapshot(files={"/etc/ssh/sshd_config": "permitrootlogin no\n"})
         )
         assert result.passed
 
     def test_config_directive_missing_file(self):
-        rule = default_rules().get("ssh_root_login")
+        rule = _rule("ssh_root_login")
         result = evaluate_rule(rule, _snapshot())
         assert not result.passed
         assert result.evidence == "not present"
 
     def test_config_directive_missing_key(self):
-        rule = default_rules().get("ssh_root_login")
+        rule = _rule("ssh_root_login")
         result = evaluate_rule(
             rule, _snapshot(files={"/etc/ssh/sshd_config": "Port 22\n"})
         )
@@ -208,21 +212,21 @@ class TestEvaluateRule:
         assert result.evidence == "not present"
 
     def test_config_directive_regex(self):
-        rule = default_rules().get("ssh_max_auth_tries")
+        rule = _rule("ssh_max_auth_tries")
         ok = _snapshot(files={"/etc/ssh/sshd_config": "MaxAuthTries 3\n"})
         bad = _snapshot(files={"/etc/ssh/sshd_config": "MaxAuthTries 6\n"})
         assert evaluate_rule(rule, ok).passed
         assert not evaluate_rule(rule, bad).passed
 
     def test_config_directive_equals_separator(self):
-        rule = default_rules().get("ssh_root_login")
+        rule = _rule("ssh_root_login")
         result = evaluate_rule(
             rule, _snapshot(files={"/etc/ssh/sshd_config": "PermitRootLogin=no\n"})
         )
         assert result.passed
 
     def test_service_active(self):
-        rule = default_rules().get("auditd_active")
+        rule = _rule("auditd_active")
         assert evaluate_rule(rule, _snapshot(services={"auditd": "active"})).passed
         inactive = evaluate_rule(rule, _snapshot(services={"auditd": "inactive"}))
         assert not inactive.passed
@@ -232,7 +236,7 @@ class TestEvaluateRule:
         assert missing.evidence == "not present"
 
     def test_file_mode_containment(self):
-        rule = default_rules().get("shadow_file_mode")
+        rule = _rule("shadow_file_mode")
         tight = _snapshot(permissions={"/etc/shadow": (0o600, "root", "shadow")})
         loose = _snapshot(permissions={"/etc/shadow": (0o644, "root", "shadow")})
         assert evaluate_rule(rule, tight).passed  # 0600 within 0640
@@ -240,7 +244,7 @@ class TestEvaluateRule:
         assert evaluate_rule(rule, _snapshot()).evidence == "not present"
 
     def test_firewall_states(self):
-        rule = default_rules().get("firewall_active")
+        rule = _rule("firewall_active")
         assert evaluate_rule(rule, _snapshot(firewall_state=FirewallState.ACTIVE)).passed
         assert not evaluate_rule(rule, _snapshot(firewall_state=FirewallState.INACTIVE)).passed
         unknown = evaluate_rule(rule, _snapshot(firewall_state=FirewallState.UNKNOWN))
@@ -273,9 +277,11 @@ class TestEvaluateRules:
     def test_empty_ruleset(self):
         assert evaluate_rules(RuleSet(rules=()), _snapshot()) == []
 
-    def test_iteration_recorded(self):
-        results = evaluate_rules(default_rules(), make_snapshot(Profile.FULL), iteration=5)
-        assert all(r.iteration == 5 for r in results)
+    def test_weight_recorded(self):
+        ruleset = default_rules()
+        results = evaluate_rules(ruleset, make_snapshot(Profile.FULL))
+        assert [(r.rule_id, r.weight) for r in results] == [
+            (rule.id, rule.weight) for rule in ruleset.rules]
 
 
 class TestScoreRules:
@@ -287,22 +293,20 @@ class TestScoreRules:
     def test_profile_scores(self, profile, expected):
         ruleset = default_rules()
         results = evaluate_rules(ruleset, make_snapshot(profile))
-        assert score_rules(results, ruleset) == pytest.approx(expected, abs=0.01)
+        assert score_rules(results) == pytest.approx(expected, abs=0.01)
 
     def test_all_passed_is_100(self):
         ruleset = default_rules()
         snapshot = make_snapshot(Profile.FULL)
         results = evaluate_rules(ruleset, snapshot)
-        forced = [r if r.passed else RuleResult(r.rule_id, r.node, r.iteration, True, "x")
+        forced = [r if r.passed else RuleResult(r.rule_id, True, "x", r.weight)
                   for r in results]
-        assert score_rules(forced, ruleset) == pytest.approx(100.0)
+        assert score_rules(forced) == pytest.approx(100.0)
 
-    def test_unknown_rule_id(self):
-        ruleset = default_rules()
-        results = evaluate_rules(ruleset, make_snapshot(Profile.BASELINE))
-        rogue = RuleResult("no_such_rule", "n", 0, True, "x")
-        with pytest.raises(UnknownRuleIdError):
-            score_rules(results + [rogue], ruleset)
+    def test_scores_results_alone(self):
+        # each result counts the weight it carries; no rule set is consulted
+        results = [RuleResult("a", True, "x", 3), RuleResult("no_such_rule", False, "x", 1)]
+        assert score_rules(results) == 75.0
 
 
 @st.composite
@@ -323,10 +327,10 @@ class TestScoreProperties:
     def test_score_bounds_and_flip_increase(self, data):
         ruleset, passed = data
         results = [
-            RuleResult(rule_id=rule.id, node="n", iteration=0, passed=flag, evidence="e")
+            RuleResult(rule_id=rule.id, passed=flag, evidence="e", weight=rule.weight)
             for rule, flag in zip(ruleset.rules, passed)
         ]
-        score = score_rules(results, ruleset)
+        score = score_rules(results)
         assert 0.0 <= score <= 100.0
         if not any(passed):
             assert score == 0.0
@@ -335,9 +339,8 @@ class TestScoreProperties:
         for index, result in enumerate(results):
             if not result.passed:
                 flipped = results.copy()
-                flipped[index] = RuleResult(
-                    result.rule_id, result.node, result.iteration, True, "e")
-                assert score_rules(flipped, ruleset) > score
+                flipped[index] = RuleResult(result.rule_id, True, "e", result.weight)
+                assert score_rules(flipped) > score
                 break
 
     @given(data=_random_ruleset_outcomes(), seed=st.integers(0, 2**16))
@@ -350,9 +353,8 @@ class TestScoreProperties:
         shuffled = RuleSet(rules=tuple(shuffled_rules))
         results = evaluate_rules(shuffled, snapshot)
         assert {r.rule_id: r.passed for r in results} == baseline
-        assert score_rules(results, shuffled) == pytest.approx(
-            score_rules(list(evaluate_rules(default_rules(), snapshot)), default_rules())
-        )
+        assert score_rules(results) == pytest.approx(
+            score_rules(evaluate_rules(default_rules(), snapshot)))
 
 
 class TestSnapshotIO:
