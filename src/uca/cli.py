@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Commands: ingest, score, rules, stats, report, export, fixtures.
-Exit codes: 0 success, 1 on IO/store/domain failures, 2 on parse failures
-and usage errors; failures print one "Error: ..." line to stderr.
+Exit codes: 0 success, 1 on IO/store/domain failures (a missing input file
+among them), 2 on parse failures and usage errors; failures print one
+"Error: ..." line to stderr.
 Weights come from defaults, overridden by --config (JSON), overridden by
 the individual weight flags.
 """
@@ -84,7 +85,7 @@ class _Main(click.Group):
 @click.option("--store", "store_path", type=click.Path(path_type=Path),
               default=Path("uca.db"), show_default=True,
               help="Path to the SQLite store.")
-@click.option("--config", "config_path", type=click.Path(path_type=Path, exists=True),
+@click.option("--config", "config_path", type=click.Path(path_type=Path),
               default=None, help="JSON file overriding score weights.")
 @click.option("--format", "fmt", type=click.Choice(["text", "json", "csv-dir"]),
               default="text", show_default=True, help="Output format.")
@@ -143,9 +144,9 @@ def ingest(app: AppContext, node, tool, input_path, iteration, phase,
 @main.command()
 @click.argument("node")
 @click.option("--iteration", type=int, required=True)
-@click.option("--rules", "rules_path", type=click.Path(path_type=Path, exists=True),
+@click.option("--rules", "rules_path", type=click.Path(path_type=Path),
               default=None, help="Rules JSON; default built-in set when --snapshot given.")
-@click.option("--snapshot", "snapshot_path", type=click.Path(path_type=Path, exists=True),
+@click.option("--snapshot", "snapshot_path", type=click.Path(path_type=Path),
               default=None, help="Snapshot directory for custom-rule evaluation.")
 @click.pass_obj
 def score(app: AppContext, node, iteration, rules_path, snapshot_path):
@@ -168,9 +169,9 @@ def score(app: AppContext, node, iteration, rules_path, snapshot_path):
 
 
 @main.command("rules")
-@click.option("--rules", "rules_path", type=click.Path(path_type=Path, exists=True),
+@click.option("--rules", "rules_path", type=click.Path(path_type=Path),
               default=None, help="Rules JSON document; default built-in set.")
-@click.option("--snapshot", "snapshot_path", type=click.Path(path_type=Path, exists=True),
+@click.option("--snapshot", "snapshot_path", type=click.Path(path_type=Path),
               default=None, help="Snapshot directory to evaluate against.")
 @click.option("--node", default=None, help="Node name; default from snapshot manifest.")
 @click.option("--iteration", type=int, default=0, show_default=True)
@@ -305,7 +306,7 @@ def export(app: AppContext, out_dir):
 @main.command()
 @click.option("--out-dir", type=click.Path(path_type=Path), required=True)
 @click.option("--seed", type=int, default=None, help="Override the spec seed.")
-@click.option("--spec", "spec_path", type=click.Path(path_type=Path, exists=True),
+@click.option("--spec", "spec_path", type=click.Path(path_type=Path),
               default=None, help="Corpus spec JSON; default reproduces the 108-run corpus.")
 @click.pass_obj
 def fixtures(app: AppContext, out_dir, seed, spec_path):

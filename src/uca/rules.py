@@ -7,6 +7,9 @@ is deterministic and testable offline. Absence of a file, key or service is
 a failing observation, not an error.
 
 The compliance score is 100 * (weight of passed rules) / (total weight).
+
+Each value checks itself when made, so a rules document, the built-in set and a
+library caller meet one definition of a valid rule, and evaluation checks nothing.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path, PurePosixPath
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 from .errors import (
     DuplicateIdError,
@@ -58,27 +61,60 @@ class FirewallState(str, Enum):
     UNKNOWN = "unknown"
 
 
-# Required params per check type; expected_is_regex is optional.
-_REQUIRED_PARAMS = {
-    CheckType.CONFIG_DIRECTIVE: ("path", "key", "expected"),
-    CheckType.SERVICE_ACTIVE: ("service",),
-    CheckType.FILE_MODE: ("path", "max_mode"),
-    CheckType.FIREWALL_ACTIVE: (),
-}
+def _check_weight(weight: object, where: str) -> None:
+    if typed(weight, int, SchemaError, f"{where}: weight") < 1:
+        raise NonPositiveWeightError(f"{where}: weight must be >= 1, got {weight}")
 
 
 @dataclass(frozen=True)
 class Rule:
+    """One weighted check; ``check_type`` may be given as its string value. A field
+    not of its JSON type, an empty id, a weight below 1 (NonPositiveWeightError), a
+    missing param, a bad regex or a ``max_mode`` outside [0000, 7777] raise SchemaError."""
+
     id: str
     name: str
     check_type: CheckType
     weight: int
-    params: Mapping[str, object] = field(default_factory=dict)
+    params: dict[str, object] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.id, str) or not self.id:
+            raise SchemaError("rule id must be a non-empty string")
+        where = f"rule {self.id!r}"
+        typed(self.name, str, SchemaError, f"{where}: name")
+        check_type = typed(self.check_type, CheckType, SchemaError, f"{where}: check_type")
+        object.__setattr__(self, "check_type", check_type)
+        _check_weight(self.weight, where)
+        params = typed(self.params, dict, SchemaError, f"{where}: params")
+        for key in _CHECKS[check_type][0]:
+            if key not in params:
+                raise SchemaError(f"{where}: params missing {key!r} for {check_type.value}")
+        regex = typed(params.get("expected_is_regex", False), bool, SchemaError,
+                      f"{where}: params.expected_is_regex")
+        if check_type is CheckType.CONFIG_DIRECTIVE and regex:
+            try:
+                re.compile(str(params["expected"]))
+            except (re.error, OverflowError, RecursionError) as exc:
+                raise SchemaError(f"{where}: bad expected regex: {exc}") from None
+        if check_type is CheckType.FILE_MODE:
+            _parse_mode(str(params["max_mode"]), f"{where} max_mode", SchemaError)
 
 
 @dataclass(frozen=True)
 class RuleSet:
+    """At least one rule, no two with one id (DuplicateIdError)."""
+
     rules: tuple[Rule, ...]
+
+    def __post_init__(self) -> None:
+        if not self.rules:
+            raise SchemaError("a rule set must list at least one rule")
+        seen: set[str] = set()
+        for rule in self.rules:
+            if rule.id in seen:
+                raise DuplicateIdError(f"duplicate rule id {rule.id!r}")
+            seen.add(rule.id)
 
     @property
     def total_weight(self) -> int:
@@ -94,6 +130,9 @@ class RuleResult:
     evidence: str
     weight: int
 
+    def __post_init__(self) -> None:
+        _check_weight(self.weight, f"rule {self.rule_id!r}")
+
 
 @dataclass
 class NodeSnapshot:
@@ -101,7 +140,8 @@ class NodeSnapshot:
 
     ``files`` maps absolute paths to text content, ``services`` maps service
     names to state strings (active/inactive), ``permissions`` maps absolute
-    paths to (octal mode, owner, group).
+    paths to (octal mode, owner, group), each taken as typed. A ``firewall_state``
+    that is not a FirewallState raises SnapshotError.
     """
 
     node: str
@@ -110,61 +150,40 @@ class NodeSnapshot:
     permissions: dict[str, tuple[int, str, str]] = field(default_factory=dict)
     firewall_state: FirewallState = FirewallState.UNKNOWN
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.firewall_state, FirewallState):
+            raise SnapshotError(f"firewall_state {self.firewall_state!r} is not a FirewallState")
+
 
 def _validate_rule_dict(entry: object, position: int) -> Rule:
     entry = typed(entry, dict, SchemaError, f"rule #{position}")
     for name in ("id", "name", "check_type", "weight"):
         if name not in entry:
             raise SchemaError(f"rule #{position}: missing required field {name!r}")
-    rule_id = typed(entry["id"], str, SchemaError, f"rule #{position}: id")
-    if not rule_id:
+    if not typed(entry["id"], str, SchemaError, f"rule #{position}: id"):
         raise SchemaError(f"rule #{position}: id must be a non-empty string")
-    where = f"rule {rule_id!r}"
-    name = typed(entry["name"], str, SchemaError, f"{where}: name")
-    check_type = typed(entry["check_type"], CheckType, SchemaError, f"{where}: check_type")
-    weight = typed(entry["weight"], int, SchemaError, f"{where}: weight")
-    if weight < 1:
-        raise NonPositiveWeightError(f"{where}: weight must be >= 1, got {weight}")
-    params = typed(entry.get("params", {}), dict, SchemaError, f"{where}: params")
-    for key in _REQUIRED_PARAMS[check_type]:
-        if key not in params:
-            raise SchemaError(f"{where}: params missing {key!r} for {check_type.value}")
-    regex = typed(params.get("expected_is_regex", False), bool, SchemaError,
-                  f"{where}: params.expected_is_regex")
-    if check_type is CheckType.CONFIG_DIRECTIVE and regex:
-        try:
-            re.compile(str(params["expected"]))
-        except re.error as exc:
-            raise SchemaError(f"{where}: bad expected regex: {exc}") from None
-    if check_type is CheckType.FILE_MODE:
-        _parse_mode(str(params["max_mode"]), f"{where} max_mode")
-    return Rule(rule_id, name, check_type, weight, dict(params))
+    return Rule(entry["id"], entry["name"], entry["check_type"], entry["weight"],
+                entry.get("params", {}))
 
 
-def _parse_mode(text: str, what: str) -> int:
+def _parse_mode(text: str, what: str, error: type[Exception]) -> int:
     try:
         mode = int(text, 8)
     except ValueError:
-        raise SchemaError(f"{what}: {text!r} is not an octal mode") from None
+        raise error(f"{what}: {text!r} is not an octal mode") from None
     if not 0 <= mode <= 0o7777:
-        raise SchemaError(f"{what}: {text!r} outside [0000, 7777]")
+        raise error(f"{what}: {text!r} outside [0000, 7777]")
     return mode
 
 
 def load_rules(document: str | bytes) -> RuleSet:
-    """Parse and validate a JSON rules document (top-level list of rules)."""
+    """Parse a JSON rules document (top-level list of rules) into a RuleSet; each
+    entry's fields are checked by the Rule it makes."""
     data = load(document, list, SchemaError, "rules document")
     if not data:
         raise SchemaError("rules document must list at least one rule")
-    rules = []
-    seen: set[str] = set()
-    for position, entry in enumerate(data):
-        rule = _validate_rule_dict(entry, position)
-        if rule.id in seen:
-            raise DuplicateIdError(f"duplicate rule id {rule.id!r}")
-        seen.add(rule.id)
-        rules.append(rule)
-    return RuleSet(rules=tuple(rules))
+    return RuleSet(tuple(_validate_rule_dict(entry, position)
+                         for position, entry in enumerate(data)))
 
 
 def default_rules() -> RuleSet:
@@ -292,7 +311,7 @@ def _check_file_mode(rule: Rule, snapshot: NodeSnapshot) -> tuple[bool, str]:
     if entry is None:
         return False, MISSING_EVIDENCE
     mode, owner, group = entry
-    max_mode = _parse_mode(str(rule.params["max_mode"]), f"rule {rule.id!r} max_mode")
+    max_mode = int(str(rule.params["max_mode"]), 8)
     passed = (mode & ~max_mode) == 0
     return passed, f"{path} {mode:04o} {owner}:{group}"
 
@@ -302,17 +321,18 @@ def _check_firewall_active(rule: Rule, snapshot: NodeSnapshot) -> tuple[bool, st
     return state is FirewallState.ACTIVE, f"firewall {state.value}"
 
 
+# Each check type's required params (expected_is_regex is optional) and check.
 _CHECKS = {
-    CheckType.CONFIG_DIRECTIVE: _check_config_directive,
-    CheckType.SERVICE_ACTIVE: _check_service_active,
-    CheckType.FILE_MODE: _check_file_mode,
-    CheckType.FIREWALL_ACTIVE: _check_firewall_active,
+    CheckType.CONFIG_DIRECTIVE: (("path", "key", "expected"), _check_config_directive),
+    CheckType.SERVICE_ACTIVE: (("service",), _check_service_active),
+    CheckType.FILE_MODE: (("path", "max_mode"), _check_file_mode),
+    CheckType.FIREWALL_ACTIVE: ((), _check_firewall_active),
 }
 
 
 def evaluate_rule(rule: Rule, snapshot: NodeSnapshot) -> RuleResult:
     """Evaluate one rule against a snapshot; absence fails, never raises."""
-    passed, evidence = _CHECKS[rule.check_type](rule, snapshot)
+    passed, evidence = _CHECKS[rule.check_type][1](rule, snapshot)
     return RuleResult(rule.id, passed, evidence, rule.weight)
 
 
@@ -323,7 +343,10 @@ def evaluate_rules(ruleset: RuleSet, snapshot: NodeSnapshot) -> list[RuleResult]
 
 def score_rules(results: Sequence[RuleResult]) -> float:
     """Weighted compliance percentage of one evaluation, from its results' own
-    weights: integer sums and one float division, as ``Store.rule_tallies``."""
+    weights: integer sums and one float division, as ``Store.rule_tallies``. No
+    results raise SchemaError."""
+    if not results:
+        raise SchemaError("no rule results to score")
     passed = sum(result.weight for result in results if result.passed)
     return 100.0 * passed / sum(result.weight for result in results)
 
@@ -409,13 +432,9 @@ def load_snapshot(directory: Path | str) -> NodeSnapshot:
     services = {name: state for _, (name, state)
                 in _tsv_rows(directory / "services.tsv", "name<TAB>state")}
 
-    permissions: dict[str, tuple[int, str, str]] = {}
-    for where, (path, mode, owner, group) in _tsv_rows(
-            directory / "permissions.tsv", "path<TAB>mode<TAB>owner<TAB>group"):
-        try:
-            permissions[path] = (_parse_mode(mode, where), owner, group)
-        except SchemaError as exc:
-            raise SnapshotError(str(exc)) from None
+    permissions = {path: (_parse_mode(mode, where, SnapshotError), owner, group)
+                   for where, (path, mode, owner, group) in _tsv_rows(
+                       directory / "permissions.tsv", "path<TAB>mode<TAB>owner<TAB>group")}
 
     firewall = FirewallState.UNKNOWN
     firewall_path = directory / "firewall.txt"
@@ -426,10 +445,4 @@ def load_snapshot(directory: Path | str) -> NodeSnapshot:
         except ValueError:
             raise SnapshotError(f"{firewall_path}: expected 'active' or 'inactive', got {word!r}") from None
 
-    return NodeSnapshot(
-        node=node,
-        files=files,
-        services=services,
-        permissions=permissions,
-        firewall_state=firewall,
-    )
+    return NodeSnapshot(node, files, services, permissions, firewall)

@@ -716,8 +716,10 @@ class TestFixturesCommand:
             1, f"Error: invalid spec document: {message}\n")
         assert not (tmp_path / "s.db").exists() and not (tmp_path / "corpus").exists()
 
-    @pytest.mark.parametrize("name", ["../../escaped", "", ".", "..", "a/b", "a\u0000b"],
-                             ids=["escapes", "empty", "dot", "dot-dot", "slash", "nul"])
+    @pytest.mark.parametrize("name", ["../../escaped", "", ".", "..", "a/b", "a\u0000b",
+                                      "x" * 300, "\u00e9" * 128],
+                             ids=["escapes", "empty", "dot", "dot-dot", "slash", "nul",
+                                  "over-255-bytes", "over-255-utf8-bytes"])
     def test_node_name_that_is_no_directory_name_exits_1_and_writes_nothing(
             self, runner, tmp_path, name):
         spec_path = tmp_path / "spec.json"
@@ -824,6 +826,28 @@ class TestUnreadableJsonDocuments:
         result = runner.invoke(main, ["--store", str(tmp_path / "s.db"), *argv])
         assert result.exit_code == 1, result.output
         assert _one_error_line(result), result.output
+
+
+class TestMissingInputFiles:
+    @pytest.mark.parametrize("argv", [
+        ["--config", "{missing}", "rules"],
+        ["score", "web", "--iteration", "0", "--rules", "{missing}", "--snapshot", "{snap}"],
+        ["score", "web", "--iteration", "0", "--snapshot", "{missing}"],
+        ["rules", "--rules", "{missing}", "--snapshot", "{snap}", "--record"],
+        ["rules", "--snapshot", "{missing}", "--record"],
+        ["fixtures", "--out-dir", "{out}", "--spec", "{missing}"],
+    ], ids=["config", "score-rules", "score-snapshot", "rules-rules", "rules-snapshot",
+            "spec"])
+    def test_exits_1_with_one_error_line_and_writes_nothing(self, runner, tmp_path, argv):
+        # as a missing ingest input does, through the one error -> exit-code rule
+        save_snapshot(make_snapshot(Profile.FULL), tmp_path / "snap")
+        missing = tmp_path / "missing"
+        argv = [a.format(missing=missing, snap=tmp_path / "snap", out=tmp_path / "out")
+                for a in argv]
+        result = runner.invoke(main, ["--store", str(tmp_path / "s.db"), *argv])
+        assert result.exit_code == 1, result.output
+        assert _one_error_line(result) and str(missing) in result.output, result.output
+        assert [path.name for path in tmp_path.iterdir()] == ["snap"]
 
 
 @pytest.fixture()

@@ -113,6 +113,14 @@ class TestCorpusSpec:
             CorpusSpec(nodes=nodes)
         assert str(raised.value) == "invalid spec document: duplicate node names ['a']"
 
+    def test_node_name_of_up_to_255_utf8_bytes(self, tmp_path):
+        longest = "\u00e9" * 127 + "x"
+        result = make_corpus(CorpusSpec(nodes=(NodeSpec(longest, Profile.FULL),),
+                                        iterations=1), tmp_path / "corpus")
+        assert result.runs_recorded == 3
+        with pytest.raises(SpecError, match="is not a directory name"):
+            CorpusSpec(nodes=(NodeSpec(longest + "x", Profile.FULL),))
+
     @pytest.mark.parametrize("changes, message", [
         ({"nodes": ()}, "corpus needs at least one node"),
         ({"scap_total_rules": 0}, "scap_total_rules must be >= 1"),

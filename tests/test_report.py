@@ -91,12 +91,13 @@ class TestBuildReport:
 
     def test_rejected_reevaluation_keeps_earlier_results(self, tmp_path):
         results = evaluate_rules(default_rules(), make_snapshot(Profile.FULL))
-        rejected = [*results[:-1], replace(results[-1], weight=0)]
+        rejected = [*results[:-1], replace(results[-1], rule_id="\udcff")]
         with open_store(tmp_path / "s.db") as store:
             store.record_audit_run(_run("solo", "lynis", 0, 50.0))
             store.record_evaluation(results, "solo", 0)
-            # weight 0 fails the weight >= 1 CHECK, and the key's DELETE rolls back
-            with pytest.raises(ConstraintViolationError, match="CHECK"):
+            # a rule id that is no UTF-8 text fails its INSERT after the key's
+            # DELETE, and the DELETE rolls back
+            with pytest.raises(ConstraintViolationError, match="not UTF-8 text"):
                 store.record_evaluation(rejected, "solo", 0)
             assert store._conn.execute(
                 "SELECT rule_id, passed, evidence, weight FROM custom_rule_results"

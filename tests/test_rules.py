@@ -275,7 +275,9 @@ class TestEvaluateRules:
             assert not by_id["password_max_days"]
 
     def test_empty_ruleset(self):
-        assert evaluate_rules(RuleSet(rules=()), _snapshot()) == []
+        # an empty set cannot be made, so no evaluation is without results
+        with pytest.raises(SchemaError, match="at least one rule"):
+            RuleSet(rules=())
 
     def test_weight_recorded(self):
         ruleset = default_rules()
@@ -307,6 +309,165 @@ class TestScoreRules:
         # each result counts the weight it carries; no rule set is consulted
         results = [RuleResult("a", True, "x", 3), RuleResult("no_such_rule", False, "x", 1)]
         assert score_rules(results) == 75.0
+
+
+_SSHD = "/etc/ssh/sshd_config"
+_TRIES = {"path": _SSHD, "key": "MaxAuthTries", "expected": "[1-4]",
+          "expected_is_regex": True}
+_FILE_MODE = {"id": "fm", "name": "fm", "check_type": "file_mode", "weight": 1,
+              "params": {"path": "/etc/shadow", "max_mode": "0640"}}
+
+# The invalid entries of TestLoadRules, an overflowing repeat count and a string flag
+_INVALID_ENTRIES = {
+    "unknown-check-type": ({**_MINIMAL, "check_type": "selinux_enforcing"}, SchemaError),
+    "weight-0": ({**_MINIMAL, "weight": 0}, NonPositiveWeightError),
+    "weight-negative": ({**_MINIMAL, "weight": -3}, NonPositiveWeightError),
+    "weight-string": ({**_MINIMAL, "weight": "5"}, SchemaError),
+    "weight-float": ({**_MINIMAL, "weight": 2.5}, SchemaError),
+    "weight-bool": ({**_MINIMAL, "weight": True}, SchemaError),
+    "missing-param": ({**_MINIMAL, "check_type": "service_active"}, SchemaError),
+    "bad-regex": ({**_MINIMAL, "check_type": "config_directive",
+                   "params": {**_TRIES, "expected": "["}}, SchemaError),
+    "regex-repeat-too-large": ({**_MINIMAL, "check_type": "config_directive",
+                                "params": {**_TRIES, "expected": "a{99999999999999999999}"}},
+                               SchemaError),
+    "flag-not-a-bool": ({**_MINIMAL, "check_type": "config_directive",
+                         "params": {**_TRIES, "expected_is_regex": "false"}}, SchemaError),
+    "bad-mode": ({**_FILE_MODE, "params": {"path": "/etc/shadow", "max_mode": "9999"}},
+                 SchemaError),
+    "mode-outside-range": ({**_FILE_MODE, "params": {"path": "/etc/shadow",
+                                                     "max_mode": "17777"}}, SchemaError),
+    "empty-id": ({**_MINIMAL, "id": ""}, SchemaError),
+    "params-not-an-object": ({**_MINIMAL, "params": ["x"]}, SchemaError),
+}
+
+
+class TestValuesCheckThemselves:
+    """A Rule, RuleSet, RuleResult or NodeSnapshot built in Python is checked
+    when made, by the one definition that also reads the rules document."""
+
+    @pytest.mark.parametrize("entry, error", _INVALID_ENTRIES.values(),
+                             ids=_INVALID_ENTRIES.keys())
+    def test_built_rule_raises_as_its_document_does(self, entry, error):
+        with pytest.raises(SchemaError) as from_document:
+            load_rules(_rule_doc(entry))
+        with pytest.raises(SchemaError) as built:
+            Rule(**entry)
+        assert type(from_document.value) is type(built.value) is error
+        if entry["id"]:  # the document names an entry without an id by position
+            assert str(built.value) == str(from_document.value)
+
+    def test_check_type_given_as_its_value(self):
+        assert Rule(**_MINIMAL) == Rule(**{**_MINIMAL, "check_type": CheckType.FIREWALL_ACTIVE})
+        assert Rule(**_MINIMAL).check_type is CheckType.FIREWALL_ACTIVE
+
+    def test_file_mode_rule_without_path(self):
+        with pytest.raises(SchemaError, match="rule 'fm': params missing 'path' for file_mode"):
+            Rule("fm", "fm", CheckType.FILE_MODE, 1, {"max_mode": "0640"})
+
+    def test_max_mode_not_octal(self):
+        with pytest.raises(SchemaError, match="rule 'fm' max_mode: '999' is not an octal mode"):
+            Rule("fm", "fm", CheckType.FILE_MODE, 1, {"path": "/etc/shadow", "max_mode": "999"})
+
+    def test_expected_is_regex_not_a_bool(self):
+        # a truthy string would make "[1-4]" a regex that passes against MaxAuthTries 3
+        with pytest.raises(SchemaError, match="params.expected_is_regex: expected a JSON"
+                                              " boolean, got string"):
+            Rule("tries", "tries", CheckType.CONFIG_DIRECTIVE, 6,
+                 {**_TRIES, "expected_is_regex": "false"})
+
+    @pytest.mark.parametrize("expected", ["[", "(" * 2000 + ")" * 2000],
+                             ids=["unclosed", "nested-too-deep"])
+    def test_regex_that_does_not_compile(self, expected):
+        with pytest.raises(SchemaError, match="rule 'cfg': bad expected regex"):
+            Rule("cfg", "cfg", CheckType.CONFIG_DIRECTIVE, 1, {**_TRIES, "expected": expected})
+
+    @pytest.mark.parametrize("weight, error", [
+        (0, NonPositiveWeightError), (-1, NonPositiveWeightError), (True, SchemaError),
+        (2.5, SchemaError)])
+    def test_result_weight_is_an_int_of_at_least_1(self, weight, error):
+        # weights 2 (pass) and -1 (fail) would score 200.0, and a lone 0 divide by zero
+        with pytest.raises(error) as raised:
+            RuleResult("r", False, "e", weight)
+        assert type(raised.value) is error
+
+    def test_score_of_no_results(self):
+        with pytest.raises(SchemaError, match="no rule results to score"):
+            score_rules([])
+
+    def test_rule_set_of_repeated_id(self):
+        with pytest.raises(DuplicateIdError, match="duplicate rule id 'fw'"):
+            RuleSet((Rule(**_MINIMAL), Rule(**{**_MINIMAL, "name": "other"})))
+
+    @pytest.mark.parametrize("state", ["active", None])
+    def test_firewall_state_not_a_firewall_state(self, state):
+        with pytest.raises(SnapshotError, match="is not a FirewallState"):
+            NodeSnapshot("n1", firewall_state=state)
+
+
+_PARAM_VALUES = st.one_of(st.text(max_size=3), st.sampled_from([
+    _SSHD, "/etc/shadow", "MaxAuthTries", "auditd", "no", "[1-4]", "[",
+    "a{99999999999999999999}", "0640", "0o640", "999", "17777", "-1", True, False,
+    "false", 0, 2.5, None]))
+_JUNK_FIELDS = {"id": ["", 5], "name": [5, None], "check_type": ["selinux", None],
+                "weight": [0, -1, True, 2.5, "5"], "params": [[], None]}
+
+
+@st.composite
+def _drawn_rule_fields(draw):
+    """Rule fields of every check type: valid ones, params with junk values or a
+    key missing, or one field of junk."""
+    params = {"path": draw(st.sampled_from([_SSHD, "/etc/shadow"])), "key": "MaxAuthTries",
+              "expected": "[1-4]", "service": "auditd", "max_mode": "0640"}
+    keys = [*params, "expected_is_regex"]
+    params.update(draw(st.dictionaries(st.sampled_from(keys), _PARAM_VALUES, max_size=2)))
+    for key in draw(st.sets(st.sampled_from(keys), max_size=1)):
+        params.pop(key, None)
+    fields = {"id": draw(st.sampled_from("abcdef")), "name": "rule",
+              "check_type": draw(st.sampled_from([*CheckType, "file_mode"])),
+              "weight": draw(st.integers(1, 20)), "params": params}
+    spoiled = draw(st.one_of(st.none(), st.sampled_from(list(_JUNK_FIELDS))))
+    if spoiled:
+        fields[spoiled] = draw(st.sampled_from(_JUNK_FIELDS[spoiled]))
+    return fields
+
+
+@st.composite
+def _drawn_snapshot_fields(draw):
+    lines = st.sampled_from(["MaxAuthTries 3", "maxauthtries=9", "# MaxAuthTries 1",
+                             "Match all", "X11Forwarding no", ""])
+    return {
+        "node": "n1",
+        "files": {_SSHD: "\n".join(draw(st.lists(lines, max_size=4)))},
+        "services": draw(st.dictionaries(st.sampled_from(["auditd", "sshd"]),
+                                         st.sampled_from(["active", "inactive", ""]))),
+        "permissions": {"/etc/shadow": (draw(st.integers(0, 0o7777)), "root", "shadow")},
+        "firewall_state": draw(st.sampled_from([*FirewallState, "active", None])),
+    }
+
+
+class TestBuiltValuesProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(rules=st.lists(_drawn_rule_fields(), min_size=1, max_size=3),
+           snapshot=_drawn_snapshot_fields())
+    def test_refused_when_made_or_evaluated_and_scored_in_0_100(self, rules, snapshot):
+        try:
+            ruleset = RuleSet(tuple(Rule(**fields) for fields in rules))
+            node = NodeSnapshot(**snapshot)
+        except UcaError:
+            return
+        results = evaluate_rules(ruleset, node)
+        assert 0.0 <= score_rules(results) <= 100.0
+
+    @given(outcomes=st.lists(st.tuples(st.booleans(), st.one_of(
+        st.integers(-2, 20), st.sampled_from([True, 2.5]))), max_size=4))
+    def test_results_refused_when_made_or_scored_in_0_100(self, outcomes):
+        try:
+            score = score_rules([RuleResult(f"r{i}", passed, "e", weight)
+                                 for i, (passed, weight) in enumerate(outcomes)])
+        except UcaError:
+            return
+        assert 0.0 <= score <= 100.0
 
 
 @st.composite
