@@ -295,8 +295,8 @@ class CorpusSpec:
     """Parameters for one synthetic corpus; identical specs yield identical corpora.
     Frozen, and checked when made: an invalid value raises OutOfRangeError, and a
     node name that is no single directory name (empty, ``.``, ``..``, holding
-    ``/`` or NUL, or over 255 bytes of UTF-8), a repeated one or a score
-    distribution of an unknown node SpecError."""
+    ``/``, NUL or a lone surrogate, or over 255 bytes of UTF-8), a repeated one
+    or a score distribution of an unknown node SpecError."""
 
     nodes: tuple[NodeSpec, ...] = _DEFAULT_NODES
     iterations: int = 12
@@ -325,9 +325,11 @@ class CorpusSpec:
         names = [node.name for node in self.nodes]
         for index, name in enumerate(names):
             # a name is a directory of the corpus, which must stay under --out-dir,
-            # and a file system takes no name longer than 255 bytes
+            # and a file system takes no name longer than 255 bytes of UTF-8; a
+            # lone surrogate (U+D800-U+DFFF) has no UTF-8 form
             if (name in ("", ".", "..") or "/" in name or "\0" in name
-                    or len(name.encode("utf-8", "surrogatepass")) > 255):
+                    or any("\ud800" <= char <= "\udfff" for char in name)
+                    or len(name.encode("utf-8")) > 255):
                 raise SpecError(f"invalid spec document: nodes[{index}].name: {name!r}"
                                 f" is not a directory name")
         duplicates = sorted({name for name in names if names.count(name) > 1})

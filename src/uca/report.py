@@ -3,7 +3,8 @@
 Every number in the bundle is recomputed from raw store rows at build time;
 nothing is cached between invocations, so re-running a report over the same
 store is byte-identical. Rounding happens at the output boundary: each rounded
-JSON number goes through ``round_score``, and the four text tables share one layout.
+JSON number goes through ``round_score``, each two-decimal CSV cell through
+``csv_score``, and the four text tables share one layout.
 
 It is built from the plain tuples of the store's row queries, with no per-run
 record objects, and holds no per-run rows: the runs and aggregates stream
@@ -28,7 +29,7 @@ from pathlib import Path
 
 from . import stats
 from .errors import DegenerateSampleError, EmptyStoreError
-from .repository import Store, csv_score, replace_together, write_csv
+from .repository import Store, replace_together, write_csv
 from .scoring import Tool
 
 __all__ = [
@@ -82,14 +83,14 @@ class ReportBundle:
         rules = [[r["node"], r["passed"], r["failed"], csv_score(r["score_pct"])]
                  for r in self.rule_table]
         runtime_header = ["tool", "avg_runtime_seconds", "total_runtime_seconds", "runs"]
-        runtime = [[tool, f"{average:.2f}", f"{total:.2f}", count]
+        runtime = [[tool, csv_score(average), csv_score(total), count]
                    for tool, average, total, count in self.runtime]
         return {
             "table_scores.csv": (["metric", *self.nodes],
                                  [[m, *cells[m]] for m in SCORE_METRICS]),
             "table_custom_rules.csv": (rules_header, rules),
             "table_runtime.csv": (runtime_header, runtime + [
-                ["total", "", f"{self.runtime_total:.2f}", ""]]),
+                ["total", "", csv_score(self.runtime_total), ""]]),
             "table_significance.csv": (
                 ["tool", "node_low", "node_high", "mean_diff", "t", "df", "p_two_tailed",
                  "cohens_d"],
@@ -172,6 +173,11 @@ def build_report(store: Store) -> ReportBundle:
 
 def _cell(value: float | None) -> str:
     return "-" if value is None else f"{value:.2f}"
+
+
+def csv_score(value: float | None) -> str:
+    """A number as a report CSV cell: two decimals, or blank for none."""
+    return "" if value is None else f"{value:.2f}"
 
 
 def format_p(p: float) -> str:
@@ -292,6 +298,6 @@ def write_plot_data(bundle: ReportBundle, out_dir: Path,
     progression.parent.mkdir(parents=True, exist_ok=True)
     with replace_together() as stage:
         write_csv(stage(progression), ["node", "tool", "iteration", "normalized_score"],
-                  ([node, tool, iteration, f"{score:.2f}"]
+                  ([node, tool, iteration, csv_score(score)]
                    for node, tool, iteration, score in runs))
     return [progression, *_write_csv_files(bundle, out_dir, "plot_")]

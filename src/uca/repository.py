@@ -112,31 +112,25 @@ def _optional_float(text: str) -> float | None:
     return float(text) if text else None
 
 
-def csv_score(value: float | None) -> str:
-    """A score as CSV text: two decimals, or blank for none."""
-    return "" if value is None else f"{value:.2f}"
-
-
 # The columns of each exported table, in table and CSV order, as (name, parser
-# of its CSV text, formatter of its stored value, or None to write it as it is).
-# A column's name is also its record's field. The CSV headers, the inserts, the
-# exports and the imports are all derived from these.
-_RUN_COLUMNS = (
-    ("node", str, None), ("tool", Tool, None), ("timestamp", str, None),
-    ("iteration", int, None), ("phase", Phase, None), ("raw_score", float, csv_score),
-    ("normalized_score", float, csv_score), ("runtime_seconds", float, repr),
-)
-_AGG_COLUMNS = (
-    ("node", str, None), ("iteration", int, None), ("lynis", float, csv_score),
-    ("openscap", float, csv_score), ("aide", float, csv_score),
-    ("custom", _optional_float, csv_score), ("standard_uca", float, csv_score),
-    ("extended_uca", _optional_float, csv_score), ("timestamp", str, None),
-)
-AUDIT_CSV_HEADER = [name for name, _, _ in _RUN_COLUMNS]
-AGGREGATE_CSV_HEADER = [name for name, _, _ in _AGG_COLUMNS]
-# The columns of each table's UNIQUE key, whose row a record updates in place
+# of its CSV text). A column's name is also its record's field. The CSV headers,
+# the inserts, the exports and the imports are all derived from these. The
+# export writes each value as SQLite returns it: a float by ``repr``, which
+# reads back exactly, and a NULL as an empty cell.
+_RUN_COLUMNS = (("node", str), ("tool", Tool), ("timestamp", str), ("iteration", int),
+                ("phase", Phase), ("raw_score", float), ("normalized_score", float),
+                ("runtime_seconds", float))
+_AGG_COLUMNS = (("node", str), ("iteration", int), ("lynis", float), ("openscap", float),
+                ("aide", float), ("custom", _optional_float), ("standard_uca", float),
+                ("extended_uca", _optional_float), ("timestamp", str))
+AUDIT_CSV_HEADER = [name for name, _ in _RUN_COLUMNS]
+AGGREGATE_CSV_HEADER = [name for name, _ in _AGG_COLUMNS]
+# The columns of each table's UNIQUE key, whose row a record updates in place,
+# and the order in which its rows are read and exported
 _RUN_KEY = ("node", "tool", "iteration")
 _AGG_KEY = ("node", "iteration")
+_RUN_ORDER = f" ORDER BY {', '.join(_RUN_KEY)}"
+_AGG_ORDER = f" ORDER BY {', '.join(_AGG_KEY)}"
 
 
 # Schema version 3, the text of every store, new or upgraded.
@@ -209,10 +203,6 @@ DROP TABLE custom_rules
 # file (a version-1 store also reads 0 and runs _MIGRATE_V1 instead), a
 # version-2 store, and one another process upgraded while this one waited.
 _UPGRADES = {0: _SCHEMA, 2: "DROP TABLE custom_rules", _VERSION: ""}
-
-
-_RUN_ORDER = " ORDER BY node, tool, iteration"
-_AGG_ORDER = " ORDER BY node, iteration"
 
 
 def open_store(path: Path | str, *, create: bool = True) -> "Store":
@@ -438,17 +428,10 @@ class Store:
 
     def _export_csv(self, path: Path | str, table: str, columns: tuple, order: str) -> int:
         """Write ``table`` in ``order`` as CSV; returns rows written."""
-        header = [name for name, _, _ in columns]
-        formats = [(index, fmt) for index, (_, _, fmt) in enumerate(columns) if fmt]
-
-        def formatted(row: tuple) -> list:
-            row = list(row)
-            for index, fmt in formats:
-                row[index] = fmt(row[index])
-            return row
-        # each row formatted and written as the cursor yields it
-        rows = self._stream(f"SELECT {', '.join(header)} FROM {table}{order}")
-        return write_csv(path, header, map(formatted, rows))
+        header = [name for name, _ in columns]
+        # each row written as the cursor yields it
+        return write_csv(path, header,
+                         self._stream(f"SELECT {', '.join(header)} FROM {table}{order}"))
 
     def _import_csv(self, path: Path | str, columns: tuple, record_type: type,
                     record: Callable[[object], int]) -> int:
@@ -466,13 +449,13 @@ class Store:
         with self.transaction():
             reader = csv.reader(io.StringIO(text, newline=""))
             found = next(reader, None)
-            if found != [name for name, _, _ in columns]:
+            if found != [name for name, _ in columns]:
                 raise ConstraintViolationError(f"{path}: unexpected header {found!r}")
             for lineno, row in enumerate(reader, start=2):
                 try:
                     if len(row) != len(columns):
                         raise ValueError(f"{len(row)} fields, expected {len(columns)}")
-                    record(record_type(**{name: parse(cell) for (name, parse, _), cell
+                    record(record_type(**{name: parse(cell) for (name, parse), cell
                                           in zip(columns, row)}))
                 except (ValueError, ConstraintViolationError) as exc:
                     raise ConstraintViolationError(f"{path}:{lineno}: {exc}") from None

@@ -112,6 +112,8 @@ class RuleSet:
             raise SchemaError("a rule set must list at least one rule")
         seen: set[str] = set()
         for rule in self.rules:
+            if not isinstance(rule, Rule):
+                raise SchemaError(f"a rule set entry must be a Rule, got {rule!r}")
             if rule.id in seen:
                 raise DuplicateIdError(f"duplicate rule id {rule.id!r}")
             seen.add(rule.id)
@@ -140,8 +142,9 @@ class NodeSnapshot:
 
     ``files`` maps absolute paths to text content, ``services`` maps service
     names to state strings (active/inactive), ``permissions`` maps absolute
-    paths to (octal mode, owner, group), each taken as typed. A ``firewall_state``
-    that is not a FirewallState raises SnapshotError.
+    paths to (int mode, owner, group), each taken as typed. An entry of another
+    type, a bool mode among them, or a ``firewall_state`` that is not a
+    FirewallState raises SnapshotError.
     """
 
     node: str
@@ -153,6 +156,15 @@ class NodeSnapshot:
     def __post_init__(self) -> None:
         if not isinstance(self.firewall_state, FirewallState):
             raise SnapshotError(f"firewall_state {self.firewall_state!r} is not a FirewallState")
+        for what, entries in (("files", self.files), ("services", self.services)):
+            for key, value in entries.items():
+                if not (isinstance(key, str) and isinstance(value, str)):
+                    raise SnapshotError(f"{what}: {key!r}: {value!r} is not text to text")
+        for path, entry in self.permissions.items():
+            if not (isinstance(path, str) and isinstance(entry, tuple) and len(entry) == 3
+                    and type(entry[0]) is int and all(isinstance(name, str) for name in entry[1:])):
+                raise SnapshotError(f"permissions: {path!r}: {entry!r} is not"
+                                    f" (int mode, owner, group)")
 
 
 def _validate_rule_dict(entry: object, position: int) -> Rule:

@@ -22,6 +22,8 @@ from .errors import (
     EmptySampleError,
     InvalidDfError,
     LengthMismatchError,
+    NonFiniteError,
+    OutOfRangeError,
     ZeroMeanError,
 )
 
@@ -177,11 +179,12 @@ def _betacf(a: float, b: float, x: float) -> float:
 
 
 def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
-    """I_x(a, b) for a, b > 0 and x in [0, 1]."""
-    if a <= 0 or b <= 0:
-        raise ValueError("a and b must be positive")
+    """I_x(a, b) for a, b > 0 and x in [0, 1]; any other a, b or x, NaN among
+    them, raises OutOfRangeError."""
+    if not (a > 0 and b > 0):
+        raise OutOfRangeError(f"a and b must be positive, got a={a!r}, b={b!r}")
     if not 0.0 <= x <= 1.0:
-        raise ValueError("x must lie in [0, 1]")
+        raise OutOfRangeError(f"x must lie in [0, 1], got {x!r}")
     if x == 0.0:
         return 0.0
     if x == 1.0:
@@ -201,11 +204,12 @@ def student_t_two_tailed_p(t: float, df: float) -> float:
     """Two-tailed p-value 2*P(T >= |t|) for a Student-t variable with ``df``.
 
     Uses the identity P(|T| >= t) = I_x(df/2, 1/2) with x = df/(df + t^2).
+    A ``df`` below 1 or NaN raises InvalidDfError, a non-finite ``t`` NonFiniteError.
     """
-    if df < 1:
+    if not df >= 1:
         raise InvalidDfError(f"degrees of freedom must be >= 1, got {df!r}")
     if not math.isfinite(t):
-        raise ValueError(f"t must be finite, got {t!r}")
+        raise NonFiniteError(f"t must be finite, got {t!r}")
     if t == 0.0:
         return 1.0
     x = df / (df + t * t)

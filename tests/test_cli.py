@@ -717,9 +717,9 @@ class TestFixturesCommand:
         assert not (tmp_path / "s.db").exists() and not (tmp_path / "corpus").exists()
 
     @pytest.mark.parametrize("name", ["../../escaped", "", ".", "..", "a/b", "a\u0000b",
-                                      "x" * 300, "\u00e9" * 128],
+                                      "x" * 300, "\u00e9" * 128, "\udcff"],
                              ids=["escapes", "empty", "dot", "dot-dot", "slash", "nul",
-                                  "over-255-bytes", "over-255-utf8-bytes"])
+                                  "over-255-bytes", "over-255-utf8-bytes", "lone-surrogate"])
     def test_node_name_that_is_no_directory_name_exits_1_and_writes_nothing(
             self, runner, tmp_path, name):
         spec_path = tmp_path / "spec.json"
@@ -1031,7 +1031,24 @@ class TestRepeatedAndFailedCommands:
         assert result.exit_code == 0, result.output
         exported = b"".join(p.read_bytes() for p in sorted((tmp_path / "ex").glob("*.csv")))
         assert hashlib.sha256(exported).hexdigest() == (
-            "3d1b3d9ba6acae620447cfc2172391d95f55790c1ef0b6d1a094fc8a255752b8")
+            "b80fd87eeec150c80c7757b150124f5b58b113c3a02d9a5bb46a965f89bb50ec")
+
+    def test_exported_and_imported_store_reports_the_same(self, runner, seed_155_copy,
+                                                          tmp_path):
+        # every score mean, runtime figure and significance row survives an export
+        # and an import; rule results are not exported, so the rule table is empty
+        store, _ = seed_155_copy
+        original = _json_report(runner, store)
+        result = runner.invoke(main, ["--store", str(store), "export", "--out-dir",
+                                      str(tmp_path / "ex")])
+        assert result.exit_code == 0, result.output
+        with open_store(tmp_path / "imported.db") as imported:
+            assert imported.import_audit_csv(tmp_path / "ex" / "audit_runs.csv") == 108
+            assert imported.import_aggregate_csv(tmp_path / "ex" / "aggregate_scores.csv") == 36
+        report = json.loads(_json_report(runner, tmp_path / "imported.db"))
+        rules = json.loads(original)["custom_rules"]
+        assert report["custom_rules"] == [] and len(rules) == 3
+        assert json.dumps({**report, "custom_rules": rules}, indent=2) + "\n" == original
 
 
 def _exports(runner, store, out) -> list[bytes]:

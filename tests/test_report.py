@@ -170,16 +170,21 @@ def test_report_and_export_build_no_records(tmp_path, monkeypatch):
 
 def test_csv_dir_report_formats_each_cell_once(tmp_path, monkeypatch):
     """``write_plot_data`` and ``write_csv_tables`` share one build of the CSV
-    cells: a csv-dir report formats each score cell and rule row once."""
+    cells: a csv-dir report formats each score cell, rule row and runtime figure
+    once, and each run's score once in the progression."""
     store_path = _corpus_24(tmp_path / "corpus").store_path
     with open_store(store_path) as store:
         bundle = build_report(store)
+        runs = len(list(store.score_rows()))
     calls = []
     monkeypatch.setattr(report_mod, "csv_score", lambda value: calls.append(value) or "")
     result = CliRunner().invoke(main, ["--store", str(store_path), "--format", "csv-dir",
                                        "report", "--out-dir", str(tmp_path / "csv")])
     assert result.exit_code == 0, result.output
-    assert len(calls) == len(SCORE_METRICS) * len(bundle.nodes) + len(bundle.rule_table)
+    # average and total per tool, and the grand total
+    runtime = 2 * len(bundle.runtime) + 1
+    assert len(calls) == (len(SCORE_METRICS) * len(bundle.nodes) + len(bundle.rule_table)
+                          + runtime + runs)
 
 
 # --- the report as computed before it read plain rows ------------------------
@@ -254,23 +259,20 @@ def _reference_bundle(store) -> tuple[ReportBundle, list]:
 
 
 def _reference_exports(store) -> dict[str, bytes]:
-    """audit_runs.csv and aggregate_scores.csv formatted from raw SQL rows."""
-    def cell(value):
-        return "" if value is None else f"{value:.2f}"
-
+    """audit_runs.csv and aggregate_scores.csv written from raw SQL rows: each
+    float by ``repr``, each NULL as an empty cell."""
     tables = {
         "audit_runs.csv": (AUDIT_CSV_HEADER, [
             [node, tool, timestamp, iteration, phase,
-             f"{raw_score:.2f}", f"{normalized_score:.2f}", repr(runtime_seconds)]
+             repr(raw_score), repr(normalized_score), repr(runtime_seconds)]
             for node, tool, timestamp, iteration, phase, raw_score, normalized_score,
             runtime_seconds in store._conn.execute(
                 "SELECT node, tool, timestamp, iteration, phase, raw_score, normalized_score,"
                 " runtime_seconds FROM audit_runs ORDER BY node, tool, iteration")]),
         "aggregate_scores.csv": (AGGREGATE_CSV_HEADER, [
-            [node, iteration, cell(lynis), cell(openscap), cell(aide),
-             cell(custom), cell(standard_uca), cell(extended_uca), timestamp]
-            for node, iteration, lynis, openscap, aide, custom, standard_uca, extended_uca,
-            timestamp in store._conn.execute(
+            [node, iteration, *("" if value is None else repr(value) for value in scores),
+             timestamp]
+            for node, iteration, *scores, timestamp in store._conn.execute(
                 "SELECT node, iteration, lynis, openscap, aide, custom, standard_uca,"
                 " extended_uca, timestamp FROM aggregate_scores ORDER BY node, iteration")]),
     }

@@ -1,6 +1,8 @@
 import math
 import shutil
 import sqlite3
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -45,6 +47,11 @@ def _aggregate(**kwargs) -> AggregateScore:
     )
     defaults.update(kwargs)
     return AggregateScore(**defaults)
+
+
+# Scores from the whole range, plus values whose two-decimal rounding is close
+_SCORES = st.one_of(st.floats(0, 100), st.sampled_from([0.0, 0.005, 33.335, 66.665, 100.0]))
+_NODES = ("a", "b")
 
 
 class TestOpenStore:
@@ -437,6 +444,62 @@ class TestCsvExport:
         with open_store(tmp_path / "s.db") as store:
             with pytest.raises(ConstraintViolationError):
                 store.import_audit_csv(path)
+
+    def test_import_rejects_swapped_score_columns(self, tmp_path):
+        # both scores lie in [0, 100], so without the header check the row would
+        # be recorded with each score in the other's column
+        header = list(AUDIT_CSV_HEADER)
+        raw, normalized = header.index("raw_score"), header.index("normalized_score")
+        header[raw], header[normalized] = header[normalized], header[raw]
+        path = tmp_path / "swapped.csv"
+        path.write_text(",".join(header) + "\nweb,aide,2025-03-03T00:00:00+00:00,0,pre,40,12,1\n")
+        with open_store(tmp_path / "s.db") as store:
+            with pytest.raises(ConstraintViolationError, match="unexpected header"):
+                store.import_audit_csv(path)
+            assert list(store.score_rows()) == []
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        runs=st.lists(st.tuples(
+            st.sampled_from(_NODES), st.sampled_from(list(Tool)), st.integers(0, 3),
+            st.floats(allow_nan=False, allow_infinity=False), _SCORES, st.floats(0, 1e6)),
+            unique_by=lambda run: run[:3], max_size=12),
+        aggregates=st.lists(st.tuples(
+            st.sampled_from(_NODES), st.integers(0, 3), st.tuples(_SCORES, _SCORES, _SCORES),
+            st.one_of(st.none(), st.tuples(_SCORES, _SCORES))),
+            unique_by=lambda agg: agg[:2], max_size=8),
+    )
+    def test_export_import_export_is_exact(self, runs, aggregates):
+        """Any finite in-range scores, a NULL custom among them, read back from an
+        export as the values stored, and export again to the same bytes."""
+        with tempfile.TemporaryDirectory() as tmp, open_store(":memory:") as store, \
+                open_store(":memory:") as imported:
+            for node, tool, iteration, raw, score, runtime in runs:
+                store.record_audit_run(_run(node=node, tool=tool, iteration=iteration,
+                                            raw_score=raw, normalized_score=score,
+                                            runtime_seconds=runtime))
+            for node, iteration, components, custom in aggregates:
+                custom, extended = custom or (None, None)
+                store.record_aggregate(_aggregate(
+                    node=node, iteration=iteration, lynis=components[0],
+                    openscap=components[1], aide=components[2],
+                    standard_uca=sorted(components)[1], custom=custom, extended_uca=extended))
+            first_runs, first_aggs, second_runs, second_aggs = (
+                Path(tmp) / name for name in ("r1.csv", "g1.csv", "r2.csv", "g2.csv"))
+            store.export_audit_csv(first_runs)
+            store.export_aggregate_csv(first_aggs)
+            assert imported.import_audit_csv(first_runs) == len(runs)
+            assert imported.import_aggregate_csv(first_aggs) == len(aggregates)
+            imported.export_audit_csv(second_runs)
+            imported.export_aggregate_csv(second_aggs)
+            assert first_runs.read_bytes() == second_runs.read_bytes()
+            assert first_aggs.read_bytes() == second_aggs.read_bytes()
+            for query in (f"SELECT {', '.join(AUDIT_CSV_HEADER)} FROM audit_runs"
+                          " ORDER BY node, tool, iteration",
+                          f"SELECT {', '.join(AGGREGATE_CSV_HEADER)} FROM aggregate_scores"
+                          " ORDER BY node, iteration"):
+                assert (imported._conn.execute(query).fetchall()
+                        == store._conn.execute(query).fetchall())
 
     def test_import_rejects_malformed_row(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -404,6 +404,28 @@ class TestValuesCheckThemselves:
         with pytest.raises(SnapshotError, match="is not a FirewallState"):
             NodeSnapshot("n1", firewall_state=state)
 
+    @pytest.mark.parametrize("entries", [
+        {"files": {_SSHD: 5}}, {"files": {5: "PermitRootLogin no"}},
+        {"services": {"auditd": None}}, {"services": {("auditd",): "active"}}])
+    def test_file_or_service_that_is_not_text_to_text(self, entries):
+        # a content of 5 ended evaluation in AttributeError: 'int' has no 'splitlines'
+        with pytest.raises(SnapshotError, match="is not text to text"):
+            NodeSnapshot("n1", **entries)
+
+    @pytest.mark.parametrize("entry", [
+        ("0640", "root", "shadow"), (True, "root", "shadow"), (0o640, "root"),
+        (0o640, "root", 0), [0o640, "root", "shadow"], 0o640])
+    def test_permission_that_is_not_an_int_mode_owner_and_group(self, entry):
+        # a '0640' mode ended evaluation in TypeError at ``mode & ~max_mode``
+        with pytest.raises(SnapshotError, match=r"is not \(int mode, owner, group\)"):
+            NodeSnapshot("n1", permissions={"/etc/shadow": entry})
+
+    @pytest.mark.parametrize("entry", ["x", None, {"id": "fw"}])
+    def test_rule_set_entry_that_is_not_a_rule(self, entry):
+        # RuleSet(("x",)) ended in AttributeError: 'str' object has no attribute 'id'
+        with pytest.raises(SchemaError, match="must be a Rule"):
+            RuleSet((Rule(**_MINIMAL), entry) if entry is None else (entry,))
+
 
 _PARAM_VALUES = st.one_of(st.text(max_size=3), st.sampled_from([
     _SSHD, "/etc/shadow", "MaxAuthTries", "auditd", "no", "[1-4]", "[",
@@ -537,6 +559,12 @@ class TestSnapshotIO:
         (tmp_path / "empty").mkdir()
         with pytest.raises(SnapshotError):
             load_snapshot(tmp_path / "empty")
+
+    def test_manifest_without_node(self, tmp_path):
+        save_snapshot(make_snapshot(Profile.BASELINE), tmp_path / "snap")
+        (tmp_path / "snap" / "manifest.json").write_text('{"captured_at": "x"}')
+        with pytest.raises(SnapshotError, match="missing node id"):
+            load_snapshot(tmp_path / "snap")
 
     def test_bad_firewall_word(self, tmp_path):
         snapshot = make_snapshot(Profile.BASELINE)

@@ -11,8 +11,11 @@ from uca.errors import (
     EmptySampleError,
     InvalidDfError,
     LengthMismatchError,
+    NonFiniteError,
+    OutOfRangeError,
     ZeroMeanError,
 )
+from uca import stats
 from uca.stats import (
     coefficient_of_variation,
     describe,
@@ -172,6 +175,16 @@ class TestStudentTP:
         with pytest.raises(InvalidDfError):
             student_t_two_tailed_p(1.0, 0)
 
+    def test_nan_df(self):
+        # NaN compares false with 1, so only ``not df >= 1`` refuses it
+        with pytest.raises(InvalidDfError):
+            student_t_two_tailed_p(1.0, math.nan)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_t_is_a_typed_error(self, t):
+        with pytest.raises(NonFiniteError, match="t must be finite"):
+            student_t_two_tailed_p(t, 22)
+
     @pytest.mark.parametrize("t", [0.0, 0.31, 1.0, 1.79, 2.5, 5.0, 12.0, 20.0])
     @pytest.mark.parametrize("df", [1, 2, 3, 5, 10, 22, 47, 100])
     def test_agrees_with_quadrature_oracle(self, t, df):
@@ -206,6 +219,25 @@ class TestStudentTP:
         # I_x(1,1) = x
         assert regularized_incomplete_beta(1.0, 1.0, 0.42) == pytest.approx(0.42, abs=1e-12)
 
+    # the library contract of an exported function, whose one caller in the
+    # package passes a = df/2 >= 0.5, b = 0.5 and x in (0, 1]
+    @pytest.mark.parametrize("a, b", [(0.0, 1.0), (1.0, 0.0), (-1.0, 1.0), (math.nan, 1.0),
+                                      (1.0, math.nan)])
+    def test_incomplete_beta_refuses_a_shape_not_positive(self, a, b):
+        with pytest.raises(OutOfRangeError, match="a and b must be positive"):
+            regularized_incomplete_beta(a, b, 0.5)
+
+    @pytest.mark.parametrize("x", [-0.1, 1.1, math.nan, math.inf])
+    def test_incomplete_beta_refuses_x_outside_unit_interval(self, x):
+        with pytest.raises(OutOfRangeError, match=r"x must lie in \[0, 1\]"):
+            regularized_incomplete_beta(2.0, 3.0, x)
+
+    def test_continued_fraction_that_does_not_converge_raises(self, monkeypatch):
+        # 500 iterations are far more than any df up to 1e5 needs; two are not
+        monkeypatch.setattr(stats, "_CF_MAX_ITER", 2)
+        with pytest.raises(ArithmeticError, match="did not converge"):
+            student_t_two_tailed_p(1.79, 22)
+
 
 class TestPearson:
     def test_positive_affine(self):
@@ -226,6 +258,15 @@ class TestPearson:
     def test_constant_sample(self):
         with pytest.raises(ConstantSampleError):
             pearson_r([1, 1, 1], [1, 2, 3])
+
+    def test_one_pair(self):
+        with pytest.raises(EmptySampleError, match="at least two pairs"):
+            pearson_r([1.0], [2.0])
+
+    def test_spread_whose_square_underflows(self):
+        # the deviations are 5e-201, whose squares are below the smallest float
+        with pytest.raises(ConstantSampleError, match="below float resolution"):
+            pearson_r([1e-200, 2e-200], [1.0, 2.0])
 
     def test_constant_sample_with_inexact_mean(self):
         # fsum([3.277]*3)/3 != 3.277, so constancy must not rely on the
