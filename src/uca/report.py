@@ -1,16 +1,21 @@
 """Decision-support report built from store contents.
 
-Every number in the bundle is recomputed from raw store rows at build time;
-nothing is cached between invocations, so re-running a report over the same
-store is byte-identical. Rounding happens at the output boundary: each rounded
-JSON number goes through ``round_score``, each two-decimal CSV cell through
-``csv_score``, and the four text tables share one layout.
+The per-node numbers (the six means and the rule tally) are read from the
+store's ``node_summary`` table, one row per node, which the store keeps equal
+to their derivation from the rows: a change to a node's rows deletes its
+summary, the writing transaction derives it again before it commits, and a
+summary still missing at the read is derived then (see ``uca.repository``).
+So a report equals one recomputed from the rows, and re-running it over the
+same store is byte-identical; only its cost no longer follows the run count.
+The runtimes and the two t-test nodes' scores are read from the rows at build
+time. Rounding happens at the output boundary: each rounded JSON number goes
+through ``round_score``, each two-decimal CSV cell through ``csv_score``, and
+the four text tables share one layout.
 
-It is built from the plain tuples of the store's row queries, with no per-run
-record objects, and holds no per-run rows: the runs and aggregates stream
-through it one (node, metric) group at a time, of which only the mean is kept,
-and the two t-test nodes' scores come from one query once the nodes are
-ranked. So its memory follows the node count, not the run count.
+It is built from the plain tuples of the store's queries, with no per-run
+record objects, and holds no per-run rows: the two t-test nodes' scores come
+from one query once the nodes are ranked, so its memory follows the node
+count, not the run count.
 ``ReportBundle.runtime`` holds one ``(tool, average, total, count)`` per tool.
 The per-run score progression plot is written from rows its caller passes,
 read from the store as the file is written.
@@ -19,7 +24,6 @@ read from the store as the file is written.
 from __future__ import annotations
 
 import json
-import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -29,7 +33,7 @@ from pathlib import Path
 
 from . import stats
 from .errors import DegenerateSampleError, EmptyStoreError
-from .repository import Store, replace_together, write_csv
+from .repository import SUMMARY_COLUMNS, Store, replace_together, write_csv
 from .scoring import Tool
 
 __all__ = [
@@ -115,32 +119,19 @@ def tool_samples(store: Store, *nodes: str) -> dict[tuple[str, str], list[float]
 
 
 def build_report(store: Store) -> ReportBundle:
-    """Recompute the four report tables from one streamed read of each store
-    table, and the t-tests from one read of the two nodes they compare."""
-    # (metric, node) -> mean: tool scores by iteration, then the aggregate
-    # columns by iteration; fsum rounds once, so input order cannot matter
-    means: dict[tuple[str, str], float] = {}
-    for (node, tool), group in groupby(store.score_rows(), itemgetter(0, 1)):
-        values = [row[3] for row in group]
-        means[tool, node] = math.fsum(values) / len(values)
-    if not means:
+    """Build the four report tables from each node's stored summary, and the
+    t-tests from one read of the two nodes they compare."""
+    summaries = {row[0]: dict(zip(SUMMARY_COLUMNS, row)) for row in store.summary_rows()}
+    if not summaries:
         raise EmptyStoreError("no audit runs recorded; ingest or generate a corpus first")
-    run_nodes = {node for _, node in means}
-    for node, group in groupby(store.aggregate_rows(), itemgetter(0)):
-        columns = zip(*(row[1:] for row in group))
-        for metric, column in zip(("custom", "standard_uca", "extended_uca"), columns):
-            values = [value for value in column if value is not None]
-            if values:
-                means[metric, node] = math.fsum(values) / len(values)
 
     # Column order: weakest to strongest by mean standard score, so the
     # significance comparison (first vs last column) reads naturally.
-    standard = {n: means.get(("standard_uca", n)) for n in run_nodes}
+    standard = {n: summary["standard_uca"] for n, summary in summaries.items()}
     nodes = sorted(standard, key=lambda n: (standard[n] is None, standard[n] or 0.0, n))
-    score_table = {m: {n: means.get((m, n)) for n in nodes} for m in SCORE_METRICS}
-
-    tallies = {row[0]: row for row in store.rule_tallies()}
-    rule_table = [dict(zip(RULE_COLUMNS, tallies[n])) for n in nodes if n in tallies]
+    score_table = {m: {n: summaries[n][m] for n in nodes} for m in SCORE_METRICS}
+    rule_table = [{column: summaries[n][column] for column in RULE_COLUMNS}
+                  for n in nodes if summaries[n]["passed"] is not None]
 
     node_low = node_high = None
     significance: list[tuple[str, stats.TestResult]] = []

@@ -1,10 +1,13 @@
 """Single-file SQLite repository for audit runs, scores and rule outcomes.
 
-Schema version 3 (``PRAGMA user_version``), three tables:
+Schema version 4 (``PRAGMA user_version``), four tables:
   audit_runs           one row per (node, tool, iteration)
   aggregate_scores     one row per (node, iteration) with the unified scores
   custom_rule_results  one row per (node, iteration, rule_id), with its rule's
                        weight in the evaluation that recorded it
+  node_summary         one row per node with runs: the numbers the report
+                       shows for it (``SUMMARY_COLUMNS``), derived from the
+                       rows of the other three by ``Store.derive_summaries``
 
 Row invariants are the schema's: UNIQUE keys, CHECK ranges, standard_uca
 between its components and a weight >= 1 on every result. Opening an older
@@ -12,7 +15,15 @@ store upgrades it in one transaction. A version-1 store (user_version 0) keeps
 the highest id of each key, and each result takes its rule's weight from the
 table of rule definitions, which is then dropped; a result of no stored rule
 raises CorruptStoreError and leaves the file as it was. A version-2 store drops
-that table, which nothing read.
+that table, which nothing read. Every upgrade adds node_summary and its
+triggers, and its transaction fills the table.
+
+Summary contract: a trigger on each insert, update and delete of the other
+three tables deletes the summary of the row's node, whichever SQLite client
+writes, and a write transaction refills before it commits: it derives the
+summary of every node that has runs and none. So a stored summary always
+equals the derivation over the committed rows. A read never writes: it derives
+a node whose summary is missing, as after another client's write, on the spot.
 
 Error contract: every statement runs under ``Store._errors()``, which raises a
 rejected row, unbindable text or an integer past 64 bits as
@@ -28,7 +39,7 @@ row of its key in place, so the row keeps its id; recording an evaluation
 replaces the results of its one (node, iteration), each with the weight it
 carries, so a rule score read back is ``rules.score_rules`` of the results.
 
-Concurrency contract: opening a version-3 store takes no write lock, so a
+Concurrency contract: opening a version-4 store takes no write lock, so a
 read-only file opens and reads see the committed state while another process
 writes; an older store must be writable once, to be upgraded. A read command
 runs all its queries in one ``Store.read_transaction()``, so it sees one
@@ -59,7 +70,8 @@ from contextlib import AbstractContextManager, contextmanager, suppress
 from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum
-from itertools import chain
+from itertools import chain, groupby
+from operator import itemgetter
 from pathlib import Path
 
 from .errors import (
@@ -80,6 +92,7 @@ __all__ = [
     "replace_together",
     "AUDIT_CSV_HEADER",
     "AGGREGATE_CSV_HEADER",
+    "SUMMARY_COLUMNS",
 ]
 
 
@@ -132,9 +145,31 @@ _AGG_KEY = ("node", "iteration")
 _RUN_ORDER = f" ORDER BY {', '.join(_RUN_KEY)}"
 _AGG_ORDER = f" ORDER BY {', '.join(_AGG_KEY)}"
 
+# The columns of a node's summary: the mean of each tool's runs and of each
+# aggregate score, and the tally of its latest evaluation, as the report shows them
+SUMMARY_COLUMNS = ("node", "lynis", "openscap", "aide", "custom", "standard_uca",
+                   "extended_uca", "passed", "failed", "score_pct")
+# A change to any row of a node deletes its summary; the write's transaction
+# derives it again before it commits (``Store._refill_summaries``)
+_SUMMARY = """CREATE TABLE node_summary (
+    node TEXT PRIMARY KEY,
+    lynis REAL, openscap REAL, aide REAL, custom REAL, standard_uca REAL, extended_uca REAL,
+    passed INTEGER, failed INTEGER, score_pct REAL
+)""" + "".join(
+    f""";
+CREATE TRIGGER {table}_{event.lower()} AFTER {event} ON {table}
+    BEGIN DELETE FROM node_summary WHERE {where}; END"""
+    for table in ("audit_runs", "aggregate_scores", "custom_rule_results")
+    # "=", not "IN (...)", which builds a table at each firing and slowed writes by a third
+    for event, where in (("INSERT", "node = NEW.node"),
+                         ("UPDATE", "node = OLD.node OR node = NEW.node"),
+                         ("DELETE", "node = OLD.node")))
 
-# Schema version 3, the text of every store, new or upgraded.
-_VERSION = 3
+
+# Schema version 4, the text of every store, new or upgraded. Its statements are
+# run one at a time, split at each ";" that ends a line, so a trigger's body
+# keeps its own "; END" on one line.
+_VERSION = 4
 _SCHEMA = """
 CREATE TABLE audit_runs (
     id INTEGER PRIMARY KEY AUTOINCREMENT,
@@ -175,8 +210,8 @@ CREATE TABLE custom_rule_results (
     evidence TEXT NOT NULL,
     weight INTEGER NOT NULL CHECK (weight >= 1),
     UNIQUE (node, iteration, rule_id)
-)
-"""
+);
+""" + _SUMMARY
 
 # Version 1 (user_version 0) had no keys and no result weights: keep the
 # highest id of each key, give each result its rule's stored weight, then
@@ -201,8 +236,9 @@ DROP TABLE custom_rules
 
 # The statements that bring a store of each user_version to _VERSION: a new
 # file (a version-1 store also reads 0 and runs _MIGRATE_V1 instead), a
-# version-2 store, and one another process upgraded while this one waited.
-_UPGRADES = {0: _SCHEMA, 2: "DROP TABLE custom_rules", _VERSION: ""}
+# version-2 or -3 store, and one another process upgraded while this one
+# waited. The upgrade's transaction then derives every node's summary.
+_UPGRADES = {0: _SCHEMA, 2: "DROP TABLE custom_rules;\n" + _SUMMARY, 3: _SUMMARY, _VERSION: ""}
 
 
 def open_store(path: Path | str, *, create: bool = True) -> "Store":
@@ -231,7 +267,7 @@ class Store:
                     v1 = version == 0 and self._sql(
                         "SELECT 1 FROM sqlite_master WHERE name = 'audit_runs'")
                     # not executescript, which commits first
-                    for statement in (_MIGRATE_V1 if v1 else _UPGRADES[version]).split(";"):
+                    for statement in (_MIGRATE_V1 if v1 else _UPGRADES[version]).split(";\n"):
                         self._conn.execute(statement)
                     self._conn.execute(f"PRAGMA user_version = {_VERSION}")
         except ConstraintViolationError as exc:
@@ -294,15 +330,16 @@ class Store:
     # --- recording ---------------------------------------------------------
 
     def transaction(self) -> AbstractContextManager[None]:
-        """One write transaction; its reads see the state its writes replace."""
-        return self._transaction("BEGIN IMMEDIATE")
+        """One write transaction; its reads see the state its writes replace.
+        Before it commits, it derives the summary of every node that lacks one."""
+        return self._transaction("BEGIN IMMEDIATE", self._refill_summaries)
 
     def read_transaction(self) -> AbstractContextManager[None]:
         """One deferred read transaction: one committed state, no write lock."""
-        return self._transaction("BEGIN")
+        return self._transaction("BEGIN", lambda: None)
 
     @contextmanager
-    def _transaction(self, begin: str) -> Iterator[None]:
+    def _transaction(self, begin: str, before_commit: Callable[[], None]) -> Iterator[None]:
         """One transaction under the handle's lock; an inner block joins the outer."""
         with self._lock, self._errors():
             if self._conn.in_transaction:
@@ -311,6 +348,18 @@ class Store:
             self._conn.execute(begin)
             with self._conn:  # commits, or rolls back on any exception
                 yield
+                before_commit()
+
+    def _refill_summaries(self) -> None:
+        """Insert the derived summary of each node that has runs and no summary row."""
+        # each node once, then its summary: not one lookup per run
+        missing = [node for (node,) in self._conn.execute(
+            "SELECT node FROM (SELECT DISTINCT node FROM audit_runs)"
+            " WHERE node NOT IN (SELECT node FROM node_summary)")]
+        if missing:
+            self._conn.executemany(
+                f"INSERT INTO node_summary VALUES ({', '.join('?' * len(SUMMARY_COLUMNS))})",
+                self.derive_summaries(*missing))
 
     def record_audit_run(self, run: AuditRun) -> int:
         """Record one run, replacing any run of its (node, tool, iteration)."""
@@ -366,15 +415,15 @@ class Store:
     def score_rows(self, *nodes: str) -> Iterator[tuple[str, str, int, float]]:
         """(node, tool, iteration, normalized_score) per run of ``nodes``, or of
         every node, by (node, tool, iteration), as the cursor yields them."""
-        where = f" WHERE node IN ({', '.join('?' * len(nodes))})" if nodes else ""
         return self._stream("SELECT node, tool, iteration, normalized_score FROM audit_runs"
-                            + where + _RUN_ORDER, *nodes)
+                            + _where_node(nodes) + _RUN_ORDER, *nodes)
 
-    def aggregate_rows(self) -> Iterator[tuple[str, float | None, float, float | None]]:
-        """(node, custom, standard_uca, extended_uca) per aggregate, by (node,
-        iteration), as the cursor yields them."""
+    def aggregate_rows(self, *nodes: str) -> Iterator[tuple[str, float | None, float,
+                                                           float | None]]:
+        """(node, custom, standard_uca, extended_uca) per aggregate of ``nodes``,
+        or of every node, by (node, iteration), as the cursor yields them."""
         return self._stream("SELECT node, custom, standard_uca, extended_uca"
-                            " FROM aggregate_scores" + _AGG_ORDER)
+                            " FROM aggregate_scores" + _where_node(nodes) + _AGG_ORDER, *nodes)
 
     def runs_for(self, node: str, iteration: int) -> dict[str, float]:
         """{tool: normalized_score} of the runs of (node, iteration)."""
@@ -382,18 +431,56 @@ class Store:
             "SELECT tool, normalized_score FROM audit_runs WHERE node = ? AND iteration = ?",
             node, iteration))
 
-    def rule_tallies(self) -> list[tuple[str, int, int, float]]:
-        """(node, passed, failed, score_pct) of each node's latest evaluation,
-        scored with the weights its results were recorded with."""
+    def rule_tallies(self, *nodes: str) -> list[tuple[str, int, int, float]]:
+        """(node, passed, failed, score_pct) of the latest evaluation of each of
+        ``nodes``, or of every node, by node, scored with the weights its results
+        were recorded with."""
         rows = self._sql(
             "SELECT node, SUM(passed), COUNT(*) - SUM(passed), SUM(passed * weight),"
             " SUM(weight) FROM custom_rule_results WHERE (node, iteration) IN"
-            " (SELECT node, MAX(iteration) FROM custom_rule_results GROUP BY node)"
-            " GROUP BY node ORDER BY node"
-        )
+            " (SELECT node, MAX(iteration) FROM custom_rule_results" + _where_node(nodes)
+            + " GROUP BY node) GROUP BY node ORDER BY node", *nodes)
         # score_rules' arithmetic: integer weights, one float division
         return [(node, passed, failed, 100.0 * weighted / total)
                 for node, passed, failed, weighted, total in rows]
+
+    def derive_summaries(self, *nodes: str) -> list[tuple]:
+        """The SUMMARY_COLUMNS of each of ``nodes`` that has runs, or of every
+        node with runs, by node, derived from its rows: each mean is the fsum
+        of its values over their count, or None when there are none, and the
+        tally is ``rule_tallies``', or None when the node has no results."""
+        wanted = set(nodes)
+        if len(nodes) > _MAX_BOUND:  # read every node, and keep those wanted
+            nodes = ()
+        # (metric, node) -> mean: tool scores by iteration, then the aggregate
+        # columns by iteration; fsum rounds once, so input order cannot matter
+        means: dict[tuple[str, str], float] = {}
+        for (node, tool), group in groupby(self.score_rows(*nodes), itemgetter(0, 1)):
+            values = [row[3] for row in group]
+            means[tool, node] = math.fsum(values) / len(values)
+        run_nodes = sorted({node for _, node in means if node in wanted or not wanted})
+        for node, group in groupby(self.aggregate_rows(*nodes), itemgetter(0)):
+            columns = zip(*(row[1:] for row in group))
+            for metric, column in zip(("custom", "standard_uca", "extended_uca"), columns):
+                values = [value for value in column if value is not None]
+                if values:
+                    means[metric, node] = math.fsum(values) / len(values)
+        tallies = {row[0]: row[1:] for row in self.rule_tallies(*nodes)}
+        # the six means, then the tally
+        return [(node, *(means.get((metric, node)) for metric in SUMMARY_COLUMNS[1:7]),
+                 *tallies.get(node, (None, None, None))) for node in run_nodes]
+
+    def summary_rows(self) -> list[tuple]:
+        """The SUMMARY_COLUMNS of every node with runs, by node, as stored. A
+        node with no stored summary, as after a write by another SQLite client,
+        is derived from its rows (``derive_summaries``) in the same read."""
+        rows = self._sql(
+            f"SELECT {', '.join('summary.' + name for name in SUMMARY_COLUMNS)}, runs.node"
+            " FROM (SELECT DISTINCT node FROM audit_runs) AS runs"
+            " LEFT JOIN node_summary AS summary ON summary.node = runs.node ORDER BY runs.node")
+        missing = [row[-1] for row in rows if row[0] is None]
+        derived = {row[0]: row for row in self.derive_summaries(*missing)} if missing else {}
+        return [derived[row[-1]] if row[0] is None else row[:-1] for row in rows]
 
     def release_memory(self) -> None:
         """Free the pages that earlier reads left in the connection's cache;
@@ -461,6 +548,15 @@ class Store:
                     raise ConstraintViolationError(f"{path}:{lineno}: {exc}") from None
                 count += 1
         return count
+
+
+# The fewest parameters one statement may bind: SQLite's default limit before 3.32
+_MAX_BOUND = 999
+
+
+def _where_node(nodes: tuple[str, ...]) -> str:
+    """A WHERE clause keeping the rows of ``nodes``, or none when there are none."""
+    return f" WHERE node IN ({', '.join('?' * len(nodes))})" if nodes else ""
 
 
 def write_csv(path: Path | str, header: list[str], rows: Iterable[Iterable]) -> int:

@@ -142,9 +142,10 @@ class NodeSnapshot:
 
     ``files`` maps absolute paths to text content, ``services`` maps service
     names to state strings (active/inactive), ``permissions`` maps absolute
-    paths to (int mode, owner, group), each taken as typed. An entry of another
-    type, a bool mode among them, or a ``firewall_state`` that is not a
-    FirewallState raises SnapshotError.
+    paths to (int mode, owner, group), each taken as typed. A ``node`` that is
+    not a non-empty str, a map that is not a dict, an entry of another type, a
+    bool mode among them, or a ``firewall_state`` that is not a FirewallState
+    raises SnapshotError.
     """
 
     node: str
@@ -154,8 +155,14 @@ class NodeSnapshot:
     firewall_state: FirewallState = FirewallState.UNKNOWN
 
     def __post_init__(self) -> None:
+        if not (isinstance(self.node, str) and self.node):
+            raise SnapshotError(f"node {self.node!r} is not a non-empty str")
         if not isinstance(self.firewall_state, FirewallState):
             raise SnapshotError(f"firewall_state {self.firewall_state!r} is not a FirewallState")
+        for what, entries in (("files", self.files), ("services", self.services),
+                              ("permissions", self.permissions)):
+            if not isinstance(entries, dict):
+                raise SnapshotError(f"{what} {entries!r} is not a dict")
         for what, entries in (("files", self.files), ("services", self.services)):
             for key, value in entries.items():
                 if not (isinstance(key, str) and isinstance(value, str)):

@@ -204,10 +204,11 @@ def student_t_two_tailed_p(t: float, df: float) -> float:
     """Two-tailed p-value 2*P(T >= |t|) for a Student-t variable with ``df``.
 
     Uses the identity P(|T| >= t) = I_x(df/2, 1/2) with x = df/(df + t^2).
-    A ``df`` below 1 or NaN raises InvalidDfError, a non-finite ``t`` NonFiniteError.
+    A ``df`` below 1 or not finite raises InvalidDfError, a non-finite ``t``
+    NonFiniteError.
     """
-    if not df >= 1:
-        raise InvalidDfError(f"degrees of freedom must be >= 1, got {df!r}")
+    if not (df >= 1 and math.isfinite(df)):
+        raise InvalidDfError(f"degrees of freedom must be finite and >= 1, got {df!r}")
     if not math.isfinite(t):
         raise NonFiniteError(f"t must be finite, got {t!r}")
     if t == 0.0:

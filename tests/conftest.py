@@ -41,8 +41,8 @@ def exact_group(mean: float, sd: float, n: int) -> list[float]:
     return [mean - spread, mean + spread] * (n // 2)
 
 
-# The version-2 schema (user_version 2) as its release created it.
-_V2_SCHEMA = """
+# The three tables of schema versions 2 and 3, as their releases created them.
+_V3_TABLES = """
 CREATE TABLE audit_runs (
     id INTEGER PRIMARY KEY AUTOINCREMENT,
     node TEXT NOT NULL,
@@ -73,14 +73,6 @@ CREATE TABLE aggregate_scores (
         min(lynis, openscap, aide) - 1e-9 AND max(lynis, openscap, aide) + 1e-9),
     UNIQUE (node, iteration)
 );
-CREATE TABLE IF NOT EXISTS custom_rules (
-    rule_id TEXT PRIMARY KEY,
-    name TEXT NOT NULL,
-    check_type TEXT NOT NULL,
-    weight INTEGER NOT NULL CHECK (weight >= 1),
-    params TEXT NOT NULL,
-    description TEXT NOT NULL DEFAULT ''
-);
 CREATE TABLE custom_rule_results (
     id INTEGER PRIMARY KEY AUTOINCREMENT,
     rule_id TEXT NOT NULL,
@@ -91,8 +83,29 @@ CREATE TABLE custom_rule_results (
     weight INTEGER NOT NULL CHECK (weight >= 1),
     UNIQUE (node, iteration, rule_id)
 );
+"""
+# Version 2 also had a table of rule definitions, which nothing read.
+_V2_SCHEMA = _V3_TABLES + """CREATE TABLE IF NOT EXISTS custom_rules (
+    rule_id TEXT PRIMARY KEY,
+    name TEXT NOT NULL,
+    check_type TEXT NOT NULL,
+    weight INTEGER NOT NULL CHECK (weight >= 1),
+    params TEXT NOT NULL,
+    description TEXT NOT NULL DEFAULT ''
+);
 PRAGMA user_version = 2;
 """
+_V3_SCHEMA = _V3_TABLES + "PRAGMA user_version = 3;"
+
+
+def _old_store(path, schema: str, seed_path):
+    """A store of ``schema`` holding the rows of the store at ``seed_path``."""
+    conn = sqlite3.connect(path, isolation_level=None)
+    conn.executescript(schema)
+    conn.execute("ATTACH ? AS seed", (str(seed_path),))
+    for table in ("audit_runs", "aggregate_scores", "custom_rule_results"):
+        conn.execute(f"INSERT INTO {table} SELECT * FROM seed.{table}")
+    return conn
 
 
 @pytest.fixture()
@@ -100,15 +113,20 @@ def v2_store(default_corpus, tmp_path):
     """A version-2 store holding the rows of the seed-155 store, with the
     default rule set in its custom_rules table."""
     path = tmp_path / "v2.db"
-    conn = sqlite3.connect(path, isolation_level=None)
-    conn.executescript(_V2_SCHEMA)
-    conn.execute("ATTACH ? AS seed", (str(default_corpus.store_path),))
-    for table in ("audit_runs", "aggregate_scores", "custom_rule_results"):
-        conn.execute(f"INSERT INTO {table} SELECT * FROM seed.{table}")
+    conn = _old_store(path, _V2_SCHEMA, default_corpus.store_path)
     conn.executemany("INSERT INTO custom_rules VALUES (?, ?, ?, ?, ?, ?)", [
         (r.id, r.name, r.check_type.value, r.weight, json.dumps(dict(r.params), sort_keys=True),
          "") for r in default_rules().rules])
     conn.close()
+    return path
+
+
+@pytest.fixture()
+def v3_store(default_corpus, tmp_path):
+    """A version-3 store, which has no node_summary table, holding the rows of
+    the seed-155 store."""
+    path = tmp_path / "v3.db"
+    _old_store(path, _V3_SCHEMA, default_corpus.store_path).close()
     return path
 
 

@@ -1,10 +1,12 @@
 import hashlib
 import json
+import math
 import os
 import shutil
 import sqlite3
 import subprocess
 import sys
+from contextlib import closing
 from pathlib import Path
 
 import pytest
@@ -538,13 +540,13 @@ class TestReadCommandsNeedAStore:
         self._assert_nothing_created(runner, tmp_path, "score", "web", "--iteration", "0")
 
     def test_newer_schema_version_exits_1(self, runner, tmp_path):
-        path = tmp_path / "v4.db"
+        path = tmp_path / "v5.db"
         with open_store(path) as store:
-            store._conn.execute("PRAGMA user_version = 4")
+            store._conn.execute("PRAGMA user_version = 5")
         result = runner.invoke(main, ["--store", str(path), "report"])
         assert result.exit_code == 1
         assert _one_error_line(result), result.output
-        assert "schema version 4" in result.output
+        assert "schema version 5" in result.output
 
     def test_empty_and_corrupt_stores_as_before(self, runner, tmp_path):
         empty, corrupt = tmp_path / "empty.db", tmp_path / "corrupt.db"
@@ -1068,7 +1070,7 @@ class TestVersion2Store:
         assert _exports(runner, v2_store, tmp_path / "v2") == _exports(
             runner, seed_store, tmp_path / "new")
         with sqlite3.connect(v2_store) as conn:
-            assert conn.execute("PRAGMA user_version").fetchone() == (3,)
+            assert conn.execute("PRAGMA user_version").fetchone() == (4,)
             assert conn.execute(
                 "SELECT name FROM sqlite_master WHERE name LIKE '%custom_rules%'").fetchall() == []
 
@@ -1082,6 +1084,50 @@ class TestVersion2Store:
         assert _one_error_line(result), result.output
         assert "readonly" in result.output
         assert v2_store.read_bytes() == before
+
+
+def _summary_table(path) -> list[tuple]:
+    with closing(sqlite3.connect(path)) as conn:
+        return conn.execute("SELECT * FROM node_summary ORDER BY node").fetchall()
+
+
+class TestVersion3Store:
+    def test_upgrade_fills_the_summary_with_the_same_outputs(self, runner, v3_store,
+                                                             default_corpus, tmp_path):
+        seed_store = default_corpus.store_path
+        assert _json_report(runner, v3_store) == _json_report(runner, seed_store)
+        assert _exports(runner, v3_store, tmp_path / "v3") == _exports(
+            runner, seed_store, tmp_path / "new")
+        with sqlite3.connect(v3_store) as conn:
+            assert conn.execute("PRAGMA user_version").fetchone() == (4,)
+        with open_store(v3_store) as store:
+            assert _summary_table(v3_store) == store.derive_summaries()
+        assert [row[0] for row in _summary_table(v3_store)] == ["baseline", "full", "partial"]
+
+
+class TestAnotherClientsWrite:
+    def test_raw_update_shows_in_the_report(self, runner, seed_155_copy):
+        """A client without uca's code changes a score: its trigger deletes the
+        node's summary, and the report derives it again from the rows."""
+        store, _ = seed_155_copy
+        before = json.loads(_json_report(runner, store))
+        with sqlite3.connect(store) as conn:
+            conn.execute("UPDATE audit_runs SET normalized_score = 100.0"
+                         " WHERE node = 'baseline' AND tool = 'lynis' AND iteration = 0")
+            scores = [score for (score,) in conn.execute(
+                "SELECT normalized_score FROM audit_runs"
+                " WHERE node = 'baseline' AND tool = 'lynis'")]
+        conn.close()
+        report = json.loads(_json_report(runner, store))
+        expected = round(math.fsum(scores) / len(scores), 2)
+        assert report["scores"]["lynis"]["baseline"] == expected
+        assert expected != before["scores"]["lynis"]["baseline"]
+        # the read wrote nothing; the next write refills
+        assert [row[0] for row in _summary_table(store)] == ["full", "partial"]
+        with open_store(store) as handle:
+            handle.record_audit_run(AuditRun("full", Tool.AIDE, "2025-03-03T12:00:00+00:00",
+                                             0, Phase.PRE, 50.0, 50.0, 1.0))
+            assert _summary_table(store) == handle.derive_summaries()
 
 
 class TestLocaleIndependentFiles:
@@ -1406,9 +1452,9 @@ class TestStoreFailures:
         assert _tree(tmp_path / "out") == before
 
     def test_report_reads_one_state(self, runner, seed_155_copy, tmp_path, monkeypatch):
-        # between the report's reads of the runs and of the aggregates
+        # between the report's reads of the node summaries and of the runtimes
         _assert_one_state(runner, seed_155_copy[0], tmp_path / "out", monkeypatch, "json",
-                          Store, "aggregate_rows")
+                          Store, "summarize_runtime")
 
     def test_report_csvs_read_one_state(self, runner, seed_155_copy, tmp_path, monkeypatch):
         # between the build and the CSV files, whose progression plot reads the

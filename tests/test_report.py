@@ -5,6 +5,7 @@ import sqlite3
 import tempfile
 import tracemalloc
 from dataclasses import replace
+from operator import itemgetter
 from pathlib import Path
 
 import pytest
@@ -29,7 +30,14 @@ from uca.report import (
     write_csv_tables,
     write_plot_data,
 )
-from uca.repository import AGGREGATE_CSV_HEADER, AUDIT_CSV_HEADER, AuditRun, Phase, open_store
+from uca.repository import (
+    AGGREGATE_CSV_HEADER,
+    AUDIT_CSV_HEADER,
+    AuditRun,
+    Phase,
+    open_store,
+    write_csv,
+)
 from uca.rules import RuleResult, RuleSet, default_rules, evaluate_rules, score_rules
 from uca.scoring import AggregateScore, Tool
 from uca.stats import describe
@@ -113,15 +121,22 @@ class TestBuildReport:
         assert bundle_to_dict(first) == bundle_to_dict(second)
 
     def test_fixed_statement_count_at_any_node_count(self, tmp_path):
-        nodes = tuple(NodeSpec(f"n{i:02d}", list(Profile)[i % 3]) for i in range(24))
-        corpus = make_corpus(CorpusSpec(nodes=nodes, iterations=2), tmp_path / "corpus")
-        with open_store(corpus.store_path) as store:
-            statements = []
-            store._conn.set_trace_callback(statements.append)
-            bundle = build_report(store)
-        assert len(statements) <= 6, statements
-        assert len(bundle.nodes) == 24
-        assert len(bundle.rule_table) == 24
+        """With every node's summary stored, a build reads no aggregate and no
+        rule result, in as many statements at 3 nodes as at 24."""
+        counts = []
+        for count in (3, 24):
+            nodes = tuple(NodeSpec(f"n{i:02d}", list(Profile)[i % 3]) for i in range(count))
+            corpus = make_corpus(CorpusSpec(nodes=nodes, iterations=2), tmp_path / str(count))
+            with open_store(corpus.store_path) as store:
+                statements = []
+                store._conn.set_trace_callback(statements.append)
+                bundle = build_report(store)
+            assert len(statements) <= 6, statements
+            assert not [sql for sql in statements
+                        if "aggregate_scores" in sql or "custom_rule_results" in sql]
+            assert len(bundle.nodes) == len(bundle.rule_table) == count
+            counts.append(len(statements))
+        assert counts[0] == counts[1]
 
 
 def _corpus_24(out: Path, iterations: int = 2):
@@ -354,6 +369,86 @@ def test_plain_row_report_matches_record_reference(runs, aggregates, results):
             assert render_json(bundle) == render_json(expected)
             assert (_csv_bytes(bundle, out / "new", store.score_rows())
                     == _csv_bytes(expected, out / "reference", expected_runs))
+
+
+# --- the stored node summaries under any sequence of writes ------------------
+
+_WRITE_NODES = st.sampled_from(_NODES[:3])
+_ITERATIONS = st.integers(0, 2)
+_RUN_WRITES = st.tuples(_WRITE_NODES, st.sampled_from([t.value for t in Tool]), _ITERATIONS,
+                        _SCORES, st.floats(0, 1e4))
+_AGGREGATE_WRITES = st.tuples(_WRITE_NODES, _ITERATIONS, st.tuples(_SCORES, _SCORES, _SCORES),
+                              st.one_of(st.none(), st.tuples(_SCORES, _SCORES)))
+_WRITES = st.one_of(
+    st.tuples(st.just("run"), _RUN_WRITES),
+    st.tuples(st.just("aggregate"), _AGGREGATE_WRITES),
+    # "e" has results and never runs, so it never has a summary
+    st.tuples(st.just("evaluation"), st.tuples(
+        st.sampled_from(_NODES[:3] + ("e",)), _ITERATIONS,
+        st.lists(st.tuples(st.sampled_from(_RULE_IDS), st.booleans(), st.integers(1, 9)),
+                 min_size=1, max_size=3, unique_by=itemgetter(0)))),
+    st.tuples(st.just("rejected evaluation"), st.tuples(_WRITE_NODES, _ITERATIONS)),
+    st.tuples(st.just("import"), st.tuples(
+        st.lists(_RUN_WRITES, unique_by=lambda run: run[:3], max_size=4),
+        st.lists(_AGGREGATE_WRITES, unique_by=lambda agg: agg[:2], max_size=3))),
+)
+
+
+def _aggregate(node, iteration, components, custom) -> AggregateScore:
+    # the median component as the standard score, which must lie between them
+    return AggregateScore(node=node, iteration=iteration, lynis=components[0],
+                          openscap=components[1], aide=components[2],
+                          standard_uca=sorted(components)[1],
+                          custom=custom and custom[0], extended_uca=custom and custom[1],
+                          timestamp="2025-03-03T00:00:00+00:00")
+
+
+def _export_row(record, header: list[str]) -> list:
+    """A record's CSV row as the export writes it: a float by ``repr``, an enum
+    by its value and None as an empty cell."""
+    values = (getattr(record, name) for name in header)
+    return ["" if value is None else repr(value) if isinstance(value, float)
+            else getattr(value, "value", value) for value in values]
+
+
+def _write(store, out: Path, kind: str, args) -> None:
+    """One write of ``_WRITES`` through the store's own methods."""
+    if kind == "run":
+        store.record_audit_run(_run(*args))
+    elif kind == "aggregate":
+        store.record_aggregate(_aggregate(*args))
+    elif kind == "evaluation":
+        node, iteration, results = args
+        store.record_evaluation([RuleResult(rule_id, passed, "", weight)
+                                 for rule_id, passed, weight in results], node, iteration)
+    elif kind == "rejected evaluation":
+        # the second result's id is no UTF-8 text: the whole write rolls back
+        with pytest.raises(ConstraintViolationError):
+            store.record_evaluation([RuleResult("r1", True, "", 1),
+                                     RuleResult("\udcff", False, "", 1)], *args)
+    else:
+        runs, aggregates = args
+        write_csv(out / "runs.csv", AUDIT_CSV_HEADER,
+                  [_export_row(_run(*run), AUDIT_CSV_HEADER) for run in runs])
+        write_csv(out / "aggregates.csv", AGGREGATE_CSV_HEADER,
+                  [_export_row(_aggregate(*agg), AGGREGATE_CSV_HEADER) for agg in aggregates])
+        store.import_audit_csv(out / "runs.csv")
+        store.import_aggregate_csv(out / "aggregates.csv")
+
+
+@settings(max_examples=100, deadline=None)
+@given(writes=st.lists(_WRITES, min_size=1, max_size=10))
+def test_stored_summaries_equal_their_derivation_after_every_write(writes):
+    """After each write, rejected ones too, every node with runs has a stored
+    summary equal to its derivation from the rows, and the report equals the
+    reference built from the rows."""
+    with open_store(":memory:") as store, tempfile.TemporaryDirectory() as tmp:
+        for kind, args in writes:
+            _write(store, Path(tmp), kind, args)
+            stored = store._conn.execute("SELECT * FROM node_summary ORDER BY node").fetchall()
+            assert stored == store.derive_summaries(), (kind, args)
+            if stored:
+                assert build_report(store) == _reference_bundle(store)[0]
 
 
 # --- the text and JSON renderers as written before they shared one layout ----

@@ -55,7 +55,7 @@ _NODES = ("a", "b")
 
 
 class TestOpenStore:
-    def test_creates_three_tables(self, tmp_path):
+    def test_creates_four_tables(self, tmp_path):
         store = open_store(tmp_path / "fresh.db")
         names = {
             row[0] for row in store._conn.execute(
@@ -64,7 +64,7 @@ class TestOpenStore:
         }
         store.close()
         assert names - {"sqlite_sequence"} == {"audit_runs", "aggregate_scores",
-                                               "custom_rule_results"}
+                                               "custom_rule_results", "node_summary"}
 
     @pytest.mark.parametrize("table, header, record", [
         ("audit_runs", AUDIT_CSV_HEADER, AuditRun),
@@ -191,7 +191,7 @@ class TestSchemaVersion:
         path = tmp_path / "v1.db"
         _v1_store(path, [("r1", 0), ("r2", 1), ("r1", 1)])
         with open_store(path) as store:
-            assert store._conn.execute("PRAGMA user_version").fetchone() == (3,)
+            assert store._conn.execute("PRAGMA user_version").fetchone() == (4,)
             assert [(tool, score) for _, tool, _, score in store.score_rows()] == [
                 (Tool.AIDE, 70.0), (Tool.LYNIS, 60.0)]
             assert [row[2] for row in store.aggregate_rows()] == [60.0]
@@ -201,13 +201,14 @@ class TestSchemaVersion:
             assert store.rule_tallies() == [("web", 2, 0, 100.0)]
             assert "custom_rules" not in {name for _, name, *_ in _schema(store)[1]}
 
-    def test_migrated_schema_equals_new_schema(self, tmp_path, v2_store):
+    def test_migrated_schema_equals_new_schema(self, tmp_path, v2_store, v3_store):
         _v1_store(tmp_path / "v1.db", [("r1", 1)])
         with open_store(tmp_path / "v1.db") as migrated, open_store(v2_store) as upgraded, \
-                open_store(tmp_path / "new.db") as new:
+                open_store(v3_store) as upgraded_v3, open_store(tmp_path / "new.db") as new:
             assert _schema(migrated) == _schema(new)
             assert _schema(upgraded) == _schema(new)
-            assert _schema(new)[0] == (3,)
+            assert _schema(upgraded_v3) == _schema(new)
+            assert _schema(new)[0] == (4,)
             assert "custom_rules" not in {name for _, name, *_ in _schema(new)[1]}
 
     def test_v1_result_of_unknown_rule_is_corrupt_and_left_as_it_was(self, tmp_path):
@@ -219,10 +220,10 @@ class TestSchemaVersion:
         assert path.read_bytes() == before
 
     def test_newer_schema_version_is_refused(self, tmp_path):
-        path = tmp_path / "v4.db"
+        path = tmp_path / "v5.db"
         with open_store(path) as store:
-            store._conn.execute("PRAGMA user_version = 4")
-        with pytest.raises(CorruptStoreError, match="schema version 4"):
+            store._conn.execute("PRAGMA user_version = 5")
+        with pytest.raises(CorruptStoreError, match="schema version 5"):
             open_store(path)
 
     def test_key_ordered_reads_use_the_key_indexes(self, tmp_path):
@@ -235,6 +236,27 @@ class TestSchemaVersion:
             for sql in statements:
                 plan = store._conn.execute("EXPLAIN QUERY PLAN " + sql).fetchall()
                 assert not any("TEMP B-TREE" in row[-1] for row in plan), (sql, plan)
+
+
+class TestNodeSummary:
+    @pytest.mark.skipif(not hasattr(sqlite3.Connection, "setlimit"),
+                        reason="Connection.setlimit is new in Python 3.11")
+    def test_more_missing_nodes_than_a_statement_binds(self):
+        """1,000 nodes without a summary, under SQLite's default limit of 999
+        bound parameters before 3.32, are derived by one read of every node."""
+        with open_store(":memory:") as store:
+            store._conn.setlimit(sqlite3.SQLITE_LIMIT_VARIABLE_NUMBER, 999)
+            # written by a client without the refill: no node has a summary
+            store._conn.executemany(
+                "INSERT INTO audit_runs (node, tool, timestamp, iteration, phase, raw_score,"
+                " normalized_score, runtime_seconds) VALUES (?, 'lynis', 'ts', 0, 'pre', ?, ?, 1)",
+                [(f"n{i:04d}", i / 10, i / 10) for i in range(1000)])
+            assert len(store.summary_rows()) == 1000
+            with store.transaction():
+                pass
+            stored = store._conn.execute("SELECT * FROM node_summary ORDER BY node").fetchall()
+            assert stored == store.derive_summaries() == store.summary_rows()
+            assert stored[7] == ("n0007", 0.7, *[None] * 8)
 
 
 class TestRecording:

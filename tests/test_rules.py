@@ -412,6 +412,19 @@ class TestValuesCheckThemselves:
         with pytest.raises(SnapshotError, match="is not text to text"):
             NodeSnapshot("n1", **entries)
 
+    @pytest.mark.parametrize("node", [5, "", None])
+    def test_node_that_is_not_a_non_empty_str(self, node):
+        # NodeSnapshot(5) and NodeSnapshot('') each evaluated all 8 rules
+        with pytest.raises(SnapshotError, match="is not a non-empty str"):
+            NodeSnapshot(node)
+
+    @pytest.mark.parametrize("what", ["files", "services", "permissions"])
+    @pytest.mark.parametrize("entries", [None, [("/etc/hosts", "x")]])
+    def test_map_that_is_not_a_dict(self, what, entries):
+        # files=None ended in AttributeError: 'NoneType' object has no attribute 'items'
+        with pytest.raises(SnapshotError, match=f"{what} .* is not a dict"):
+            NodeSnapshot("n1", **{what: entries})
+
     @pytest.mark.parametrize("entry", [
         ("0640", "root", "shadow"), (True, "root", "shadow"), (0o640, "root"),
         (0o640, "root", 0), [0o640, "root", "shadow"], 0o640])

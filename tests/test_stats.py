@@ -175,10 +175,12 @@ class TestStudentTP:
         with pytest.raises(InvalidDfError):
             student_t_two_tailed_p(1.0, 0)
 
-    def test_nan_df(self):
-        # NaN compares false with 1, so only ``not df >= 1`` refuses it
-        with pytest.raises(InvalidDfError):
-            student_t_two_tailed_p(1.0, math.nan)
+    @pytest.mark.parametrize("df", [math.nan, math.inf])
+    def test_non_finite_df(self, df):
+        # NaN compares false with 1, so only ``not df >= 1`` refuses it; an
+        # infinite df passed that and ended in OutOfRangeError: x ... got nan
+        with pytest.raises(InvalidDfError, match=r"degrees of freedom .* got (nan|inf)"):
+            student_t_two_tailed_p(1.0, df)
 
     @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
     def test_non_finite_t_is_a_typed_error(self, t):
