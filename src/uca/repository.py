@@ -7,7 +7,7 @@ Schema version 4 (``PRAGMA user_version``), four tables:
                        weight in the evaluation that recorded it
   node_summary         one row per node with runs: the numbers the report
                        shows for it (``SUMMARY_COLUMNS``), derived from the
-                       rows of the other three by ``Store.derive_summaries``
+                       rows of the other three by one statement (``_DERIVATION``)
 
 Row invariants are the schema's: UNIQUE keys, CHECK ranges, standard_uca
 between its components and a weight >= 1 on every result. Opening an older
@@ -20,10 +20,10 @@ triggers, and its transaction fills the table.
 
 Summary contract: a trigger on each insert, update and delete of the other
 three tables deletes the summary of the row's node, whichever SQLite client
-writes, and a write transaction refills before it commits: it derives the
-summary of every node that has runs and none. So a stored summary always
-equals the derivation over the committed rows. A read never writes: it derives
-a node whose summary is missing, as after another client's write, on the spot.
+writes, and a write transaction refills before it commits: one statement
+derives every node that has runs and no summary. So a stored summary always
+equals the derivation over the committed rows. A read never writes: the same
+statement derives a summary that another client's write deleted, on the spot.
 
 Error contract: every statement runs under ``Store._errors()``, which raises a
 rejected row, unbindable text or an integer past 64 bits as
@@ -53,8 +53,8 @@ rows as the cursor does, and the exports write each row as it is read, so a
 reader that keeps no per-run rows holds memory by node count, not run count.
 A file whose rows are read from the store as it is written can be written
 under the temporary name that ``replace_together``'s ``stage`` gives it; the
-block moves it into place with a command's other staged files only when
-every one is complete, so a read that fails halfway leaves no file changed.
+block moves it into place with a command's other staged files only when every
+one is complete, and undoes the moves if one fails, so no file changes halfway.
 """
 
 from __future__ import annotations
@@ -64,14 +64,14 @@ import io
 import math
 import os
 import sqlite3
+import stat
 import threading
 from collections.abc import Callable, Iterable, Iterator
 from contextlib import AbstractContextManager, contextmanager, suppress
 from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum
-from itertools import chain, groupby
-from operator import itemgetter
+from itertools import chain
 from pathlib import Path
 
 from .errors import (
@@ -149,6 +149,43 @@ _AGG_ORDER = f" ORDER BY {', '.join(_AGG_KEY)}"
 # aggregate score, and the tally of its latest evaluation, as the report shows them
 SUMMARY_COLUMNS = ("node", "lynis", "openscap", "aide", "custom", "standard_uca",
                    "extended_uca", "passed", "failed", "score_pct")
+
+
+class _Mean(list):
+    """The SQL aggregate ``mean(x)``: the fsum of the non-NULL values over
+    their count, or NULL when there are none, whatever the order of the rows."""
+    step = list.append
+
+    def finalize(self) -> float | None:
+        values = [value for value in self if value is not None]
+        return math.fsum(values) / len(values) if values else None
+
+
+# The one statement that derives the SUMMARY_COLUMNS of the nodes named by the
+# CTE ``wanted``, by node; it binds no parameter. The tally is that of the
+# latest evaluation, scored as ``rules.score_rules`` does: integer sums and one
+# float division. A node with no aggregate or no result has NULL there.
+_DERIVATION = f"""SELECT {', '.join(SUMMARY_COLUMNS)} FROM (
+    SELECT node, {', '.join(f"mean(normalized_score) FILTER (WHERE tool = '{tool.value}')"
+                            f" AS {tool.value}" for tool in Tool)}
+    FROM audit_runs WHERE node IN wanted GROUP BY node
+) LEFT JOIN (
+    SELECT node, mean(custom) AS custom, mean(standard_uca) AS standard_uca,
+        mean(extended_uca) AS extended_uca
+    FROM aggregate_scores WHERE node IN wanted GROUP BY node
+) USING (node) LEFT JOIN (
+    SELECT node, SUM(passed) AS passed, COUNT(*) - SUM(passed) AS failed,
+        100.0 * SUM(passed * weight) / SUM(weight) AS score_pct
+    FROM custom_rule_results WHERE (node, iteration) IN (
+        SELECT node, MAX(iteration) FROM custom_rule_results WHERE node IN wanted GROUP BY node)
+    GROUP BY node
+) USING (node) ORDER BY node"""
+# It derives every node with runs, or those of them with no summary row
+_NODES_WITH_RUNS = "SELECT DISTINCT node FROM audit_runs"
+_DERIVE_ALL = f"WITH wanted AS ({_NODES_WITH_RUNS}) {_DERIVATION}"
+_DERIVE_MISSING = (f"WITH wanted AS (SELECT node FROM ({_NODES_WITH_RUNS})"
+                   f" WHERE node NOT IN (SELECT node FROM node_summary)) {_DERIVATION}")
+
 # A change to any row of a node deletes its summary; the write's transaction
 # derives it again before it commits (``Store._refill_summaries``)
 _SUMMARY = """CREATE TABLE node_summary (
@@ -258,6 +295,8 @@ class Store:
             # autocommit outside transaction(): no implicit BEGIN
             self._conn = sqlite3.connect(str(self.path), check_same_thread=False,
                                          isolation_level=None)
+            # before the upgrade, whose transaction derives every summary
+            self._conn.create_aggregate("mean", 1, _Mean)
         try:
             # a current store opens under no write lock; an older or new one is
             # checked again under BEGIN IMMEDIATE, so of two processes, one upgrades it
@@ -352,14 +391,7 @@ class Store:
 
     def _refill_summaries(self) -> None:
         """Insert the derived summary of each node that has runs and no summary row."""
-        # each node once, then its summary: not one lookup per run
-        missing = [node for (node,) in self._conn.execute(
-            "SELECT node FROM (SELECT DISTINCT node FROM audit_runs)"
-            " WHERE node NOT IN (SELECT node FROM node_summary)")]
-        if missing:
-            self._conn.executemany(
-                f"INSERT INTO node_summary VALUES ({', '.join('?' * len(SUMMARY_COLUMNS))})",
-                self.derive_summaries(*missing))
+        self._conn.execute("INSERT INTO node_summary " + _DERIVE_MISSING)
 
     def record_audit_run(self, run: AuditRun) -> int:
         """Record one run, replacing any run of its (node, tool, iteration)."""
@@ -415,15 +447,15 @@ class Store:
     def score_rows(self, *nodes: str) -> Iterator[tuple[str, str, int, float]]:
         """(node, tool, iteration, normalized_score) per run of ``nodes``, or of
         every node, by (node, tool, iteration), as the cursor yields them."""
+        where = f" WHERE node IN ({', '.join('?' * len(nodes))})" if nodes else ""
         return self._stream("SELECT node, tool, iteration, normalized_score FROM audit_runs"
-                            + _where_node(nodes) + _RUN_ORDER, *nodes)
+                            + where + _RUN_ORDER, *nodes)
 
-    def aggregate_rows(self, *nodes: str) -> Iterator[tuple[str, float | None, float,
-                                                           float | None]]:
-        """(node, custom, standard_uca, extended_uca) per aggregate of ``nodes``,
-        or of every node, by (node, iteration), as the cursor yields them."""
+    def aggregate_rows(self) -> Iterator[tuple[str, float | None, float, float | None]]:
+        """(node, custom, standard_uca, extended_uca) per aggregate, by (node,
+        iteration), as the cursor yields them."""
         return self._stream("SELECT node, custom, standard_uca, extended_uca"
-                            " FROM aggregate_scores" + _where_node(nodes) + _AGG_ORDER, *nodes)
+                            " FROM aggregate_scores" + _AGG_ORDER)
 
     def runs_for(self, node: str, iteration: int) -> dict[str, float]:
         """{tool: normalized_score} of the runs of (node, iteration)."""
@@ -431,55 +463,21 @@ class Store:
             "SELECT tool, normalized_score FROM audit_runs WHERE node = ? AND iteration = ?",
             node, iteration))
 
-    def rule_tallies(self, *nodes: str) -> list[tuple[str, int, int, float]]:
-        """(node, passed, failed, score_pct) of the latest evaluation of each of
-        ``nodes``, or of every node, by node, scored with the weights its results
-        were recorded with."""
-        rows = self._sql(
-            "SELECT node, SUM(passed), COUNT(*) - SUM(passed), SUM(passed * weight),"
-            " SUM(weight) FROM custom_rule_results WHERE (node, iteration) IN"
-            " (SELECT node, MAX(iteration) FROM custom_rule_results" + _where_node(nodes)
-            + " GROUP BY node) GROUP BY node ORDER BY node", *nodes)
-        # score_rules' arithmetic: integer weights, one float division
-        return [(node, passed, failed, 100.0 * weighted / total)
-                for node, passed, failed, weighted, total in rows]
-
-    def derive_summaries(self, *nodes: str) -> list[tuple]:
-        """The SUMMARY_COLUMNS of each of ``nodes`` that has runs, or of every
-        node with runs, by node, derived from its rows: each mean is the fsum
-        of its values over their count, or None when there are none, and the
-        tally is ``rule_tallies``', or None when the node has no results."""
-        wanted = set(nodes)
-        if len(nodes) > _MAX_BOUND:  # read every node, and keep those wanted
-            nodes = ()
-        # (metric, node) -> mean: tool scores by iteration, then the aggregate
-        # columns by iteration; fsum rounds once, so input order cannot matter
-        means: dict[tuple[str, str], float] = {}
-        for (node, tool), group in groupby(self.score_rows(*nodes), itemgetter(0, 1)):
-            values = [row[3] for row in group]
-            means[tool, node] = math.fsum(values) / len(values)
-        run_nodes = sorted({node for _, node in means if node in wanted or not wanted})
-        for node, group in groupby(self.aggregate_rows(*nodes), itemgetter(0)):
-            columns = zip(*(row[1:] for row in group))
-            for metric, column in zip(("custom", "standard_uca", "extended_uca"), columns):
-                values = [value for value in column if value is not None]
-                if values:
-                    means[metric, node] = math.fsum(values) / len(values)
-        tallies = {row[0]: row[1:] for row in self.rule_tallies(*nodes)}
-        # the six means, then the tally
-        return [(node, *(means.get((metric, node)) for metric in SUMMARY_COLUMNS[1:7]),
-                 *tallies.get(node, (None, None, None))) for node in run_nodes]
+    def derive_summaries(self) -> list[tuple]:
+        """The SUMMARY_COLUMNS of every node with runs, by node, derived from
+        its rows by the statement that fills node_summary."""
+        return self._sql(_DERIVE_ALL)
 
     def summary_rows(self) -> list[tuple]:
-        """The SUMMARY_COLUMNS of every node with runs, by node, as stored. A
-        node with no stored summary, as after a write by another SQLite client,
-        is derived from its rows (``derive_summaries``) in the same read."""
+        """The SUMMARY_COLUMNS of every node with runs, by node, as stored. The
+        nodes with no stored summary, as after a write by another SQLite
+        client, are derived from their rows in the same read."""
         rows = self._sql(
             f"SELECT {', '.join('summary.' + name for name in SUMMARY_COLUMNS)}, runs.node"
-            " FROM (SELECT DISTINCT node FROM audit_runs) AS runs"
+            f" FROM ({_NODES_WITH_RUNS}) AS runs"
             " LEFT JOIN node_summary AS summary ON summary.node = runs.node ORDER BY runs.node")
-        missing = [row[-1] for row in rows if row[0] is None]
-        derived = {row[0]: row for row in self.derive_summaries(*missing)} if missing else {}
+        missing = any(row[0] is None for row in rows)
+        derived = {row[0]: row for row in self._sql(_DERIVE_MISSING)} if missing else {}
         return [derived[row[-1]] if row[0] is None else row[:-1] for row in rows]
 
     def release_memory(self) -> None:
@@ -550,15 +548,6 @@ class Store:
         return count
 
 
-# The fewest parameters one statement may bind: SQLite's default limit before 3.32
-_MAX_BOUND = 999
-
-
-def _where_node(nodes: tuple[str, ...]) -> str:
-    """A WHERE clause keeping the rows of ``nodes``, or none when there are none."""
-    return f" WHERE node IN ({', '.join('?' * len(nodes))})" if nodes else ""
-
-
 def write_csv(path: Path | str, header: list[str], rows: Iterable[Iterable]) -> int:
     """Write ``header`` and ``rows`` as a UTF-8 CSV file; returns rows written."""
     count = 0
@@ -574,12 +563,14 @@ def write_csv(path: Path | str, header: list[str], rows: Iterable[Iterable]) -> 
 def replace_together() -> Iterator[Callable[[Path | str], str]]:
     """Yield ``stage(path)``, which names a temporary file beside ``path`` to
     write in its place. When the block ends without error, each staged file
-    replaces its path with ``os.replace``; on any error, each one not yet moved
-    is removed, a partly written one too. So a block that fails leaves the
-    files already at those paths as they were. A replaced path gets a new
-    file: one there before loses its mode and links, and a symlink there is
-    replaced, not written through."""
+    replaces its path with ``os.replace``; a file there before keeps a hard
+    link until every one is in place, so a later rename that fails puts it
+    back. On any error each staged file is removed, a partly written one too,
+    so a block that fails leaves every path as it was. A replaced path gets a
+    new file: one there before loses its mode and links, and a symlink there
+    is replaced, not written through."""
     staged: list[tuple[str, Path | str]] = []
+    undo: list[tuple[Path | str, Path | str]] = []
 
     def stage(path: Path | str) -> str:
         # a str, not a Path, whose parse would intern each new name
@@ -589,10 +580,21 @@ def replace_together() -> Iterator[Callable[[Path | str], str]]:
         return temporary
     try:
         yield stage
-        while staged:
-            os.replace(*staged[0])
-            del staged[0]
+        for temporary, path in staged:
+            kept = temporary + ".kept"
+            with suppress(FileNotFoundError):
+                # a directory has no second name, and the rename fails on it
+                if not stat.S_ISDIR(os.lstat(path).st_mode):
+                    os.link(path, kept, follow_symlinks=False)
+            os.replace(temporary, path)
+            # the rename that puts back the earlier file, or moves the new one out
+            undo.append((kept, path) if os.path.lexists(kept) else (path, temporary))
+    except BaseException:
+        for source, target in reversed(undo):
+            os.replace(source, target)
+        raise
     finally:
         for temporary, _ in staged:
-            with suppress(FileNotFoundError):  # the block failed before writing it
-                os.unlink(temporary)
+            for name in (temporary, temporary + ".kept"):
+                with suppress(FileNotFoundError):  # moved, never written or nothing kept
+                    os.unlink(name)

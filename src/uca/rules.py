@@ -362,8 +362,8 @@ def evaluate_rules(ruleset: RuleSet, snapshot: NodeSnapshot) -> list[RuleResult]
 
 def score_rules(results: Sequence[RuleResult]) -> float:
     """Weighted compliance percentage of one evaluation, from its results' own
-    weights: integer sums and one float division, as ``Store.rule_tallies``. No
-    results raise SchemaError."""
+    weights: integer sums and one float division, as the store's node summary
+    scores them. No results raise SchemaError."""
     if not results:
         raise SchemaError("no rule results to score")
     passed = sum(result.weight for result in results if result.passed)

@@ -265,13 +265,19 @@ class TestRulesCommand:
         store = tmp_path / "s.db"
         snap_dir = tmp_path / "snap"
         save_snapshot(make_snapshot(Profile.BASELINE), snap_dir)
+        # a node has a summary, which holds its tally, once it has a run
+        with open_store(store) as handle:
+            handle.record_audit_run(AuditRun("baseline", Tool.LYNIS, "2025-03-03T00:00:00+00:00",
+                                             0, Phase.PRE, 64.0, 64.0, 1.0))
         result = runner.invoke(main, ["--store", str(store), "rules",
                                       "--snapshot", str(snap_dir), "--record",
                                       "--iteration", "2"])
         assert result.exit_code == 0
         with open_store(store) as handle:
             # baseline's eight results: three pass
-            assert handle.rule_tallies() == [("baseline", 3, 5, pytest.approx(39.34, abs=0.005))]
+            assert handle._conn.execute(
+                "SELECT node, passed, failed, score_pct FROM node_summary"
+            ).fetchall() == [("baseline", 3, 5, pytest.approx(39.34, abs=0.005))]
             # each result carries its rule's weight: the eight sum to the set's 61
             assert handle._conn.execute(
                 "SELECT SUM(weight) FROM custom_rule_results").fetchone() == (61,)
@@ -1450,6 +1456,21 @@ class TestStoreFailures:
             monkeypatch.setattr(f"{module}.write_csv", write_failing)
         assert str(_store_failure(runner, store, *argv)) == "failed after 2 rows"
         assert _tree(tmp_path / "out") == before
+
+    @pytest.mark.parametrize("earlier", [False, True], ids=["no-earlier-file", "earlier-file"])
+    def test_export_onto_a_directory_leaves_out_dir_as_it_was(self, runner, seed_155_copy,
+                                                              tmp_path, earlier):
+        # the first file is complete and moved into place before the second's
+        # rename fails on the directory at its path
+        store, _ = seed_155_copy
+        out = tmp_path / "out"
+        (out / "aggregate_scores.csv").mkdir(parents=True)
+        if earlier:
+            (out / "audit_runs.csv").write_bytes(b"earlier audit_runs.csv")
+        before = _tree(out)
+        error = _store_failure(runner, store, "export", "--out-dir", str(out))
+        assert isinstance(error, IsADirectoryError)
+        assert _tree(out) == before
 
     def test_report_reads_one_state(self, runner, seed_155_copy, tmp_path, monkeypatch):
         # between the report's reads of the node summaries and of the runtimes

@@ -451,6 +451,45 @@ def test_stored_summaries_equal_their_derivation_after_every_write(writes):
                 assert build_report(store) == _reference_bundle(store)[0]
 
 
+_EVALUATION_WRITES = st.tuples(
+    st.sampled_from(_NODES[:3] + ("e",)), _ITERATIONS,
+    st.lists(st.tuples(st.sampled_from(_RULE_IDS), st.booleans(), st.integers(1, 9)),
+             min_size=1, max_size=3, unique_by=itemgetter(0)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(runs=st.lists(_RUN_WRITES, unique_by=lambda run: run[:3], max_size=18),
+       aggregates=st.lists(_AGGREGATE_WRITES, unique_by=lambda agg: agg[:2], max_size=9),
+       evaluations=st.lists(_EVALUATION_WRITES, unique_by=lambda ev: ev[:2], max_size=6),
+       data=st.data())
+def test_insertion_order_changes_no_summary_export_or_report(runs, aggregates, evaluations,
+                                                             data):
+    """The same runs, aggregates and results, written in two drawn orders (the
+    results of each evaluation too), give the same stored summaries, the same
+    derivation, byte-equal exports and an equal report. The report's
+    ``runtime`` and ``runtime_total`` are left out: ``summarize_runtime``
+    still takes SQLite's SUM and AVG, whose last digit can depend on the
+    order of the rows, until the runtime totals are summed exactly too."""
+    writes = ([("run", run) for run in runs] + [("aggregate", agg) for agg in aggregates]
+              + [("evaluation", evaluation) for evaluation in evaluations])
+    outputs = []
+    for _ in range(2):
+        with open_store(":memory:") as store, tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp)
+            for kind, args in data.draw(st.permutations(writes)):
+                if kind == "evaluation":
+                    args = (*args[:2], data.draw(st.permutations(args[2])))
+                _write(store, out, kind, args)
+            store.export_audit_csv(out / "audit_runs.csv")
+            store.export_aggregate_csv(out / "aggregate_scores.csv")
+            exports = [(out / name).read_bytes()
+                       for name in ("audit_runs.csv", "aggregate_scores.csv")]
+            stored = store._conn.execute("SELECT * FROM node_summary ORDER BY node").fetchall()
+            bundle = replace(build_report(store), runtime=None, runtime_total=None) if runs else None
+            outputs.append((stored, store.derive_summaries(), exports, bundle))
+    assert outputs[0] == outputs[1]
+
+
 # --- the text and JSON renderers as written before they shared one layout ----
 
 def _reference_fmt(value, width=10):

@@ -198,7 +198,9 @@ class TestSchemaVersion:
             assert store._conn.execute(
                 "SELECT rule_id, passed, weight FROM custom_rule_results ORDER BY rule_id"
             ).fetchall() == [("r1", 1, 3), ("r2", 1, 5)]
-            assert store.rule_tallies() == [("web", 2, 0, 100.0)]
+            assert store._conn.execute(
+                "SELECT node, passed, failed, score_pct FROM node_summary"
+            ).fetchall() == [("web", 2, 0, 100.0)]
             assert "custom_rules" not in {name for _, name, *_ in _schema(store)[1]}
 
     def test_migrated_schema_equals_new_schema(self, tmp_path, v2_store, v3_store):
@@ -257,6 +259,28 @@ class TestNodeSummary:
             stored = store._conn.execute("SELECT * FROM node_summary ORDER BY node").fetchall()
             assert stored == store.derive_summaries() == store.summary_rows()
             assert stored[7] == ("n0007", 0.7, *[None] * 8)
+
+    def test_one_run_write_issues_a_fixed_statement_count(self):
+        """Recording one run refills its node's summary in one statement: as
+        many statements at 3 nodes as at 24, and no more than 6."""
+        counts = []
+        for count in (3, 24):
+            with open_store(":memory:") as store:
+                store._conn.executemany(
+                    "INSERT INTO audit_runs (node, tool, timestamp, iteration, phase, raw_score,"
+                    " normalized_score, runtime_seconds) VALUES (?, 'lynis', 'ts', 0, 'pre', 50,"
+                    " 50, 1)", [(f"n{i:02d}",) for i in range(count)])
+                with store.transaction():  # every node's summary
+                    pass
+                statements = []
+                store._conn.set_trace_callback(statements.append)
+                store.record_audit_run(_run(node="n01", iteration=1))
+                store._conn.set_trace_callback(None)
+                assert store._conn.execute(
+                    "SELECT COUNT(*) FROM node_summary").fetchone() == (count,)
+            assert len(statements) <= 6, statements
+            counts.append(len(statements))
+        assert counts[0] == counts[1]
 
 
 class TestRecording:
@@ -363,15 +387,18 @@ class TestRecording:
     @given(outcomes=st.lists(st.tuples(st.integers(1, 100), st.booleans()),
                              min_size=1, max_size=12))
     def test_stored_tally_is_score_rules(self, outcomes):
-        """An evaluation's score from its results and the one rule_tallies reads
-        back from the rows they were recorded as are the same float."""
+        """An evaluation's score from its results and the tally its node's
+        summary derives from the rows they were recorded as are the same float."""
         results = [RuleResult(f"r{index}", passed, "e", weight)
                    for index, (weight, passed) in enumerate(outcomes)]
         passed = sum(result.passed for result in results)
         with open_store(":memory:") as store:
+            # a node has a summary once it has a run
+            store.record_audit_run(_run(node="n"))
             store.record_evaluation(results, "n", 0)
-            assert store.rule_tallies() == [
-                ("n", passed, len(results) - passed, score_rules(results))]
+            assert store._conn.execute(
+                "SELECT node, passed, failed, score_pct FROM node_summary"
+            ).fetchall() == [("n", passed, len(results) - passed, score_rules(results))]
 
     def test_rule_results_count(self, corpus_store_copy):
         from uca.fixtures import Profile, make_snapshot
@@ -432,6 +459,22 @@ class TestCsvExport:
         assert (tmp_path / "u.csv").is_symlink() is False
         assert (tmp_path / "u.csv").read_text() == "key\n"
         assert (tmp_path / "target.csv").read_bytes() == b"target"
+
+    @pytest.mark.parametrize("earlier", [None, b"earlier"], ids=["no-earlier-file", "earlier-file"])
+    def test_failed_rename_leaves_every_path_as_it_was(self, tmp_path, earlier):
+        # the second path is a directory, on which the rename fails after the
+        # first staged file has taken its path
+        if earlier is not None:
+            (tmp_path / "t.csv").write_bytes(earlier)
+        (tmp_path / "u.csv").mkdir()
+        with pytest.raises(IsADirectoryError):
+            with replace_together() as stage:
+                for name in ("t.csv", "u.csv"):
+                    write_csv(stage(tmp_path / name), ["key"], [["complete"]])
+        assert sorted(p.name for p in tmp_path.iterdir()) == (
+            ["u.csv"] if earlier is None else ["t.csv", "u.csv"])
+        if earlier is not None:
+            assert (tmp_path / "t.csv").read_bytes() == earlier
 
     def test_rows_ordered_by_node_tool_iteration(self, corpus_store, tmp_path):
         path = tmp_path / "audit_runs.csv"
