@@ -219,8 +219,8 @@ def _known_keys(mapping: dict, fields: dict, where: str) -> None:
 
 
 def _node(node: object, where: str) -> NodeSpec:
-    """A spec's node entry, whose missing fields read as null."""
-    node = _typed(dict, node, where)
+    """A spec's node entry, a NodeSpec or its object, whose missing fields read as null."""
+    node = _typed(dict, vars(node) if isinstance(node, NodeSpec) else node, where)
     _known_keys(node, NodeSpec.__dataclass_fields__, f"invalid spec document: {where}")
     return NodeSpec(_typed(str, node.get("name"), f"{where}.name"),
                     _typed(Profile, node.get("profile"), f"{where}.profile"))
@@ -275,8 +275,8 @@ _DEFAULT_NODES = (
 )
 
 
-# CorpusSpec.from_dict's parser of each key a spec document may hold, one per field
-_SPEC_PARSERS = {
+# The reader of each CorpusSpec field, of its value as a document or a Python caller gives it
+_SPEC_FIELDS = {
     "nodes": lambda nodes, where: tuple(
         _node(node, f"{where}[{index}]") for index, node in enumerate(_typed(list, nodes, where))),
     "iterations": partial(_typed, int),
@@ -286,17 +286,20 @@ _SPEC_PARSERS = {
         for name, per_tool in _typed(dict, per_node, where).items()},
     "runtime_distributions": _per_tool,
     "scap_total_rules": partial(_typed, int),
-    "start_time": partial(_typed, datetime.fromisoformat),
+    "start_time": lambda start, where: (
+        start if isinstance(start, datetime) else _typed(datetime.fromisoformat, start, where)),
 }
 
 
 @dataclass(frozen=True)
 class CorpusSpec:
     """Parameters for one synthetic corpus; identical specs yield identical corpora.
-    Frozen, and checked when made: an invalid value raises OutOfRangeError, and a
-    node name that is no single directory name (empty, ``.``, ``..``, holding
-    ``/``, NUL or a lone surrogate, or over 255 bytes of UTF-8), a repeated one
-    or a score distribution of an unknown node SpecError."""
+    Frozen, and checked when made. A field also takes the value a spec document
+    gives it; a value of neither form raises SpecError, as in a document, an
+    invalid value OutOfRangeError, and a node name that is no single directory
+    name (empty, ``.``, ``..``, holding ``/``, NUL or a lone surrogate, or over
+    255 bytes of UTF-8), a repeated one or a score distribution of an unknown
+    node SpecError."""
 
     nodes: tuple[NodeSpec, ...] = _DEFAULT_NODES
     iterations: int = 12
@@ -322,6 +325,8 @@ class CorpusSpec:
         return _PROFILE_SCORE_DISTRIBUTIONS[node.profile][tool]
 
     def __post_init__(self) -> None:
+        for name, read in _SPEC_FIELDS.items():
+            object.__setattr__(self, name, read(getattr(self, name), name))
         names = [node.name for node in self.nodes]
         for index, name in enumerate(names):
             # a name is a directory of the corpus, which must stay under --out-dir,
@@ -361,8 +366,8 @@ class CorpusSpec:
         """Build a spec from parsed JSON, keeping defaults for absent keys; a key
         that is no field, a value not of its field's JSON type, a distribution entry
         that is not two numbers, or one for a node not in the spec raises SpecError."""
-        _known_keys(data, _SPEC_PARSERS, "invalid spec document")
-        return cls(**{key: _SPEC_PARSERS[key](value, key) for key, value in data.items()})
+        _known_keys(data, _SPEC_FIELDS, "invalid spec document")
+        return cls(**data)
 
     @classmethod
     def from_json(cls, document: str | bytes) -> "CorpusSpec":

@@ -43,6 +43,7 @@ __all__ = [
     "render_json",
     "bundle_to_dict",
     "format_p",
+    "node_summaries",
     "round_score",
     "round_t_test",
     "tool_samples",
@@ -118,10 +119,15 @@ def tool_samples(store: Store, *nodes: str) -> dict[tuple[str, str], list[float]
             for key, group in groupby(store.score_rows(*nodes), itemgetter(0, 1))}
 
 
+def node_summaries(store: Store) -> dict[str, dict]:
+    """node -> its SUMMARY_COLUMNS by name, for every node with runs, by node."""
+    return {row[0]: dict(zip(SUMMARY_COLUMNS, row)) for row in store.summary_rows()}
+
+
 def build_report(store: Store) -> ReportBundle:
     """Build the four report tables from each node's stored summary, and the
     t-tests from one read of the two nodes they compare."""
-    summaries = {row[0]: dict(zip(SUMMARY_COLUMNS, row)) for row in store.summary_rows()}
+    summaries = node_summaries(store)
     if not summaries:
         raise EmptyStoreError("no audit runs recorded; ingest or generate a corpus first")
 

@@ -48,9 +48,11 @@ be passed between threads.
 Timestamps are stored as ISO-8601 text. Queries return plain rows and values,
 no record objects; only the writes take records, whose fields are the columns
 of one list per table, from which its CSV header, insert, export and import derive.
-The reads of every run or aggregate (``score_rows``, ``aggregate_rows``) yield
-rows as the cursor does, and the exports write each row as it is read, so a
-reader that keeps no per-run rows holds memory by node count, not run count.
+The read of every run (``score_rows``) yields rows as the cursor does, and
+the exports write each row as it is read, so a reader that keeps no per-run
+rows holds memory by node count, not run count. The read of every summary
+(``summary_rows``) is one statement: the stored rows, and the derivation of
+each node that has runs and no row.
 A file whose rows are read from the store as it is written can be written
 under the temporary name that ``replace_together``'s ``stage`` gives it; the
 block moves it into place with a command's other staged files only when every
@@ -162,7 +164,7 @@ class _Mean(list):
 
 
 # The one statement that derives the SUMMARY_COLUMNS of the nodes named by the
-# CTE ``wanted``, by node; it binds no parameter. The tally is that of the
+# CTE ``wanted``; it binds no parameter. The tally is that of the
 # latest evaluation, scored as ``rules.score_rules`` does: integer sums and one
 # float division. A node with no aggregate or no result has NULL there.
 _DERIVATION = f"""SELECT {', '.join(SUMMARY_COLUMNS)} FROM (
@@ -179,12 +181,16 @@ _DERIVATION = f"""SELECT {', '.join(SUMMARY_COLUMNS)} FROM (
     FROM custom_rule_results WHERE (node, iteration) IN (
         SELECT node, MAX(iteration) FROM custom_rule_results WHERE node IN wanted GROUP BY node)
     GROUP BY node
-) USING (node) ORDER BY node"""
-# It derives every node with runs, or those of them with no summary row
+) USING (node)"""
+# It derives every node with runs, or those of them with no summary row; the
+# read of every summary is the stored rows and the derivation of the missing ones
 _NODES_WITH_RUNS = "SELECT DISTINCT node FROM audit_runs"
-_DERIVE_ALL = f"WITH wanted AS ({_NODES_WITH_RUNS}) {_DERIVATION}"
-_DERIVE_MISSING = (f"WITH wanted AS (SELECT node FROM ({_NODES_WITH_RUNS})"
-                   f" WHERE node NOT IN (SELECT node FROM node_summary)) {_DERIVATION}")
+_MISSING = (f"WITH wanted AS (SELECT node FROM ({_NODES_WITH_RUNS})"
+            f" WHERE node NOT IN (SELECT node FROM node_summary)) ")
+_DERIVE_ALL = f"WITH wanted AS ({_NODES_WITH_RUNS}) {_DERIVATION} ORDER BY node"
+_DERIVE_MISSING = f"{_MISSING}{_DERIVATION} ORDER BY node"
+_READ_SUMMARIES = (f"{_MISSING}SELECT {', '.join(SUMMARY_COLUMNS)} FROM node_summary"
+                   f" UNION ALL {_DERIVATION} ORDER BY node")
 
 # A change to any row of a node deletes its summary; the write's transaction
 # derives it again before it commits (``Store._refill_summaries``)
@@ -440,22 +446,12 @@ class Store:
 
     # --- queries -------------------------------------------------------------
 
-    def node_tools(self) -> set[tuple[str, str]]:
-        """The (node, tool) pairs that have at least one run."""
-        return set(self._sql("SELECT DISTINCT node, tool FROM audit_runs"))
-
     def score_rows(self, *nodes: str) -> Iterator[tuple[str, str, int, float]]:
         """(node, tool, iteration, normalized_score) per run of ``nodes``, or of
         every node, by (node, tool, iteration), as the cursor yields them."""
         where = f" WHERE node IN ({', '.join('?' * len(nodes))})" if nodes else ""
         return self._stream("SELECT node, tool, iteration, normalized_score FROM audit_runs"
                             + where + _RUN_ORDER, *nodes)
-
-    def aggregate_rows(self) -> Iterator[tuple[str, float | None, float, float | None]]:
-        """(node, custom, standard_uca, extended_uca) per aggregate, by (node,
-        iteration), as the cursor yields them."""
-        return self._stream("SELECT node, custom, standard_uca, extended_uca"
-                            " FROM aggregate_scores" + _AGG_ORDER)
 
     def runs_for(self, node: str, iteration: int) -> dict[str, float]:
         """{tool: normalized_score} of the runs of (node, iteration)."""
@@ -471,19 +467,8 @@ class Store:
     def summary_rows(self) -> list[tuple]:
         """The SUMMARY_COLUMNS of every node with runs, by node, as stored. The
         nodes with no stored summary, as after a write by another SQLite
-        client, are derived from their rows in the same read."""
-        rows = self._sql(
-            f"SELECT {', '.join('summary.' + name for name in SUMMARY_COLUMNS)}, runs.node"
-            f" FROM ({_NODES_WITH_RUNS}) AS runs"
-            " LEFT JOIN node_summary AS summary ON summary.node = runs.node ORDER BY runs.node")
-        missing = any(row[0] is None for row in rows)
-        derived = {row[0]: row for row in self._sql(_DERIVE_MISSING)} if missing else {}
-        return [derived[row[-1]] if row[0] is None else row[:-1] for row in rows]
-
-    def release_memory(self) -> None:
-        """Free the pages that earlier reads left in the connection's cache;
-        a later read fetches the pages it needs again."""
-        self._sql("PRAGMA shrink_memory")
+        client, are derived from their rows in the same statement."""
+        return self._sql(_READ_SUMMARIES)
 
     def summarize_runtime(self) -> list[tuple[str, float, float, int]]:
         """(tool, average, total, count) of the runtimes of each tool's runs."""

@@ -46,7 +46,8 @@ class Tool(str, Enum):
 class WeightConfig:
     """Blend weights plus the AIDE per-change penalty, checked when made.
 
-    The three tool weights must be non-negative and sum to 1; the custom
+    Each field is a JSON number (``jsondoc.typed``), kept as a float. The
+    three tool weights must be non-negative and sum to 1; the custom
     blend weight lies in [0, 1]; the penalty is positive. Constructing a
     config that breaks any of these raises InvalidWeightsError.
     """
@@ -58,6 +59,9 @@ class WeightConfig:
     aide_penalty_per_change: float = 5.0
 
     def __post_init__(self) -> None:
+        for name in self.__dataclass_fields__:
+            object.__setattr__(self, name, typed(getattr(self, name), float,
+                                                 InvalidWeightsError, name))
         weights = (self.w_lynis, self.w_openscap, self.w_aide)
         if any(not math.isfinite(w) for w in weights + (self.w_custom, self.aide_penalty_per_change)):
             raise InvalidWeightsError("weights must be finite")
@@ -74,13 +78,11 @@ class WeightConfig:
 
     @classmethod
     def from_mapping(cls, mapping: Mapping[str, object]) -> "WeightConfig":
-        """Build a config from a flat mapping, keeping defaults for absent keys;
-        each value must be a JSON number (``jsondoc.typed``)."""
+        """Build a config from a flat mapping, keeping defaults for absent keys."""
         unknown = set(mapping) - set(cls.__dataclass_fields__)
         if unknown:
             raise InvalidWeightsError(f"unknown weight keys: {sorted(unknown)}")
-        return cls(**{key: typed(value, float, InvalidWeightsError, key)
-                      for key, value in mapping.items()})
+        return cls(**mapping)
 
 
 DEFAULT_WEIGHTS = WeightConfig()
@@ -126,9 +128,8 @@ def normalize_openscap(raw_pct: float) -> float:
     return _clamp(_check_finite(raw_pct, "openscap score"))
 
 
-def normalize_aide(
-    added: int, removed: int, changed: int, penalty: float = 5.0
-) -> float:
+def normalize_aide(added: int, removed: int, changed: int,
+                   penalty: float = DEFAULT_WEIGHTS.aide_penalty_per_change) -> float:
     """Integrity score: start at 100, subtract ``penalty`` per change, floor 0."""
     counts = (added, removed, changed)
     if any(c < 0 for c in counts):
@@ -169,9 +170,9 @@ def compute_extended_uca(
     return (1.0 - weights.w_custom) * standard + weights.w_custom * custom
 
 
-def score_tool_document(
-    tool: Tool, document: str | bytes | Iterable[bytes], penalty: float = 5.0
-) -> tuple[float, float]:
+def score_tool_document(tool: Tool, document: str | bytes | Iterable[bytes],
+                        penalty: float = DEFAULT_WEIGHTS.aide_penalty_per_change
+                        ) -> tuple[float, float]:
     """Parse a tool output document and return (raw score, normalized score).
 
     The document is text or bytes; an XCCDF document may also be an

@@ -14,6 +14,7 @@ from click.testing import CliRunner
 
 from conftest import damage_key_index
 from uca import report as report_mod
+from uca import stats
 from uca.cli import main
 from uca.fixtures import (
     TOOL_FILE_NAMES,
@@ -223,9 +224,9 @@ class TestScore:
         # 0.8*67.80 + 0.2*83.61 = 70.96
         assert "extended_uca=70.96" in result.output
         with open_store(store) as handle:
-            aggs = list(handle.aggregate_rows())
-            assert len(aggs) == 1
-            assert aggs[0][3] == pytest.approx(70.962, abs=0.001)
+            [(extended,)] = handle._conn.execute(
+                "SELECT extended_uca FROM aggregate_scores").fetchall()
+            assert extended == pytest.approx(70.962, abs=0.001)
 
     def test_rules_flag_requires_snapshot(self, runner, tmp_path):
         result = runner.invoke(main, ["--store", str(tmp_path / "s.db"), "score",
@@ -1134,6 +1135,33 @@ class TestAnotherClientsWrite:
             handle.record_audit_run(AuditRun("full", Tool.AIDE, "2025-03-03T12:00:00+00:00",
                                              0, Phase.PRE, 50.0, 50.0, 1.0))
             assert _summary_table(store) == handle.derive_summaries()
+
+    def test_raw_insert_of_a_new_node_shows_in_stats(self, runner, seed_155_copy):
+        """A client without uca's code records the runs of a new node, which
+        then has no summary row: stats still finds the node and its tool."""
+        store, _ = seed_155_copy
+        scores = [70.0, 74.0, 71.0]
+        with closing(sqlite3.connect(store)) as conn, conn:
+            conn.executemany(
+                "INSERT INTO audit_runs (node, tool, timestamp, iteration, phase, raw_score,"
+                " normalized_score, runtime_seconds) VALUES ('newcomer', 'lynis',"
+                " '2025-03-03T00:00:00+00:00', ?, 'iteration', ?, ?, 1.0)",
+                [(iteration, score, score) for iteration, score in enumerate(scores)])
+        assert "newcomer" not in [row[0] for row in _summary_table(store)]
+        result = runner.invoke(main, ["--store", str(store), "--format", "json", "stats",
+                                      "lynis", "baseline", "newcomer"])
+        assert result.exit_code == 0, result.output
+        with open_store(store) as handle:
+            baseline = report_mod.tool_samples(handle, "baseline")["baseline", "lynis"]
+        expected = report_mod.round_t_test(stats.pooled_t_test(baseline, scores))
+        assert json.loads(result.stdout) == {
+            "tool": "lynis", "node_a": "baseline", "node_b": "newcomer",
+            "n_a": 12, "n_b": 3, **expected, "welch": False}
+        for tool in ("openscap", "aide"):
+            result = runner.invoke(main, ["--store", str(store), "stats", tool, "baseline",
+                                          "newcomer"])
+            assert result.exit_code == 1
+            assert f"no {tool} runs recorded for node 'newcomer'" in result.output
 
 
 class TestLocaleIndependentFiles:

@@ -212,7 +212,8 @@ class TestMakeCorpus:
         assert default_corpus.aggregates_recorded == 36
         assert default_corpus.rule_results_recorded == 288
         assert len(list(corpus_store.score_rows())) == 108
-        assert len(list(corpus_store.aggregate_rows())) == 36
+        assert corpus_store._conn.execute(
+            "SELECT COUNT(*) FROM aggregate_scores").fetchone() == (36,)
 
     def test_phases_follow_iteration(self, corpus_store):
         for iteration, phase in corpus_store._conn.execute(
@@ -303,7 +304,7 @@ class TestMakeCorpus:
 
     def test_custom_scores_recorded_per_iteration(self, corpus_store):
         by_node = {}
-        for node, custom, *_ in corpus_store.aggregate_rows():
+        for node, custom in corpus_store._conn.execute("SELECT node, custom FROM aggregate_scores"):
             by_node.setdefault(node, set()).add(round(custom, 2))
         assert by_node == {
             "baseline": {39.34},

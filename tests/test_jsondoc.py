@@ -13,9 +13,10 @@ from hypothesis import strategies as st
 
 from uca.cli import _load_weights
 from uca.errors import InvalidWeightsError, SchemaError, SpecError
-from uca.fixtures import CorpusSpec, Profile
+from uca.fixtures import CorpusSpec, NodeSpec, Profile
 from uca.jsondoc import load, typed
 from uca.rules import load_rules
+from uca.scoring import WeightConfig
 
 # the JSON name of each type a parsed document holds
 _NAMES = {dict: "object", list: "array", str: "string", int: "integer", float: "number",
@@ -29,6 +30,11 @@ class TestTyped:
     ])
     def test_value_of_its_kind_passes(self, value, kind):
         assert typed(value, kind, SchemaError, "f") == value
+
+    def test_tuple_is_an_array(self):
+        assert typed((1, 2), list, SchemaError, "f") == (1, 2)
+        with pytest.raises(SchemaError, match="^f: expected a JSON object, got array$"):
+            typed((1, 2), dict, SchemaError, "f")
 
     def test_number_field_returns_a_float(self):
         assert type(typed(3, float, SchemaError, "f")) is float
@@ -185,3 +191,35 @@ def test_a_value_of_another_type_raises_the_documents_error(name, data):
     else:
         assert message.endswith(f"{where}: expected a JSON {_NAMES[kind]},"
                                 f" got {_NAMES[type(value)]}"), message
+
+
+@pytest.mark.parametrize("make, fields, document, message", [
+    (CorpusSpec, {"iterations": 2.5}, '{"iterations": 2.5}',
+     "invalid spec document: iterations: expected a JSON integer, got number"),
+    (CorpusSpec, {"iterations": True}, '{"iterations": true}',
+     "invalid spec document: iterations: expected a JSON integer, got boolean"),
+    (CorpusSpec, {"start_time": "2025"}, '{"start_time": "2025"}',
+     "invalid spec document: start_time: Invalid isoformat string: '2025'"),
+    (CorpusSpec, {"nodes": ("a",)}, '{"nodes": ["a"]}',
+     "invalid spec document: nodes[0]: expected a JSON object, got string"),
+    (CorpusSpec, {"nodes": (NodeSpec("a", "bogus"),)},
+     '{"nodes": [{"name": "a", "profile": "bogus"}]}',
+     "invalid spec document: nodes[0].profile: 'bogus' is not a valid Profile"),
+    (WeightConfig, {"w_lynis": "0.4"}, '{"w_lynis": "0.4"}',
+     "w_lynis: expected a JSON number, got string"),
+    (WeightConfig, {"w_lynis": True, "w_openscap": 0.0, "w_aide": 0.0},
+     '{"w_lynis": true, "w_openscap": 0.0, "w_aide": 0.0}',
+     "w_lynis: expected a JSON number, got boolean"),
+], ids=["spec-float-iterations", "spec-bool-iterations", "spec-start-time-text",
+        "spec-node-text", "spec-unknown-profile", "weights-text", "weights-bool"])
+def test_a_python_caller_gets_the_documents_error(make, fields, document, message):
+    """A value a document could not hold raises, from a Python caller, the typed
+    error and message that the document gets."""
+    error = SpecError if make is CorpusSpec else InvalidWeightsError
+    with pytest.raises(error) as raised:
+        make(**fields)
+    assert str(raised.value) == message
+    read = CorpusSpec.from_json if make is CorpusSpec else _load_config
+    with pytest.raises(error) as raised:
+        read(document)
+    assert str(raised.value) == message

@@ -194,7 +194,8 @@ class TestSchemaVersion:
             assert store._conn.execute("PRAGMA user_version").fetchone() == (4,)
             assert [(tool, score) for _, tool, _, score in store.score_rows()] == [
                 (Tool.AIDE, 70.0), (Tool.LYNIS, 60.0)]
-            assert [row[2] for row in store.aggregate_rows()] == [60.0]
+            assert store._conn.execute(
+                "SELECT standard_uca FROM aggregate_scores").fetchall() == [(60.0,)]
             assert store._conn.execute(
                 "SELECT rule_id, passed, weight FROM custom_rule_results ORDER BY rule_id"
             ).fetchall() == [("r1", 1, 3), ("r2", 1, 5)]
@@ -233,8 +234,9 @@ class TestSchemaVersion:
             statements = []
             store._conn.set_trace_callback(statements.append)
             store.score_rows()
-            store.aggregate_rows()
+            store.export_aggregate_csv(tmp_path / "aggregate_scores.csv")
             store._conn.set_trace_callback(None)
+            assert len(statements) == 2, statements
             for sql in statements:
                 plan = store._conn.execute("EXPLAIN QUERY PLAN " + sql).fetchall()
                 assert not any("TEMP B-TREE" in row[-1] for row in plan), (sql, plan)
@@ -281,6 +283,30 @@ class TestNodeSummary:
             assert len(statements) <= 6, statements
             counts.append(len(statements))
         assert counts[0] == counts[1]
+
+    @pytest.mark.parametrize("missing", [(), ("n01",), ("n00", "n02")],
+                             ids=["all-stored", "one-missing", "two-missing"])
+    def test_summary_read_issues_one_statement(self, missing):
+        """Reading every summary is one statement, whether every node's row is
+        stored or a client without the refill deleted some; it equals the
+        derivation from the rows."""
+        with open_store(":memory:") as store:
+            for i in range(3):
+                store.record_audit_run(_run(node=f"n{i:02d}", normalized_score=10.0 * i))
+            # another client's write: the trigger deletes the summary, no refill follows
+            store._conn.executemany(
+                "UPDATE audit_runs SET normalized_score = 99 WHERE node = ?",
+                [(node,) for node in missing])
+            stored = store._conn.execute("SELECT node FROM node_summary ORDER BY node").fetchall()
+            assert len(stored) == 3 - len(missing)
+            statements = []
+            store._conn.set_trace_callback(statements.append)
+            rows = store.summary_rows()
+            store._conn.set_trace_callback(None)
+            assert len(statements) == 1, statements
+            assert rows == store.derive_summaries()
+            assert [(row[0], row[1]) for row in rows] == [
+                (f"n{i:02d}", 99.0 if f"n{i:02d}" in missing else 10.0 * i) for i in range(3)]
 
 
 class TestRecording:
@@ -347,7 +373,8 @@ class TestRecording:
                     store.record_evaluation(results, "web", 1)
             assert [(tool, score) for _, tool, _, score in store.score_rows()] == [
                 (Tool.AIDE, 60.0), (Tool.LYNIS, 60.0)]
-            assert len(list(store.aggregate_rows())) == 1
+            assert store._conn.execute(
+                "SELECT COUNT(*) FROM aggregate_scores").fetchone() == (1,)
             results = store._conn.execute("SELECT node, iteration, passed"
                                           " FROM custom_rule_results ORDER BY node, id").fetchall()
             assert [(node, iteration) for node, iteration, _ in results] == (
@@ -621,7 +648,9 @@ class TestCsvExport:
         with open_store(tmp_path / "s.db") as store:
             with pytest.raises(ConstraintViolationError, match="bad.csv:3: "):
                 getattr(store, importer)(path)
-            assert len(list(store.score_rows())) == len(list(store.aggregate_rows())) == 0
+            assert store._conn.execute("SELECT (SELECT COUNT(*) FROM audit_runs),"
+                                       " (SELECT COUNT(*) FROM aggregate_scores)"
+                                       ).fetchone() == (0, 0)
 
 
     @pytest.mark.parametrize("importer, header, good", [
@@ -637,7 +666,9 @@ class TestCsvExport:
         with open_store(tmp_path / "s.db") as store:
             with pytest.raises(ConstraintViolationError, match="bad.csv:3: 'utf-8' codec"):
                 getattr(store, importer)(path)
-            assert len(list(store.score_rows())) == len(list(store.aggregate_rows())) == 0
+            assert store._conn.execute("SELECT (SELECT COUNT(*) FROM audit_runs),"
+                                       " (SELECT COUNT(*) FROM aggregate_scores)"
+                                       ).fetchone() == (0, 0)
 
 class TestRuntimeSummary:
     def test_single_run(self, tmp_path):
