@@ -208,7 +208,9 @@ class NodeSpec:
 
 
 def _typed(kind, value: object, where: str):
-    """A spec value read as ``kind`` (``jsondoc.typed``), at ``where`` in the document."""
+    """A spec value read as ``kind`` (``jsondoc.typed``), at ``where`` in the document;
+    a tuple, as a Python caller gives it, reads as the JSON array it stands for."""
+    value = list(value) if isinstance(value, tuple) else value
     return typed(value, kind, SpecError, f"invalid spec document: {where}")
 
 
@@ -294,12 +296,12 @@ _SPEC_FIELDS = {
 @dataclass(frozen=True)
 class CorpusSpec:
     """Parameters for one synthetic corpus; identical specs yield identical corpora.
-    Frozen, and checked when made. A field also takes the value a spec document
-    gives it; a value of neither form raises SpecError, as in a document, an
-    invalid value OutOfRangeError, and a node name that is no single directory
-    name (empty, ``.``, ``..``, holding ``/``, NUL or a lone surrogate, or over
-    255 bytes of UTF-8), a repeated one or a score distribution of an unknown
-    node SpecError."""
+    Frozen, and checked when made by the field readers of ``from_dict``: a field
+    takes its Python value or, by design, its spec-document form (a list, a node
+    object, an ISO-8601 string, a tool name), and a value of neither raises the
+    document's SpecError. An invalid value raises OutOfRangeError, and a node name
+    that is no single directory name, a repeated one or a score distribution of an
+    unknown node SpecError."""
 
     nodes: tuple[NodeSpec, ...] = _DEFAULT_NODES
     iterations: int = 12

@@ -8,10 +8,8 @@ from typing import Callable
 
 __all__ = ["load", "typed"]
 
-_NAMES = {dict: "object", list: "array", tuple: "array", str: "string", int: "integer",
+_NAMES = {dict: "object", list: "array", str: "string", int: "integer",
           float: "number", bool: "boolean", type(None): "null"}
-# the Python types that a kind's JSON type takes in, where they are more than the kind
-_TAKES = {float: (int, float), list: (list, tuple)}
 
 
 def load(document: str | bytes, kind: type, error: type[Exception], where: str):
@@ -25,12 +23,13 @@ def load(document: str | bytes, kind: type, error: type[Exception], where: str):
 
 def typed(value: object, kind: type | Callable, error: type[Exception], where: str):
     """``value`` if it is a JSON ``kind``: a boolean is only a ``bool``, no ``int``
-    and no ``float``, a ``float`` is any other number, returned as a float, and a
-    ``list`` is a tuple too, as a Python caller writes one. Any other ``kind``,
-    such as an Enum, reads a JSON string; a ValueError of it raises ``error``."""
-    takes = _TAKES.get(kind, kind if kind in _NAMES else str)
-    if isinstance(value, bool) is not (kind is bool) or not isinstance(value, takes):
-        raise error(f"{where}: expected a JSON {_NAMES.get(kind, 'string')},"
+    and no ``float``, and a ``float`` is any other number, returned as a float. Any
+    other ``kind``, such as an Enum, reads a JSON string; a ValueError of it raises
+    ``error``."""
+    json_kind = kind if kind in _NAMES else str
+    if isinstance(value, bool) is not (kind is bool) or not isinstance(
+            value, (int, float) if kind is float else json_kind):
+        raise error(f"{where}: expected a JSON {_NAMES[json_kind]},"
                     f" got {_NAMES.get(type(value), type(value).__name__)}")
     try:
         return value if kind in (str, int, bool, list, dict) else kind(value)

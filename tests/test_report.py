@@ -31,6 +31,7 @@ from uca.report import (
     write_plot_data,
 )
 from uca.repository import (
+    _READ_SUMMARIES,
     AGGREGATE_CSV_HEADER,
     AUDIT_CSV_HEADER,
     AuditRun,
@@ -121,7 +122,9 @@ class TestBuildReport:
         assert bundle_to_dict(first) == bundle_to_dict(second)
 
     def test_fixed_statement_count_at_any_node_count(self, tmp_path):
-        """A build issues as many statements at 3 nodes as at 24."""
+        """With every node's summary stored, a build issues as many statements at
+        3 nodes as at 24, and none but the summary read, which derives the nodes
+        that have no summary, names an aggregate or a rule result."""
         counts = []
         for count in (3, 24):
             nodes = tuple(NodeSpec(f"n{i:02d}", list(Profile)[i % 3]) for i in range(count))
@@ -131,15 +134,20 @@ class TestBuildReport:
                 store._conn.set_trace_callback(statements.append)
                 bundle = build_report(store)
             assert len(statements) <= 6, statements
+            assert _READ_SUMMARIES in statements
+            assert not [sql for sql in statements if sql != _READ_SUMMARIES
+                        and ("aggregate_scores" in sql or "custom_rule_results" in sql)]
             assert len(bundle.nodes) == len(bundle.rule_table) == count
             counts.append(len(statements))
         assert counts[0] == counts[1]
 
-    def test_stored_summaries_read_no_aggregate_and_no_rule_result(self, tmp_path):
+    @pytest.mark.parametrize("count", [3, 24])
+    def test_stored_summaries_read_no_aggregate_and_no_rule_result(self, tmp_path, count):
         """With every node's summary stored, a build reads no aggregate and no
-        rule result: 8,208 more of them leave its SQLite VM steps within 800,
-        where reading each would take at least one step."""
-        nodes = tuple(NodeSpec(f"n{i:02d}", list(Profile)[i % 3]) for i in range(24))
+        rule result, the summary read included: 38 more aggregates and evaluations
+        per node add fewer SQLite VM steps to the build than they add rows, where
+        reading each row would take at least one step."""
+        nodes = tuple(NodeSpec(f"n{i:02d}", list(Profile)[i % 3]) for i in range(count))
         corpus = make_corpus(CorpusSpec(nodes=nodes, iterations=2), tmp_path / "c")
         results = evaluate_rules(default_rules(), make_snapshot(Profile.FULL))
 
@@ -159,8 +167,9 @@ class TestBuildReport:
                         store.record_aggregate(AggregateScore(
                             node.name, iteration, 50.0, 50.0, 50.0, 50.0, 83.0, 56.6,
                             "2025-03-04T00:00:00+00:00"))
-            assert store._conn.execute("SELECT COUNT(*) FROM node_summary").fetchone() == (24,)
-            assert abs(build_steps(store) - before) < 800
+            assert store._conn.execute("SELECT COUNT(*) FROM node_summary").fetchone() == (count,)
+            added = count * 38 * (1 + len(results))
+            assert build_steps(store) - before < added
 
 
 def _corpus_24(out: Path, iterations: int = 2):
