@@ -10,7 +10,6 @@ the individual weight flags.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -27,7 +26,7 @@ from .errors import (
     UnknownNodeError,
     UnknownToolError,
 )
-from .jsondoc import load
+from .jsondoc import dumps, load
 from .parsers import FileChunks
 from .repository import Phase, Store, open_store, replace_together
 from .rules import default_rules, evaluate_rules, load_rules, load_snapshot, score_rules
@@ -63,7 +62,7 @@ def _now_iso() -> str:
 
 def _emit(ctx: AppContext, payload: dict, text: str) -> None:
     if ctx.fmt == "json":
-        click.echo(json.dumps(payload, indent=2))
+        click.echo(dumps(payload))
     else:
         click.echo(text)
 

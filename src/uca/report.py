@@ -10,7 +10,8 @@ same store is byte-identical; only its cost no longer follows the run count.
 The runtimes and the two t-test nodes' scores are read from the rows at build
 time. Rounding happens at the output boundary: each rounded JSON number goes
 through ``round_score``, each two-decimal CSV cell through ``csv_score``, and
-the four text tables share one layout.
+the four text tables share one layout. The JSON text is ``jsondoc.dumps`` of
+``bundle_to_dict``: the bytes of ``json.dumps(indent=2)``, from the C encoder.
 
 It is built from the plain tuples of the store's queries, with no per-run
 record objects, and holds no per-run rows: the two t-test nodes' scores come
@@ -23,7 +24,6 @@ read from the store as the file is written.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -33,6 +33,7 @@ from pathlib import Path
 
 from . import stats
 from .errors import DegenerateSampleError, EmptyStoreError
+from .jsondoc import dumps
 from .repository import SUMMARY_COLUMNS, Store, replace_together, write_csv
 from .scoring import Tool
 
@@ -264,7 +265,7 @@ def bundle_to_dict(bundle: ReportBundle) -> dict:
 
 
 def render_json(bundle: ReportBundle) -> str:
-    return json.dumps(bundle_to_dict(bundle), indent=2) + "\n"
+    return dumps(bundle_to_dict(bundle)) + "\n"
 
 
 def _write_csv_files(bundle: ReportBundle, out_dir: Path, prefix: str) -> list[Path]:

@@ -14,7 +14,6 @@ library caller meet one definition of a valid rule, and evaluation checks nothin
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
 from enum import Enum
@@ -27,7 +26,7 @@ from .errors import (
     SchemaError,
     SnapshotError,
 )
-from .jsondoc import load, typed
+from .jsondoc import dumps, load, typed
 
 __all__ = [
     "CheckType",
@@ -386,8 +385,7 @@ def save_snapshot(
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     manifest = {"node": snapshot.node, "captured_at": captured_at}
-    (directory / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n",
-                                             encoding="utf-8")
+    (directory / "manifest.json").write_text(dumps(manifest) + "\n", encoding="utf-8")
     for path in sorted(snapshot.files):
         rel = PurePosixPath(path)
         if not rel.is_absolute():

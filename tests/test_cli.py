@@ -1303,6 +1303,36 @@ class TestOutputsPinned:
         assert (result.exit_code, result.output) == (0, expected)
 
 
+# Every command's --format json output, as argv templates over the seed-155 copy
+# and its corpus.
+_JSON_COMMANDS = {
+    "ingest": ["ingest", "baseline", "lynis", "{corpus}/runs/baseline/0/lynis.dat",
+               "--iteration", "11"],
+    "score": ["score", "baseline", "--iteration", "0"],
+    "score-snapshot": ["score", "baseline", "--iteration", "0",
+                       "--snapshot", "{corpus}/snapshots/baseline"],
+    "rules": ["rules"],
+    "rules-snapshot": ["rules", "--snapshot", "{corpus}/snapshots/full"],
+    "stats": ["stats", "lynis", "baseline", "full"],
+    "stats-welch": ["stats", "aide", "baseline", "full", "--welch"],
+    "export": ["export", "--out-dir", "{tmp}/ex"],
+    "fixtures": ["fixtures", "--out-dir", "{tmp}/fx"],
+    "report": ["report"],
+}
+
+
+@pytest.mark.parametrize("command", _JSON_COMMANDS)
+def test_json_output_is_laid_out_as_json_dumps_lays_it_out(runner, seed_155_copy, tmp_path,
+                                                          command):
+    """Each command's JSON is the stdlib's 2-space indented, ASCII-escaped text of
+    the value it holds, whichever writer wrote it."""
+    store, corpus = seed_155_copy
+    argv = [arg.format(corpus=corpus, tmp=tmp_path) for arg in _JSON_COMMANDS[command]]
+    result = runner.invoke(main, ["--store", str(store), "--format", "json", *argv])
+    assert result.exit_code == 0, result.output
+    assert result.stdout == json.dumps(json.loads(result.stdout), indent=2) + "\n"
+
+
 # One command per way into the store, as argv templates over the seed-155 copy
 # and its corpus, with the table whose key index each one reads or checks.
 _STORE_COMMANDS = {

@@ -1,9 +1,12 @@
 """The one reader of JSON input documents, and the one type rule every document
 it reads follows: a value of another JSON type than its field's ends in that
-document's own error, never in another exception."""
+document's own error, never in another exception. The one writer of JSON
+output, whose text is that of ``json.dumps(value, indent=2)``."""
 
+import ast
 import copy
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -14,7 +17,7 @@ from hypothesis import strategies as st
 from uca.cli import _load_weights
 from uca.errors import InvalidWeightsError, SchemaError, SpecError
 from uca.fixtures import CorpusSpec, NodeSpec, Profile
-from uca.jsondoc import load, typed
+from uca.jsondoc import dumps, load, typed
 from uca.rules import load_rules
 from uca.scoring import WeightConfig
 
@@ -78,6 +81,81 @@ def test_only_the_reader_parses_json():
     callers = sorted(path.name for path in src.glob("*.py")
                      if "json.loads" in path.read_text(encoding="utf-8"))
     assert callers == ["jsondoc.py"]
+
+
+def test_only_the_writer_writes_json():
+    """Every JSON output is written by ``uca.jsondoc``: no other module calls
+    ``json.dumps`` or ``json.dump``, or makes a ``json.JSONEncoder``."""
+    def writes(tree) -> bool:
+        return any(isinstance(node, ast.ImportFrom) and node.module == "json"
+                   or isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                   and node.value.id == "json" and node.attr in ("dump", "dumps", "JSONEncoder")
+                   for node in ast.walk(tree))
+
+    src = Path(__file__).resolve().parent.parent / "src" / "uca"
+    callers = sorted(path.name for path in src.glob("*.py")
+                     if writes(ast.parse(path.read_text(encoding="utf-8"))))
+    assert callers == ["jsondoc.py"]
+
+
+# --- the one writer: the text of json.dumps(value, indent=2) ------------------
+
+class _Dict(dict):
+    pass
+
+
+class _List(list):
+    pass
+
+
+# strings with what JSON escapes (quotes, backslashes, control characters,
+# non-ASCII text, lone surrogates) and what its layout uses (brackets, commas,
+# colons, spaces), beside any other character
+_TEXT = st.text(st.sampled_from('"\\\n\t\x00\x1f\x7f \xe9\u20ac\U0001f600\ud800\udfff{}[],:0')
+                | st.characters(exclude_categories=()), max_size=8)
+_FLOATS = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e16, 5e-324])
+_SCALAR = (st.none() | st.booleans() | st.integers() | st.integers(min_value=2 ** 64)
+           | st.integers(max_value=-2 ** 64) | _FLOATS | _TEXT)
+# keys are str in every uca payload; json.dumps also takes int, float, bool and
+# None keys, and dumps writes them as it does
+_KEY = _TEXT | st.integers() | _FLOATS | st.booleans() | st.none()
+_TREES = st.recursive(_SCALAR, lambda inner: (
+    st.lists(inner, max_size=4) | st.dictionaries(_KEY, inner, max_size=4)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.lists(inner, max_size=3).map(_List) | st.dictionaries(_TEXT, inner, max_size=3).map(_Dict)
+    # rows, the shape of a table: a list of flat dicts
+    | st.lists(st.dictionaries(_KEY, _SCALAR, max_size=4), max_size=4)
+    | st.dictionaries(_TEXT, st.lists(inner, max_size=3), max_size=3)
+), max_leaves=40)
+
+
+@settings(max_examples=400, deadline=None)
+@given(value=_TREES)
+def test_the_writer_writes_what_json_dumps_writes(value):
+    assert dumps(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [
+    None, True, 0, -2 ** 70, 2.5, math.nan, -math.inf, "", 'a"\\\ud800\xe9',
+    {}, [], (), [[]], [{}], {"a": {}}, [[[[[[]]]]]], {"a": [{"b": [{"c": {}}]}]},
+    [{"a": 1}, {}], [{"a": 1}, {"b": [1]}], [{"a": 1}, 2], ({"a": "},\n  {"}, {"b": None}),
+    [{"a": _Dict(b=1)}], [_Dict(a=1)], {"a": _List([[1]])}, _Dict(a=[1]), _List([{"a": 1}]),
+    {1: {2: [3]}, 1.5: [], None: {"x": 1}, True: (1, 2)},
+], ids=repr)
+def test_the_writer_at_each_shape(value):
+    """Top-level scalars and empty containers, rows beside other lists, and dict
+    and list subclasses where a flat container's values would be."""
+    assert dumps(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [{(1,): 1}, {"a": {(1,): 1}}, {"a": [object()]}, object()],
+                         ids=["key", "nested-key", "nested-value", "value"])
+def test_the_writer_refuses_what_json_dumps_refuses(value):
+    with pytest.raises(TypeError) as expected:
+        json.dumps(value, indent=2)
+    with pytest.raises(TypeError) as raised:
+        dumps(value)
+    assert str(raised.value) == str(expected.value)
 
 
 # --- the one type rule, at every field of every document ---------------------
