@@ -29,7 +29,7 @@ from .errors import (
 from .jsondoc import dumps, load
 from .parsers import FileChunks
 from .repository import Phase, Store, open_store, replace_together
-from .rules import default_rules, evaluate_rules, load_rules, load_snapshot, score_rules
+from .rules import RuleSet, default_rules, evaluate_rules, load_rules, load_snapshot, score_rules
 from .scoring import Tool, WeightConfig
 
 TOOL_CHOICES = [tool.value for tool in Tool]
@@ -65,6 +65,11 @@ def _emit(ctx: AppContext, payload: dict, text: str) -> None:
         click.echo(dumps(payload))
     else:
         click.echo(text)
+
+
+def _ruleset(rules_path: Path | None) -> RuleSet:
+    """The rules a command evaluates: the rules document, or the built-in set."""
+    return load_rules(Path(rules_path).read_bytes()) if rules_path else default_rules()
 
 
 class _Main(click.Group):
@@ -152,12 +157,11 @@ def score(app: AppContext, node, iteration, rules_path, snapshot_path):
     """Combine the three recorded tool runs into unified scores."""
     if rules_path is not None and snapshot_path is None:
         raise click.UsageError("--rules needs --snapshot to evaluate against")
-    ruleset = load_rules(Path(rules_path).read_bytes()) if rules_path else None
-    snapshot = load_snapshot(snapshot_path) if snapshot_path is not None else None
+    results = (evaluate_rules(_ruleset(rules_path), load_snapshot(snapshot_path))
+               if snapshot_path is not None else None)
     with app.read() as store:
         agg = pipeline.score_iteration(store, node, iteration, weights=app.weights,
-                                       timestamp=_now_iso(), ruleset=ruleset,
-                                       snapshot=snapshot)
+                                       timestamp=_now_iso(), results=results)
     payload = {"id": agg.id, "node": node, "iteration": iteration,
                **{key: report_mod.round_score(getattr(agg, key)) for key in
                   ("lynis", "openscap", "aide", "standard_uca", "custom", "extended_uca")}}
@@ -178,8 +182,7 @@ def score(app: AppContext, node, iteration, rules_path, snapshot_path):
 @click.pass_obj
 def rules_cmd(app: AppContext, rules_path, snapshot_path, node, iteration, record):
     """Show the rule set, or evaluate it against a snapshot."""
-    ruleset = (load_rules(Path(rules_path).read_bytes())
-               if rules_path else default_rules())
+    ruleset = _ruleset(rules_path)
     if snapshot_path is None:
         rows = [
             {"id": r.id, "name": r.name, "check_type": r.check_type.value,

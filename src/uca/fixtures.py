@@ -28,9 +28,9 @@ from pathlib import Path
 
 from . import pipeline, scoring
 from .errors import OutOfRangeError, SpecError
-from .jsondoc import load, typed
+from .jsondoc import known_keys, load, typed
 from .repository import Phase, open_store
-from .rules import FirewallState, NodeSnapshot, default_rules, save_snapshot
+from .rules import FirewallState, NodeSnapshot, default_rules, evaluate_rules, save_snapshot
 from .scoring import Tool, WeightConfig
 
 __all__ = [
@@ -214,16 +214,11 @@ def _typed(kind, value: object, where: str):
     return typed(value, kind, SpecError, f"invalid spec document: {where}")
 
 
-def _known_keys(mapping: dict, fields: dict, where: str) -> None:
-    unknown = set(mapping) - set(fields)
-    if unknown:
-        raise SpecError(f"{where}: unknown keys {sorted(unknown)}")
-
-
 def _node(node: object, where: str) -> NodeSpec:
     """A spec's node entry, a NodeSpec or its object, whose missing fields read as null."""
     node = _typed(dict, vars(node) if isinstance(node, NodeSpec) else node, where)
-    _known_keys(node, NodeSpec.__dataclass_fields__, f"invalid spec document: {where}")
+    known_keys(node, NodeSpec.__dataclass_fields__, SpecError,
+               f"invalid spec document: {where}")
     return NodeSpec(_typed(str, node.get("name"), f"{where}.name"),
                     _typed(Profile, node.get("profile"), f"{where}.profile"))
 
@@ -368,7 +363,7 @@ class CorpusSpec:
         """Build a spec from parsed JSON, keeping defaults for absent keys; a key
         that is no field, a value not of its field's JSON type, a distribution entry
         that is not two numbers, or one for a node not in the spec raises SpecError."""
-        _known_keys(data, _SPEC_FIELDS, "invalid spec document")
+        known_keys(data, _SPEC_FIELDS, SpecError, "invalid spec document")
         return cls(**data)
 
     @classmethod
@@ -448,6 +443,9 @@ def make_corpus(
 
     snapshots = {node.name: make_snapshot(node.profile, node=node.name)
                  for node in spec.nodes}
+    # an evaluation depends on the rules and the snapshot alone: once per node
+    evaluations = {name: evaluate_rules(ruleset, snapshot)
+                   for name, snapshot in snapshots.items()}
     # open and lock the store first, so a store that cannot be written leaves no file
     with open_store(store_path) as store, store.transaction():
         for name, snapshot in snapshots.items():
@@ -476,8 +474,7 @@ def make_corpus(
                     hours=iteration, minutes=10 * node_index + 9)).isoformat()
                 pipeline.score_iteration(
                     store, node.name, iteration, weights=weights,
-                    timestamp=agg_timestamp, ruleset=ruleset,
-                    snapshot=snapshots[node.name],
+                    timestamp=agg_timestamp, results=evaluations[node.name],
                 )
 
     scored = len(spec.nodes) * spec.iterations  # one aggregate per node and iteration

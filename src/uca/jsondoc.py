@@ -28,9 +28,9 @@ from __future__ import annotations
 import functools
 import json
 from itertools import chain
-from typing import Callable
+from typing import Callable, Iterable
 
-__all__ = ["dumps", "load", "typed"]
+__all__ = ["dumps", "known_keys", "load", "typed"]
 
 _NAMES = {dict: "object", list: "array", str: "string", int: "integer",
           float: "number", bool: "boolean", type(None): "null"}
@@ -61,6 +61,13 @@ def typed(value: object, kind: type | Callable, error: type[Exception], where: s
         return value if kind in (str, int, bool, list, dict) else kind(value)
     except (OverflowError, ValueError) as exc:  # an int past a float, or unreadable text
         raise error(f"{where}: {exc}") from None
+
+
+def known_keys(mapping: dict, fields: Iterable, error: type[Exception], where: str) -> None:
+    """Raise ``error`` naming the keys of ``mapping`` that are not ``fields``."""
+    unknown = set(mapping) - set(fields)
+    if unknown:
+        raise error(f"{where}: unknown keys {sorted(unknown, key=str)}")
 
 
 def dumps(value: object) -> str:

@@ -1,10 +1,10 @@
 """The steps every writer shares: parse a tool document into a run, and score
 one node's iteration from its recorded runs. ``uca ingest``, ``uca score`` and
-``fixtures.make_corpus`` call these and nothing below them, so a generated
-corpus is parsed, blended and recorded the way a user's is. A rule evaluation
-is a function of the rules and the snapshot alone: ``score_iteration`` and
-``uca rules`` both score it with ``rules.score_rules`` and record it under the
-node and iteration they name.
+``fixtures.make_corpus`` parse, blend and record through these and nothing
+below them, so a generated corpus is recorded the way a user's is. They
+evaluate rules with ``rules.evaluate_rules``, as ``uca rules`` does: an
+evaluation is a function of the rules and the snapshot alone, and
+``score_iteration`` records the results it is handed.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import Iterable
 from . import scoring
 from .errors import MissingRunsError
 from .repository import AuditRun, Phase, Store
-from .rules import NodeSnapshot, RuleSet, default_rules, evaluate_rules, score_rules
+from .rules import RuleResult, score_rules
 from .scoring import AggregateScore, Tool, WeightConfig
 
 __all__ = ["parse_run", "score_iteration"]
@@ -31,11 +31,10 @@ def parse_run(node: str, tool: Tool | str, document: str | bytes | Iterable[byte
 
 
 def score_iteration(store: Store, node: str, iteration: int, *, weights: WeightConfig,
-                    timestamp: str, ruleset: RuleSet | None = None,
-                    snapshot: NodeSnapshot | None = None) -> AggregateScore:
+                    timestamp: str, results: list[RuleResult] | None = None) -> AggregateScore:
     """Blend the recorded runs of (node, iteration) and record the aggregate, in
-    one transaction. With a snapshot, also record the rule results (of the
-    default rule set unless ``ruleset``) and blend their score in."""
+    one transaction. With rule ``results``, also record them and blend their
+    score in."""
     with store.transaction():
         runs = store.runs_for(node, iteration)
         missing = [t.value for t in Tool if t.value not in runs]
@@ -45,9 +44,7 @@ def score_iteration(store: Store, node: str, iteration: int, *, weights: WeightC
         lynis, openscap, aide = (runs[t.value] for t in Tool)
         standard = scoring.compute_standard_uca(lynis, openscap, aide, weights)
         custom = extended = None
-        if snapshot is not None:
-            ruleset = default_rules() if ruleset is None else ruleset
-            results = evaluate_rules(ruleset, snapshot)
+        if results is not None:
             store.record_evaluation(results, node, iteration)
             custom = score_rules(results)
             extended = scoring.compute_extended_uca(standard, custom, weights)

@@ -32,7 +32,7 @@ from operator import itemgetter
 from pathlib import Path
 
 from . import stats
-from .errors import DegenerateSampleError, EmptyStoreError
+from .errors import DegenerateSampleError, EmptySampleError, EmptyStoreError
 from .jsondoc import dumps
 from .repository import SUMMARY_COLUMNS, Store, replace_together, write_csv
 from .scoring import Tool
@@ -149,11 +149,9 @@ def build_report(store: Store) -> ReportBundle:
         for tool in Tool:
             low_scores = samples.get((node_low, tool.value), [])
             high_scores = samples.get((node_high, tool.value), [])
-            if len(low_scores) < 2 or len(high_scores) < 2:
-                continue
             try:
                 significance.append((tool.value, stats.pooled_t_test(low_scores, high_scores)))
-            except DegenerateSampleError:
+            except (DegenerateSampleError, EmptySampleError):  # a group of under two values
                 continue
 
     runtime = store.summarize_runtime()

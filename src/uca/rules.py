@@ -26,7 +26,7 @@ from .errors import (
     SchemaError,
     SnapshotError,
 )
-from .jsondoc import dumps, load, typed
+from .jsondoc import dumps, known_keys, load, typed
 
 __all__ = [
     "CheckType",
@@ -69,7 +69,8 @@ def _check_weight(weight: object, where: str) -> None:
 class Rule:
     """One weighted check; ``check_type`` may be given as its string value. A field
     not of its JSON type, an empty id, a weight below 1 (NonPositiveWeightError), a
-    missing param, a bad regex or a ``max_mode`` outside [0000, 7777] raise SchemaError."""
+    missing param, a param no check type reads, a bad regex or a ``max_mode``
+    outside [0000, 7777] raise SchemaError."""
 
     id: str
     name: str
@@ -86,6 +87,7 @@ class Rule:
         object.__setattr__(self, "check_type", check_type)
         _check_weight(self.weight, where)
         params = typed(self.params, dict, SchemaError, f"{where}: params")
+        known_keys(params, _PARAMS, SchemaError, f"{where}: params")
         for key in _CHECKS[check_type][0]:
             if key not in params:
                 raise SchemaError(f"{where}: params missing {key!r} for {check_type.value}")
@@ -175,13 +177,13 @@ class NodeSnapshot:
 
 def _validate_rule_dict(entry: object, position: int) -> Rule:
     entry = typed(entry, dict, SchemaError, f"rule #{position}")
+    known_keys(entry, Rule.__dataclass_fields__, SchemaError, f"rule #{position}")
     for name in ("id", "name", "check_type", "weight"):
         if name not in entry:
             raise SchemaError(f"rule #{position}: missing required field {name!r}")
     if not typed(entry["id"], str, SchemaError, f"rule #{position}: id"):
         raise SchemaError(f"rule #{position}: id must be a non-empty string")
-    return Rule(entry["id"], entry["name"], entry["check_type"], entry["weight"],
-                entry.get("params", {}))
+    return Rule(**entry)
 
 
 def _parse_mode(text: str, what: str, error: type[Exception]) -> int:
@@ -309,10 +311,8 @@ def _check_config_directive(rule: Rule, snapshot: NodeSnapshot) -> tuple[bool, s
     line, value = hit
     expected = str(rule.params["expected"])
     if rule.params.get("expected_is_regex"):
-        passed = re.fullmatch(expected, value) is not None
-    else:
-        passed = value == expected
-    return passed, line
+        return re.fullmatch(expected, value) is not None, line
+    return value == expected, line
 
 
 def _check_service_active(rule: Rule, snapshot: NodeSnapshot) -> tuple[bool, str]:
@@ -330,8 +330,7 @@ def _check_file_mode(rule: Rule, snapshot: NodeSnapshot) -> tuple[bool, str]:
         return False, MISSING_EVIDENCE
     mode, owner, group = entry
     max_mode = int(str(rule.params["max_mode"]), 8)
-    passed = (mode & ~max_mode) == 0
-    return passed, f"{path} {mode:04o} {owner}:{group}"
+    return (mode & ~max_mode) == 0, f"{path} {mode:04o} {owner}:{group}"
 
 
 def _check_firewall_active(rule: Rule, snapshot: NodeSnapshot) -> tuple[bool, str]:
@@ -346,6 +345,8 @@ _CHECKS = {
     CheckType.FILE_MODE: (("path", "max_mode"), _check_file_mode),
     CheckType.FIREWALL_ACTIVE: ((), _check_firewall_active),
 }
+# The params some check type reads; a rule with any other is refused.
+_PARAMS = {key for required, _ in _CHECKS.values() for key in required} | {"expected_is_regex"}
 
 
 def evaluate_rule(rule: Rule, snapshot: NodeSnapshot) -> RuleResult:

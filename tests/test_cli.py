@@ -228,6 +228,31 @@ class TestScore:
                 "SELECT extended_uca FROM aggregate_scores").fetchall()
             assert extended == pytest.approx(70.962, abs=0.001)
 
+    def test_rules_document_scores_the_snapshot(self, runner, tmp_path):
+        store = tmp_path / "s.db"
+        _ingest_triple(runner, store, tmp_path)
+        snap_dir = tmp_path / "snap"
+        save_snapshot(make_snapshot(Profile.FULL, node="web"), snap_dir)
+        result = runner.invoke(main, ["--store", str(store), "score", "web",
+                                      "--iteration", "0", "--rules",
+                                      str(_unit_weight_rules(tmp_path / "r.json")),
+                                      "--snapshot", str(snap_dir)])
+        assert result.exit_code == 0, result.output
+        # 7 of the 8 rules pass on the full snapshot, each of weight 1
+        assert "custom=87.50" in result.output
+        with open_store(store) as handle:
+            assert handle._conn.execute(
+                "SELECT COUNT(*), SUM(weight) FROM custom_rule_results").fetchone() == (8, 8)
+
+    def test_rules_document_is_read_before_the_snapshot(self, runner, tmp_path):
+        rules_path = tmp_path / "r.json"
+        rules_path.write_text("[]")
+        result = runner.invoke(main, ["--store", str(tmp_path / "s.db"), "score", "web",
+                                      "--iteration", "0", "--rules", str(rules_path),
+                                      "--snapshot", str(tmp_path / "missing")])
+        assert result.exit_code == 1
+        assert result.output == "Error: rules document must list at least one rule\n"
+
     def test_rules_flag_requires_snapshot(self, runner, tmp_path):
         result = runner.invoke(main, ["--store", str(tmp_path / "s.db"), "score",
                                       "web", "--iteration", "0",

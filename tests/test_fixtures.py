@@ -4,7 +4,7 @@ from datetime import datetime, timezone
 
 import pytest
 
-from uca import pipeline
+from uca import pipeline, rules
 from uca.errors import OutOfRangeError, SpecError
 from uca.fixtures import (
     TOOL_FILE_NAMES,
@@ -99,6 +99,14 @@ class TestCorpusSpec:
             CorpusSpec(score_distributions={
                 "baseline": {Tool.LYNIS: (60.0, -1.0)}
             })
+
+    @pytest.mark.parametrize("changes", [
+        {"scap_total_rules": 1},
+        {"score_distributions": {"baseline": {Tool.LYNIS: (60.0, 0.0)}}}],
+        ids=["one-scap-rule", "zero-sd"])
+    def test_boundary_values_accepted(self, changes):
+        spec = CorpusSpec(**changes)
+        assert {key: getattr(spec, key) for key in changes} == changes
 
     def test_fields_are_frozen(self):
         spec = CorpusSpec()
@@ -246,6 +254,20 @@ class TestMakeCorpus:
         for node, tool, iteration, document in parsed:
             path = result.corpus_dir / "runs" / node / str(iteration) / TOOL_FILE_NAMES[tool]
             assert type(document) is bytes and document == path.read_bytes()
+
+    def test_each_snapshot_is_evaluated_once(self, tmp_path, monkeypatch):
+        """An evaluation depends on the rules and the snapshot alone, so each
+        node's snapshot is evaluated once and its results recorded each iteration."""
+        evaluated = []
+        evaluate_rule = rules.evaluate_rule
+
+        def spy(rule, snapshot):
+            evaluated.append((snapshot.node, rule.id))
+            return evaluate_rule(rule, snapshot)
+        monkeypatch.setattr(rules, "evaluate_rule", spy)
+        result = make_corpus(CorpusSpec(), tmp_path / "corpus")
+        assert len(evaluated) == 24  # 3 nodes x 8 rules
+        assert result.rule_results_recorded == 288
 
     def test_snapshots_written_and_loadable(self, default_corpus):
         snapshot = load_snapshot(default_corpus.corpus_dir / "snapshots" / "full")

@@ -60,6 +60,10 @@ class TestLynisParser:
         assert report.hardening_index == 50
         assert report.raw_key_count == 1
 
+    def test_comment_holding_a_separator_is_no_key(self):
+        report = parse_lynis_report("# report_version=1.0\nhardening_index=50\n")
+        assert report.raw_key_count == 1
+
     def test_boundary_values(self):
         assert parse_lynis_report("hardening_index=0\n").hardening_index == 0
         assert parse_lynis_report("hardening_index=100\n").hardening_index == 100

@@ -98,6 +98,27 @@ class TestBuildReport:
             assert (bundle.node_low, bundle.node_high) == ("low", "high")
             assert bundle.significance == []
 
+    @pytest.mark.parametrize("low, tools", [
+        ((10.0, 14.0), ["lynis", "openscap", "aide"]), ((10.0,), [])],
+        ids=["two-iterations", "one-iteration"])
+    def test_significance_needs_two_values_per_group(self, tmp_path, low, tools):
+        # two values a group are the fewest a pooled t-test takes; one is skipped
+        high = (70.0, 72.0)
+        with open_store(tmp_path / "s.db") as store:
+            for node, values in (("low", low), ("high", high)):
+                for iteration, value in enumerate(values):
+                    for tool in Tool:
+                        store.record_audit_run(_run(node, tool, iteration, value))
+                    store.record_aggregate(AggregateScore(
+                        node=node, iteration=iteration, lynis=value, openscap=value,
+                        aide=value, standard_uca=value,
+                        timestamp="2025-03-03T00:00:00+00:00",
+                    ))
+            bundle = build_report(store)
+        assert (bundle.node_low, bundle.node_high) == ("low", "high")
+        assert bundle.significance == [(tool, stats.pooled_t_test(low, high))
+                                       for tool in tools]
+
     def test_rejected_reevaluation_keeps_earlier_results(self, tmp_path):
         results = evaluate_rules(default_rules(), make_snapshot(Profile.FULL))
         rejected = [*results[:-1], replace(results[-1], rule_id="\udcff")]

@@ -113,8 +113,14 @@ class TestLoadRules:
         ({"id": "fm", "name": "fm", "check_type": "file_mode", "weight": 1,
           "params": {"path": "/etc/shadow", "max_mode": "17777"}},
          "rule 'fm' max_mode: '17777' outside [0000, 7777]"),
+        ({**_MINIMAL, "weight": 3, "wieght": 9}, "rule #0: unknown keys ['wieght']"),
+        # read as text, "[1-4]" failed MaxAuthTries 3 on the full snapshot
+        ({"id": "tries", "name": "tries", "check_type": "config_directive", "weight": 6,
+          "params": {"path": "/etc/ssh/sshd_config", "key": "MaxAuthTries",
+                     "expected": "[1-4]", "expected_regex": True}},
+         "rule 'tries': params: unknown keys ['expected_regex']"),
     ], ids=["not-an-object", "missing-field", "empty-id", "params-not-an-object",
-            "mode-outside-range"])
+            "mode-outside-range", "unknown-entry-key", "unknown-param"])
     def test_malformed_entry_named(self, entry, message):
         with pytest.raises(SchemaError) as raised:
             load_rules(_rule_doc(entry))
@@ -189,6 +195,11 @@ class TestEvaluateRule:
         rule = _rule("ssh_root_login")
         result = evaluate_rule(rule, _snapshot(files={"/etc/ssh/sshd_config": content}))
         assert (result.passed, result.evidence) == (passed, evidence)
+
+    def test_config_directive_bare_key_has_no_value(self):
+        rule = _rule("ssh_root_login")
+        result = evaluate_rule(rule, _snapshot(files={_SSHD: "PermitRootLogin\n"}))
+        assert (result.passed, result.evidence) == (False, "PermitRootLogin")
 
     def test_config_directive_key_case_insensitive(self):
         rule = _rule("ssh_root_login")
@@ -337,6 +348,8 @@ _INVALID_ENTRIES = {
                  SchemaError),
     "mode-outside-range": ({**_FILE_MODE, "params": {"path": "/etc/shadow",
                                                      "max_mode": "17777"}}, SchemaError),
+    "unknown-param": ({**_MINIMAL, "check_type": "config_directive",
+                       "params": {**_TRIES, "expected_regex": True}}, SchemaError),
     "empty-id": ({**_MINIMAL, "id": ""}, SchemaError),
     "params-not-an-object": ({**_MINIMAL, "params": ["x"]}, SchemaError),
 }
@@ -375,6 +388,18 @@ class TestValuesCheckThemselves:
                                               " boolean, got string"):
             Rule("tries", "tries", CheckType.CONFIG_DIRECTIVE, 6,
                  {**_TRIES, "expected_is_regex": "false"})
+
+    @pytest.mark.parametrize("max_mode", ["0000", "7777"])
+    def test_max_mode_bounds_accepted(self, max_mode):
+        rule = Rule("fm", "fm", CheckType.FILE_MODE, 1,
+                    {"path": "/etc/shadow", "max_mode": max_mode})
+        assert rule.params["max_mode"] == max_mode
+
+    def test_literal_expected_is_no_regex(self):
+        # only a regex is compiled: "[" is a value to compare
+        rule = Rule("banner", "banner", CheckType.CONFIG_DIRECTIVE, 1,
+                    {"path": _SSHD, "key": "Banner", "expected": "["})
+        assert evaluate_rule(rule, _snapshot(files={_SSHD: "Banner [\n"})).passed
 
     @pytest.mark.parametrize("expected", ["[", "(" * 2000 + ")" * 2000],
                              ids=["unclosed", "nested-too-deep"])

@@ -92,6 +92,13 @@ class TestWeightConfig:
         with pytest.raises(InvalidWeightsError):
             WeightConfig(w_custom=1.5)
 
+    @pytest.mark.parametrize("w_custom", [0.0, 1.0])
+    def test_custom_weight_bounds_accepted(self, w_custom):
+        assert WeightConfig(w_custom=w_custom).w_custom == w_custom
+
+    def test_zero_tool_weight_accepted(self):
+        assert WeightConfig(w_lynis=0.5, w_openscap=0.5, w_aide=0.0).w_aide == 0.0
+
     @pytest.mark.parametrize("field", ["w_lynis", "w_openscap", "w_aide", "w_custom",
                                        "aide_penalty_per_change"])
     @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])

@@ -62,6 +62,10 @@ class TestDescribe:
         with pytest.raises(EmptySampleError):
             describe([])
 
+    def test_two_values_have_their_spread(self):
+        # the smallest sample with a sample variance: (1 - 2)^2 + (3 - 2)^2 over n - 1
+        assert describe([1.0, 3.0]).sd == math.sqrt(2.0)
+
     @given(
         xs=st.lists(st.floats(-100, 100), min_size=2, max_size=30),
         k=st.floats(0.1, 10), c=st.floats(-50, 50),
@@ -107,6 +111,17 @@ class TestPooledTTest:
     def test_degenerate_groups(self):
         with pytest.raises(DegenerateSampleError):
             pooled_t_test([5, 5, 5], [7, 7, 7])
+
+    @pytest.mark.parametrize("welch", [False, True])
+    def test_two_against_two_matches_scipy(self, welch):
+        from scipy.stats import ttest_ind
+
+        low, high = [60.0, 64.0], [70.0, 71.0]
+        result = pooled_t_test(low, high, welch=welch)
+        reference = ttest_ind(high, low, equal_var=not welch)
+        assert result.t == pytest.approx(reference.statistic, rel=1e-12)
+        assert result.p_two_tailed == pytest.approx(reference.pvalue, rel=1e-9)
+        assert result.df == pytest.approx(reference.df, rel=1e-12)
 
     def test_degenerate_groups_with_inexact_means(self):
         with pytest.raises(DegenerateSampleError):
