@@ -125,12 +125,9 @@ def main(ctx, store_path, config_path, fmt, **weights):
 def ingest(app: AppContext, node, tool, input_path, iteration, phase,
            runtime_seconds, timestamp):
     """Parse one tool output file and record the run."""
-    # an XCCDF results file is parsed as it is read, in pieces
-    document = (FileChunks(input_path) if tool == Tool.OPENSCAP
-                else Path(input_path).read_bytes())
     try:
         run = pipeline.parse_run(
-            node, tool, document, iteration=iteration, phase=phase,
+            node, tool, FileChunks(input_path), iteration=iteration, phase=phase,
             runtime_seconds=runtime_seconds, timestamp=timestamp or _now_iso(),
             weights=app.weights,
         )
@@ -139,8 +136,8 @@ def ingest(app: AppContext, node, tool, input_path, iteration, phase,
     with app.open() as store:
         run_id = store.record_audit_run(run)
     _emit(app, {"id": run_id, "node": node, "tool": tool,
-                "raw_score": round(run.raw_score, 2),
-                "normalized_score": round(run.normalized_score, 2)},
+                "raw_score": report_mod.round_score(run.raw_score),
+                "normalized_score": report_mod.round_score(run.normalized_score)},
           f"recorded run {run_id}: {node}/{tool} "
           f"raw={run.raw_score:.2f} normalized={run.normalized_score:.2f}")
 
@@ -208,7 +205,7 @@ def rules_cmd(app: AppContext, rules_path, snapshot_path, node, iteration, recor
         "iteration": iteration,
         "passed": passed,
         "failed": len(results) - passed,
-        "score_pct": round(pct, 2),
+        "score_pct": report_mod.round_score(pct),
         "results": [
             {"rule_id": r.rule_id, "passed": r.passed, "evidence": r.evidence}
             for r in results

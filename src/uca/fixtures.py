@@ -114,14 +114,10 @@ def make_xccdf_fixture(
     ])
 
 
-def make_aide_fixture(
-    added: int, removed: int, changed: int, wording: str = "entries"
-) -> str:
+def make_aide_fixture(added: int, removed: int, changed: int) -> str:
     """An AIDE comparison report; (0, 0, 0) renders as a clean-match report."""
     if added < 0 or removed < 0 or changed < 0:
         raise OutOfRangeError("change counts must be non-negative")
-    if wording not in ("entries", "files"):
-        raise OutOfRangeError(f"wording must be 'entries' or 'files', got {wording!r}")
     header = "Start timestamp: 2025-03-03 00:00:00 +0000 (AIDE 0.17.4)\n"
     if added == removed == changed == 0:
         return (
@@ -129,15 +125,14 @@ def make_aide_fixture(
             + "AIDE found NO differences between database and filesystem. Looks okay!!\n"
             + "\nNumber of entries:\t1523\n"
         )
-    total = 1523
     return (
         header
         + "AIDE found differences between database and filesystem!!\n"
         + "\nSummary:\n"
-        + f"  Total number of {wording}:\t{total}\n"
-        + f"  Added {wording}:\t\t{added}\n"
-        + f"  Removed {wording}:\t\t{removed}\n"
-        + f"  Changed {wording}:\t\t{changed}\n"
+        + "  Total number of entries:\t1523\n"
+        + f"  Added entries:\t\t{added}\n"
+        + f"  Removed entries:\t\t{removed}\n"
+        + f"  Changed entries:\t\t{changed}\n"
     )
 
 

@@ -5,23 +5,27 @@ They tolerate format noise (comments, unknown keys, extra sections) but fail
 loudly when a required field is missing or unusable, or when the bytes of a
 document cannot be decoded.
 
+Every parser takes its document as text, as bytes, or as an iterable of byte
+pieces, such as a file read in 64 KiB pieces (``FileChunks``).
+
 Formats:
   - Lynis machine report: ``key=value`` lines (the ``lynis-report.dat`` style
-    file), required key ``hardening_index``. Text, or bytes in UTF-8.
+    file), required key ``hardening_index``. Bytes are UTF-8; the pieces are
+    joined, then decoded.
   - XCCDF scan results: XML with ``rule-result`` elements each carrying one
     result status; element matching is by local name so any XCCDF namespace
     version is accepted. The document is streamed through expat in one
-    pass that builds no tree, so memory does not grow with its size; it can
-    be given as chunks of a file (``FileChunks``), and the encoding of bytes
-    comes from the XML declaration. Only the last ``TestResult`` is scored.
+    pass that builds no tree, so memory does not grow with its size, and
+    the encoding of bytes comes from the XML declaration. Only the last
+    ``TestResult`` is scored.
     Bytes declared UTF-8 or US-ASCII, with no entity declaration, run no
     Python callback on the elements before the piece where the bytes
     ``rule-result`` first occur (the Benchmark's Profile, Group and Rule
     definitions in ``oscap`` output): no result can start there, so the
     tally cannot change, and expat still checks every byte.
   - AIDE comparison report: summary block with added/removed/changed counts,
-    or a clean-match marker when the database matched the filesystem. Text,
-    or bytes in UTF-8.
+    or a clean-match marker when the database matched the filesystem. Bytes
+    are UTF-8, as for Lynis.
 """
 
 from __future__ import annotations
@@ -97,11 +101,13 @@ class AideReport:
         return self.added + self.removed + self.changed
 
 
-def _text(document: str | bytes) -> str:
-    """The text of a document; bytes are strict UTF-8 with any newline
-    convention, read as a text-mode file would."""
+def _text(document: str | bytes | Iterable[bytes]) -> str:
+    """The text of a document; bytes, or byte pieces joined, are strict UTF-8
+    with any newline convention, read as a text-mode file would."""
     if isinstance(document, str):
         return document
+    if not isinstance(document, bytes):
+        document = b"".join(document)
     try:
         text = document.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -111,8 +117,9 @@ def _text(document: str | bytes) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
-def parse_lynis_report(document: str | bytes) -> LynisReport:
-    """Extract the hardening index from a Lynis ``key=value`` report.
+def parse_lynis_report(document: str | bytes | Iterable[bytes]) -> LynisReport:
+    """Extract the hardening index from a Lynis ``key=value`` report, given as
+    text, bytes or byte pieces (such as ``FileChunks``).
 
     Comments (``#``) and blank lines are skipped; lines without ``=`` are
     ignored as noise. Duplicate keys resolve to the last occurrence, which
@@ -166,9 +173,9 @@ _ASCII_NAMES = ("utf-8", "us-ascii")
 class FileChunks:
     """A file read in 64 KiB pieces, from the start on every iteration.
 
-    ``len()`` is the file's size in bytes. Passed to
-    ``parse_xccdf_results`` in place of the file's contents, it keeps the
-    document from ever being held whole in memory.
+    ``len()`` is the file's size in bytes. Passed to a parser in place of
+    the file's contents; ``parse_xccdf_results`` never holds the document
+    whole in memory.
     """
 
     __slots__ = ("path",)
@@ -373,8 +380,9 @@ _AIDE_CLEAN_RE = re.compile(
 )
 
 
-def parse_aide_report(document: str | bytes) -> AideReport:
-    """Extract added/removed/changed counts from an AIDE comparison report.
+def parse_aide_report(document: str | bytes | Iterable[bytes]) -> AideReport:
+    """Extract added/removed/changed counts from an AIDE comparison report,
+    given as text, bytes or byte pieces (such as ``FileChunks``).
 
     A clean-match report (database matches, no summary counts) yields
     (0, 0, 0). If summary count lines are present, all three must be; a

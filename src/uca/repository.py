@@ -521,7 +521,8 @@ class Store:
             found = next(reader, None)
             if found != [name for name, _ in columns]:
                 raise ConstraintViolationError(f"{path}: unexpected header {found!r}")
-            for lineno, row in enumerate(reader, start=2):
+            lineno = reader.line_num + 1  # a row's first line: a quoted field may span lines
+            for row in reader:
                 try:
                     if len(row) != len(columns):
                         raise ValueError(f"{len(row)} fields, expected {len(columns)}")
@@ -530,6 +531,7 @@ class Store:
                 except (ValueError, ConstraintViolationError) as exc:
                     raise ConstraintViolationError(f"{path}:{lineno}: {exc}") from None
                 count += 1
+                lineno = reader.line_num + 1
         return count
 
 

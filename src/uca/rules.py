@@ -69,8 +69,8 @@ def _check_weight(weight: object, where: str) -> None:
 class Rule:
     """One weighted check; ``check_type`` may be given as its string value. A field
     not of its JSON type, an empty id, a weight below 1 (NonPositiveWeightError), a
-    missing param, a param no check type reads, a bad regex or a ``max_mode``
-    outside [0000, 7777] raise SchemaError."""
+    missing param, a param its check type does not read, a bad regex or a
+    ``max_mode`` outside [0000, 7777] raise SchemaError."""
 
     id: str
     name: str
@@ -87,13 +87,13 @@ class Rule:
         object.__setattr__(self, "check_type", check_type)
         _check_weight(self.weight, where)
         params = typed(self.params, dict, SchemaError, f"{where}: params")
-        known_keys(params, _PARAMS, SchemaError, f"{where}: params")
-        for key in _CHECKS[check_type][0]:
+        required, optional, _ = _CHECKS[check_type]
+        known_keys(params, required + optional, SchemaError, f"{where}: params")
+        for key in required:
             if key not in params:
                 raise SchemaError(f"{where}: params missing {key!r} for {check_type.value}")
-        regex = typed(params.get("expected_is_regex", False), bool, SchemaError,
-                      f"{where}: params.expected_is_regex")
-        if check_type is CheckType.CONFIG_DIRECTIVE and regex:
+        if typed(params.get("expected_is_regex", False), bool, SchemaError,
+                 f"{where}: params.expected_is_regex"):
             try:
                 re.compile(str(params["expected"]))
             except (re.error, OverflowError, RecursionError) as exc:
@@ -198,10 +198,8 @@ def _parse_mode(text: str, what: str, error: type[Exception]) -> int:
 
 def load_rules(document: str | bytes) -> RuleSet:
     """Parse a JSON rules document (top-level list of rules) into a RuleSet; each
-    entry's fields are checked by the Rule it makes."""
+    entry's fields are checked by the Rule it makes, and the list by the RuleSet."""
     data = load(document, list, SchemaError, "rules document")
-    if not data:
-        raise SchemaError("rules document must list at least one rule")
     return RuleSet(tuple(_validate_rule_dict(entry, position)
                          for position, entry in enumerate(data)))
 
@@ -338,20 +336,20 @@ def _check_firewall_active(rule: Rule, snapshot: NodeSnapshot) -> tuple[bool, st
     return state is FirewallState.ACTIVE, f"firewall {state.value}"
 
 
-# Each check type's required params (expected_is_regex is optional) and check.
+# Each check type's required params, its optional ones and its check; a rule
+# whose params hold any other key is refused.
 _CHECKS = {
-    CheckType.CONFIG_DIRECTIVE: (("path", "key", "expected"), _check_config_directive),
-    CheckType.SERVICE_ACTIVE: (("service",), _check_service_active),
-    CheckType.FILE_MODE: (("path", "max_mode"), _check_file_mode),
-    CheckType.FIREWALL_ACTIVE: ((), _check_firewall_active),
+    CheckType.CONFIG_DIRECTIVE: (("path", "key", "expected"), ("expected_is_regex",),
+                                 _check_config_directive),
+    CheckType.SERVICE_ACTIVE: (("service",), (), _check_service_active),
+    CheckType.FILE_MODE: (("path", "max_mode"), (), _check_file_mode),
+    CheckType.FIREWALL_ACTIVE: ((), (), _check_firewall_active),
 }
-# The params some check type reads; a rule with any other is refused.
-_PARAMS = {key for required, _ in _CHECKS.values() for key in required} | {"expected_is_regex"}
 
 
 def evaluate_rule(rule: Rule, snapshot: NodeSnapshot) -> RuleResult:
     """Evaluate one rule against a snapshot; absence fails, never raises."""
-    passed, evidence = _CHECKS[rule.check_type][1](rule, snapshot)
+    passed, evidence = _CHECKS[rule.check_type][2](rule, snapshot)
     return RuleResult(rule.id, passed, evidence, rule.weight)
 
 

@@ -14,13 +14,14 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping
 
+from . import parsers
 from .errors import (
     InvalidWeightsError,
     NegativeCountError,
     NonFiniteError,
     OutOfRangeError,
 )
-from .jsondoc import typed
+from .jsondoc import known_keys, typed
 
 __all__ = [
     "Tool",
@@ -79,9 +80,7 @@ class WeightConfig:
     @classmethod
     def from_mapping(cls, mapping: Mapping[str, object]) -> "WeightConfig":
         """Build a config from a flat mapping, keeping defaults for absent keys."""
-        unknown = set(mapping) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise InvalidWeightsError(f"unknown weight keys: {sorted(unknown)}")
+        known_keys(mapping, cls.__dataclass_fields__, InvalidWeightsError, "weights")
         return cls(**mapping)
 
 
@@ -175,13 +174,10 @@ def score_tool_document(tool: Tool, document: str | bytes | Iterable[bytes],
                         ) -> tuple[float, float]:
     """Parse a tool output document and return (raw score, normalized score).
 
-    The document is text or bytes; an XCCDF document may also be an
-    iterable of byte chunks (see ``parsers.parse_xccdf_results``). The raw
-    score is the tool-native value: hardening index, compliance percentage,
-    or total AIDE change count.
+    The document is text, bytes or an iterable of byte pieces, for every
+    tool. The raw score is the tool-native value: hardening index,
+    compliance percentage, or total AIDE change count.
     """
-    from . import parsers
-
     tool = Tool(tool)
     if tool is Tool.LYNIS:
         report = parsers.parse_lynis_report(document)

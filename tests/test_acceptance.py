@@ -175,7 +175,7 @@ def test_criterion_7_inversion_and_csv_round_trip(corpus_store, tmp_path):
     for _ in range(350):
         triple = (rng.randint(0, 250), rng.randint(0, 250), rng.randint(0, 250))
         wording = rng.choice(["entries", "files"])
-        report = parse_aide_report(make_aide_fixture(*triple, wording=wording))
+        report = parse_aide_report(make_aide_fixture(*triple).replace("entries", wording))
         assert (report.added, report.removed, report.changed) == triple
         trials += 1
     assert trials >= 1000

@@ -251,7 +251,7 @@ class TestScore:
                                       "--iteration", "0", "--rules", str(rules_path),
                                       "--snapshot", str(tmp_path / "missing")])
         assert result.exit_code == 1
-        assert result.output == "Error: rules document must list at least one rule\n"
+        assert result.output == "Error: a rule set must list at least one rule\n"
 
     def test_rules_flag_requires_snapshot(self, runner, tmp_path):
         result = runner.invoke(main, ["--store", str(tmp_path / "s.db"), "score",
@@ -342,7 +342,7 @@ class TestRulesCommand:
                                       "--rules", str(rules_path),
                                       "--snapshot", str(snap_dir)])
         assert result.exit_code == 1
-        assert "Error: rules document must list at least one rule" in result.output
+        assert "Error: a rule set must list at least one rule" in result.output
 
     def test_bad_rules_document_exits_1(self, runner, tmp_path):
         rules_path = tmp_path / "rules.json"

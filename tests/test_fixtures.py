@@ -65,10 +65,6 @@ class TestDocumentGenerators:
         with pytest.raises(OutOfRangeError, match="^change counts must be non-negative$"):
             make_aide_fixture(*counts)
 
-    def test_aide_bad_wording(self):
-        with pytest.raises(OutOfRangeError):
-            make_aide_fixture(1, 1, 1, wording="items")
-
 
 class TestSnapshots:
     @pytest.mark.parametrize("profile,passes,score", [

@@ -161,7 +161,10 @@ def test_the_writer_refuses_what_json_dumps_refuses(value):
 # --- the one type rule, at every field of every document ---------------------
 
 _RULES = [{"id": "fw", "name": "firewall", "check_type": "firewall_active", "weight": 3,
-           "params": {}}]
+           "params": {}},
+          {"id": "tries", "name": "tries", "check_type": "config_directive", "weight": 2,
+           "params": {"path": "/etc/ssh/sshd_config", "key": "MaxAuthTries", "expected": "3",
+                      "expected_is_regex": False}}]
 _SPEC = {
     "nodes": [{"name": "a", "profile": "full"}],
     "iterations": 2,
@@ -181,7 +184,7 @@ _RULES_FIELDS = [
     ((), list, "rules document"), ((0,), dict, "rule #0"), ((0, "id"), str, "rule #0: id"),
     ((0, "name"), str, "rule 'fw': name"), ((0, "check_type"), str, "rule 'fw': check_type"),
     ((0, "weight"), int, "rule 'fw': weight"), ((0, "params"), dict, "rule 'fw': params"),
-    ((0, "params", "expected_is_regex"), bool, "rule 'fw': params.expected_is_regex"),
+    ((1, "params", "expected_is_regex"), bool, "rule 'tries': params.expected_is_regex"),
 ]
 _SPEC_FIELDS = [
     ((), dict, ""), (("nodes",), list, "nodes"), (("nodes", 0), dict, "nodes[0]"),

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uca import parsers
+from uca import parsers, pipeline
 from uca.errors import (
     EncodingError,
     MalformedReportError,
@@ -28,6 +28,7 @@ from uca.parsers import (
     parse_xccdf_results,
 )
 from uca.rules import load_rules
+from uca.scoring import DEFAULT_WEIGHTS
 
 
 class TestLynisParser:
@@ -223,7 +224,8 @@ class TestRoundTripProperties:
         wording=st.sampled_from(["entries", "files"]),
     )
     def test_aide_inversion(self, added, removed, changed, wording):
-        report = parse_aide_report(make_aide_fixture(added, removed, changed, wording))
+        document = make_aide_fixture(added, removed, changed).replace("entries", wording)
+        report = parse_aide_report(document)
         assert (report.added, report.removed, report.changed) == (added, removed, changed)
 
     @settings(max_examples=30)
@@ -647,6 +649,28 @@ class TestUtf8Documents:
         assert parse_lynis_report("hardening_index=70\r\n".encode()).hardening_index == 70
         cr_only = make_aide_fixture(2, 1, 4).replace("\n", "\r").encode()
         assert parse_aide_report(cr_only).total_changes == 7
+
+
+class TestTextDocumentsReadInPieces:
+    """A Lynis or AIDE document may be given as a file read in pieces or as a
+    list of pieces, as ``uca ingest`` gives every tool's file."""
+
+    @pytest.mark.parametrize("tool, text", [
+        ("lynis", "# caf\u00e9\r\n" + make_lynis_fixture(64).replace("\n", "\r\n")),
+        ("aide", make_aide_fixture(3, 2, 1).replace("\n", "\r\n")),
+    ], ids=["lynis", "aide"])
+    @pytest.mark.parametrize("form", ["file", "pieces"])
+    def test_parse_run_of_pieces_equals_the_run_of_the_bytes(self, tmp_path, tool, text, form):
+        data = text.encode()
+        path = tmp_path / "document"
+        path.write_bytes(data)
+        # 7-byte pieces split the CRLF pairs and the two bytes of the e-acute
+        document = FileChunks(path) if form == "file" else [
+            data[start:start + 7] for start in range(0, len(data), 7)]
+        kwargs = dict(iteration=0, phase="pre", runtime_seconds=1.0,
+                      timestamp="2025-03-03T00:00:00+00:00", weights=DEFAULT_WEIGHTS)
+        assert (pipeline.parse_run("n", tool, document, **kwargs)
+                == pipeline.parse_run("n", tool, data, **kwargs))
 
 
 class TestFuzz:

@@ -652,6 +652,17 @@ class TestCsvExport:
                                        " (SELECT COUNT(*) FROM aggregate_scores)"
                                        ).fetchone() == (0, 0)
 
+    def test_bad_row_after_a_field_with_a_newline_names_its_line(self, tmp_path):
+        # the first row spans lines 2-3, so the bad row is the file's line 4
+        path = tmp_path / "bad.csv"
+        write_csv(path, list(AUDIT_CSV_HEADER), [
+            [getattr(_run(node="a\nb"), name) for name in AUDIT_CSV_HEADER],
+            [getattr(_run(tool=Tool.AIDE), name) for name in AUDIT_CSV_HEADER[:6]]
+            + [150, 1]])
+        assert path.read_text().splitlines()[3].startswith("baseline,aide,")
+        with open_store(tmp_path / "s.db") as store:
+            with pytest.raises(ConstraintViolationError, match="bad.csv:4: "):
+                store.import_audit_csv(path)
 
     @pytest.mark.parametrize("importer, header, good", [
         ("import_audit_csv", AUDIT_CSV_HEADER,

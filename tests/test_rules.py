@@ -119,8 +119,14 @@ class TestLoadRules:
           "params": {"path": "/etc/ssh/sshd_config", "key": "MaxAuthTries",
                      "expected": "[1-4]", "expected_regex": True}},
          "rule 'tries': params: unknown keys ['expected_regex']"),
+        # each check type reads its own params, and no other check type's
+        ({**_MINIMAL, "params": {"expected": "no"}}, "rule 'fw': params: unknown keys ['expected']"),
+        ({"id": "fm", "name": "fm", "check_type": "file_mode", "weight": 1,
+          "params": {"path": "/etc/shadow", "max_mode": "0640", "expected_is_regex": False}},
+         "rule 'fm': params: unknown keys ['expected_is_regex']"),
     ], ids=["not-an-object", "missing-field", "empty-id", "params-not-an-object",
-            "mode-outside-range", "unknown-entry-key", "unknown-param"])
+            "mode-outside-range", "unknown-entry-key", "unknown-param",
+            "firewall-param-of-config", "file-mode-param-of-config"])
     def test_malformed_entry_named(self, entry, message):
         with pytest.raises(SchemaError) as raised:
             load_rules(_rule_doc(entry))
@@ -382,6 +388,12 @@ class TestValuesCheckThemselves:
         with pytest.raises(SchemaError, match="rule 'fm' max_mode: '999' is not an octal mode"):
             Rule("fm", "fm", CheckType.FILE_MODE, 1, {"path": "/etc/shadow", "max_mode": "999"})
 
+    def test_params_of_another_check_type(self):
+        # a rule written for the wrong check type: a firewall rule reads no params
+        with pytest.raises(SchemaError) as raised:
+            Rule("fw", "fw", CheckType.FIREWALL_ACTIVE, 1, {"expected": "no", "max_mode": "0640"})
+        assert str(raised.value) == "rule 'fw': params: unknown keys ['expected', 'max_mode']"
+
     def test_expected_is_regex_not_a_bool(self):
         # a truthy string would make "[1-4]" a regex that passes against MaxAuthTries 3
         with pytest.raises(SchemaError, match="params.expected_is_regex: expected a JSON"
@@ -473,18 +485,24 @@ _JUNK_FIELDS = {"id": ["", 5], "name": [5, None], "check_type": ["selinux", None
                 "weight": [0, -1, True, 2.5, "5"], "params": [[], None]}
 
 
+_OWN_PARAMS = {CheckType.CONFIG_DIRECTIVE: ("path", "key", "expected"),
+               CheckType.SERVICE_ACTIVE: ("service",), CheckType.FILE_MODE: ("path", "max_mode"),
+               CheckType.FIREWALL_ACTIVE: ()}
+
+
 @st.composite
 def _drawn_rule_fields(draw):
-    """Rule fields of every check type: valid ones, params with junk values or a
-    key missing, or one field of junk."""
-    params = {"path": draw(st.sampled_from([_SSHD, "/etc/shadow"])), "key": "MaxAuthTries",
+    """Rule fields of every check type: valid ones, params with junk values, a
+    key missing or a key of another check type, or one field of junk."""
+    check_type = draw(st.sampled_from([*CheckType, "file_mode"]))
+    values = {"path": draw(st.sampled_from([_SSHD, "/etc/shadow"])), "key": "MaxAuthTries",
               "expected": "[1-4]", "service": "auditd", "max_mode": "0640"}
-    keys = [*params, "expected_is_regex"]
+    params = {key: values[key] for key in _OWN_PARAMS[CheckType(check_type)]}
+    keys = [*values, "expected_is_regex"]
     params.update(draw(st.dictionaries(st.sampled_from(keys), _PARAM_VALUES, max_size=2)))
     for key in draw(st.sets(st.sampled_from(keys), max_size=1)):
         params.pop(key, None)
-    fields = {"id": draw(st.sampled_from("abcdef")), "name": "rule",
-              "check_type": draw(st.sampled_from([*CheckType, "file_mode"])),
+    fields = {"id": draw(st.sampled_from("abcdef")), "name": "rule", "check_type": check_type,
               "weight": draw(st.integers(1, 20)), "params": params}
     spoiled = draw(st.one_of(st.none(), st.sampled_from(list(_JUNK_FIELDS))))
     if spoiled:

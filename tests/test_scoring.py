@@ -118,8 +118,9 @@ class TestWeightConfig:
         assert config.w_lynis == 0.4
 
     def test_from_mapping_unknown_key(self):
-        with pytest.raises(InvalidWeightsError):
+        with pytest.raises(InvalidWeightsError) as raised:
             WeightConfig.from_mapping({"w_tripwire": 0.2})
+        assert str(raised.value) == "weights: unknown keys ['w_tripwire']"
 
     def test_from_mapping_non_numeric(self):
         with pytest.raises(InvalidWeightsError):
